@@ -42,6 +42,7 @@ from .errors import (
     FixedPointNotConvergedError,
     IdentityViolatedError,
     InputError,
+    InvalidShardError,
     LabelOutOfRangeError,
     LengthMismatchError,
     LimitExceededError,

@@ -30,7 +30,7 @@ from .errors import (
     NotPrimeError,
     NotStandardPrimeError,
 )
-from .parking import is_parking_function, is_prime, park, run_parking
+from .parking import Edge, is_parking_function, is_prime, park, run_parking
 from .trees import (
     LabeledPlaneTree,
     PlaneShape,
@@ -67,7 +67,8 @@ class MarkedSet:
     marked: int
 
     def __post_init__(self) -> None:
-        assert self.marked in self.elements
+        if self.marked not in self.elements:
+            raise InputError(f"marked index {self.marked} is not among {self.elements}")
 
     def unmarked(self) -> tuple[int, ...]:
         return tuple(e for e in self.elements if e != self.marked)
@@ -88,6 +89,17 @@ def _tree_of_shape(shape: PlaneShape) -> tuple[RootedTree, list[list[int]]]:
     return RootedTree(parents), children
 
 
+def _out_of_crossing_order(children: list[list[int]], crossings: Sequence[Edge]) -> int | None:
+    """The first vertex whose children are not in decreasing first-crossing
+    order of their parent edges, or None; every edge must have been crossed."""
+    tick = {edge: i for i, edge in enumerate(crossings)}
+    for v, kids in enumerate(children):
+        times = [tick[(c, v)] for c in kids]
+        if any(a <= b for a, b in zip(times, times[1:])):
+            return v
+    return None
+
+
 def check_standard_prime(sp: StandardPrime) -> int:
     """Validate a standard pair; returns n.
 
@@ -105,13 +117,9 @@ def check_standard_prime(sp: StandardPrime) -> int:
         raise NotStandardPrimeError(str(exc)) from exc
     if not prime:
         raise NotStandardPrimeError("underlying pair is not prime")
-    if n == 1:
-        return n
-    tick = {edge: i for i, edge in enumerate(park(tree, sp.prefs).crossings)}
-    for v in range(1, n + 1):
-        times = [tick[(c, v)] for c in children[v]]
-        if any(a <= b for a, b in zip(times, times[1:])):
-            raise NotStandardPrimeError(f"children of vertex {v} are out of crossing order")
+    v = _out_of_crossing_order(children, park(tree, sp.prefs).crossings)
+    if v is not None:
+        raise NotStandardPrimeError(f"children of vertex {v} are out of crossing order")
     return n
 
 

@@ -1,22 +1,24 @@
 """Exhaustive brute-force censuses and theorem-level verification suites.
 
-Every count here is obtained by enumerating objects one by one (vectorized
-across preference sequences, but still one check per object); the closed
-forms appear only on the *expected* side of each report.  The tree space can
-be sharded: ``shard=(k, m)`` keeps the trees (or shapes) whose enumeration
-index is congruent to k mod m, and the per-shard counts sum to the full run.
+Every count here is obtained by enumerating objects one by one (parking and
+primality depend on a sequence only through its count vector, so one subtree
+pass decides a whole bucket of sequences); the closed forms appear only on
+the *expected* side of each report.  The tree space can be sharded:
+``shard=(k, m)`` keeps the trees (or shapes) whose enumeration index is
+congruent to k mod m, and the per-shard counts sum to the full run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 from math import factorial
-
-import numpy as np
+from typing import Iterator
 
 from .bijections import (
+    _out_of_crossing_order,
+    _tree_of_shape,
     borie_map,
     decode_prime,
     encode_prime,
@@ -26,11 +28,12 @@ from .bijections import (
     prime_to_pair,
     standard_path_prime,
 )
-from .errors import LimitExceededError
-from .parking import run_parking
+from .errors import InvalidShardError, LimitExceededError
+from .parking import _subtree_sums, run_parking
 from .series import catalan_number, closed_counts
 from .trees import (
     LabeledPlaneTree,
+    PlaneShape,
     RootedTree,
     enumerate_labeled_plane_trees,
     enumerate_plane_trees,
@@ -38,7 +41,6 @@ from .trees import (
     format_plane_tree,
     format_rooted_tree,
     path_shape,
-    shape_to_parents,
 )
 
 CENSUS_COLUMNS = (
@@ -51,47 +53,38 @@ CENSUS_COLUMNS = (
     "standard_prime",
 )
 
-
-def _ancestor_matrix(tree: RootedTree) -> np.ndarray:
-    """M[u-1, v-1] = 1 when v lies on the path from u to the root (u included)."""
-    n = tree.n
-    m = np.zeros((n, n), dtype=np.int16)
-    for u in range(1, n + 1):
-        for v in tree.path_to_root(u):
-            m[u - 1, v - 1] = 1
-    return m
+Buckets = dict[tuple[int, ...], list[tuple[int, ...]]]
 
 
-def _count_matrix(rows: list[tuple[int, ...]], n: int) -> np.ndarray:
-    out = np.zeros((len(rows), n), dtype=np.int16)
-    for i, row in enumerate(rows):
-        for s in row:
-            out[i, s - 1] += 1
-    return out
+def _buckets(n: int) -> Buckets:
+    """The n^n preference sequences grouped by count vector.  Slot v of a key
+    is the number of drivers preferring v, less one (slot 0 is unused); the
+    keys stand for the C(2n-1, n) multisets."""
+    buckets: Buckets = {}
+    for seq in product(range(1, n + 1), repeat=n):
+        buckets.setdefault(tuple(seq.count(v) - 1 for v in range(n + 1)), []).append(seq)
+    return buckets
 
 
-def _shape_prime_rows(shape, seqs: list[tuple[int, ...]], counts: np.ndarray) -> np.ndarray:
-    parents, _ = shape_to_parents(shape)
-    tree = RootedTree(parents)
-    m = _ancestor_matrix(tree)
-    sizes = m.sum(axis=0, dtype=np.int16)
-    strict = np.ones(tree.n, dtype=np.int16)
-    strict[tree.root - 1] = 0
-    totals = counts @ m
-    return (totals >= sizes + strict).all(axis=1)
+def _slacks(tree: RootedTree, buckets: Buckets) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+    """Each bucket's sequences with their slack on the tree: the least, over
+    non-root v, of the drivers preferring the subtree of v less its size.
+    They park when the slack is >= 0 and are prime when it is >= 1."""
+    order, parents = tree.bottom_up(), (0,) + tree.parents
+    below_root = order[:-1]
+    for weights, seqs in buckets.items():
+        excess = _subtree_sums(order, parents, weights)
+        yield seqs, min((excess[v] for v in below_root), default=1)
 
 
-def _is_standard_prime_fast(shape, prefs: tuple[int, ...]) -> bool:
-    """Sibling-order test for a sequence already known to be prime on the shape."""
-    parents, children = shape_to_parents(shape)
-    outcome = run_parking(RootedTree(parents), prefs)
-    tick = {edge: i for i, edge in enumerate(outcome.crossings)}
-    n = len(parents)
-    for v in range(1, n + 1):
-        times = [tick[(c, v)] for c in children[v]]
-        if any(a <= b for a, b in zip(times, times[1:])):
-            return False
-    return True
+def _standard_primes(shape: PlaneShape, buckets: Buckets) -> Iterator[tuple[int, ...]]:
+    """The sequences that form a standard pair with the post-order labeled shape."""
+    tree, children = _tree_of_shape(shape)
+    for seqs, slack in _slacks(tree, buckets):
+        if slack >= 1:
+            for seq in seqs:
+                if _out_of_crossing_order(children, run_parking(tree, seq).crossings) is None:
+                    yield seq
 
 
 def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = False) -> dict[str, int]:
@@ -99,42 +92,30 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     if n < 1 or n > 6:
         raise LimitExceededError(f"census is guarded to 1 <= n <= 6, got {n}")
     if n == 6 and not allow_large:
-        raise LimitExceededError("the n=6 census runs ~3.6e8 checks; pass allow_large")
+        raise LimitExceededError("the n=6 census decides 462 buckets on each of 7776 trees; pass allow_large")
     which, mod = shard
-
-    seqs = list(product(range(1, n + 1), repeat=n))
-    seq_counts = _count_matrix(seqs, n)
-    multi_counts = _count_matrix(
-        list(combinations_with_replacement(range(1, n + 1), n)), n
-    )
+    if mod < 1 or not 0 <= which < mod:
+        raise InvalidShardError(f"shard {shard}: need m >= 1 and 0 <= k < m")
+    buckets = _buckets(n)
 
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
     for index, tree in enumerate(enumerate_rooted_trees(n)):
         if index % mod != which:
             continue
-        m = _ancestor_matrix(tree)
-        sizes = m.sum(axis=0, dtype=np.int16)
-        strict = np.ones(n, dtype=np.int16)
-        strict[tree.root - 1] = 0
-        totals = seq_counts @ m
-        counts["parking"] += int((totals >= sizes).all(axis=1).sum())
-        counts["prime"] += int((totals >= sizes + strict).all(axis=1).sum())
-        totals_m = multi_counts @ m
-        dist = int((totals_m >= sizes).all(axis=1).sum())
-        prime_dist = int((totals_m >= sizes + strict).all(axis=1).sum())
-        counts["distribution"] += dist
-        counts["prime_distribution"] += prime_dist
+        slacks = [(len(seqs), slack) for seqs, slack in _slacks(tree, buckets)]
+        parking = [weight for weight, slack in slacks if slack >= 0]
+        prime = [weight for weight, slack in slacks if slack >= 1]
         leaves = len(tree.leaves())
-        counts["marked_prime"] += leaves * prime_dist
-        counts["marked_distribution"] += leaves * dist
+        counts["parking"] += sum(parking)
+        counts["prime"] += sum(prime)
+        counts["distribution"] += len(parking)
+        counts["prime_distribution"] += len(prime)
+        counts["marked_distribution"] += leaves * len(parking)
+        counts["marked_prime"] += leaves * len(prime)
 
     for index, shape in enumerate(enumerate_plane_trees(n)):
-        if index % mod != which:
-            continue
-        prime_rows = _shape_prime_rows(shape, seqs, seq_counts)
-        for i in np.flatnonzero(prime_rows):
-            if _is_standard_prime_fast(shape, seqs[i]):
-                counts["standard_prime"] += 1
+        if index % mod == which:
+            counts["standard_prime"] += sum(1 for _ in _standard_primes(shape, buckets))
     return counts
 
 
@@ -200,17 +181,12 @@ class SuiteReport:
 
 def _iter_primes(n: int):
     """All prime pairs on n vertices, by enumeration and the strict criterion."""
-    seqs = list(product(range(1, n + 1), repeat=n))
-    seq_counts = _count_matrix(seqs, n)
+    buckets = _buckets(n)
     for tree in enumerate_rooted_trees(n):
-        m = _ancestor_matrix(tree)
-        sizes = m.sum(axis=0, dtype=np.int16)
-        strict = np.ones(n, dtype=np.int16)
-        strict[tree.root - 1] = 0
-        totals = seq_counts @ m
-        mask = (totals >= sizes + strict).all(axis=1)
-        for i in np.flatnonzero(mask):
-            yield tree, seqs[i]
+        for seqs, slack in _slacks(tree, buckets):
+            if slack >= 1:
+                for seq in seqs:
+                    yield tree, seq
 
 
 def roundtrip_suite(n: int) -> SuiteReport:

@@ -44,6 +44,13 @@ def _payload(value: str) -> str:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the size flags; argparse names the flag on error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _cmd_park(args: argparse.Namespace) -> int:
     tree = parse_rooted_tree(_payload(args.tree))
     prefs = parse_preferences(_payload(args.seq))
@@ -160,7 +167,7 @@ def _verify_rows(args: argparse.Namespace) -> list[dict]:
     suites = ["census", "roundtrip", "thm53"] if args.suite == "all" else [args.suite]
 
     if "census" in suites:
-        top = min(args.max_n or 5, 6 if args.allow_large else 5)
+        top = min(5 if args.max_n is None else args.max_n, 6 if args.allow_large else 5)
         for n in range(1, top + 1):
             report = run_census(n, allow_large=args.allow_large)
             for col in report.columns:
@@ -175,11 +182,11 @@ def _verify_rows(args: argparse.Namespace) -> list[dict]:
                     }
                 )
     if "roundtrip" in suites:
-        for n in range(1, min(args.max_n or 4, 4) + 1):
+        for n in range(1, min(4 if args.max_n is None else args.max_n, 4) + 1):
             report = roundtrip_suite(n)
             rows.append(_suite_row(report))
     if "thm53" in suites:
-        for n in range(1, min(args.max_n or 6, 7) + 1):
+        for n in range(1, min(6 if args.max_n is None else args.max_n, 7) + 1):
             report = theorem53_suite(n)
             rows.append(_suite_row(report))
     return rows
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", required=True, help="one-line permutation (or @file)")
 
     p = add("series", _cmd_series, "verify generating-function identities")
-    p.add_argument("--order", type=int, default=12, help="truncation order (default 12)")
+    p.add_argument("--order", type=_positive_int, default=12, help="truncation order (default 12)")
     p.add_argument(
         "--identity",
         default="all",
@@ -257,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("counts", _cmd_counts, "exact count table")
-    p.add_argument("--max", type=int, default=12, help="largest n (default 12)")
+    p.add_argument("--max", type=_positive_int, default=12, help="largest n (default 12)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p = add("verify", _cmd_verify, "run exhaustive verification suites")
     p.add_argument("--suite", choices=("census", "roundtrip", "thm53", "all"), default="all")
-    p.add_argument("--max-n", type=int, default=None, help="cap the sizes each suite visits")
+    p.add_argument("--max-n", type=_positive_int, default=None, help="cap the sizes each suite visits")
     p.add_argument("--allow-large", action="store_true", help="unlock the n=6 census")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 

@@ -75,3 +75,7 @@ class LimitExceededError(InputError):
 
 class UsageError(InputError):
     """Command line misuse."""
+
+
+class InvalidShardError(InputError):
+    """A census shard (k, m) with m < 1 or k outside 0..m-1."""

@@ -83,19 +83,22 @@ def park(tree: RootedTree, prefs: Sequence[int]) -> ParkingOutcome:
     return run_parking(tree, check_preferences(tree, prefs))
 
 
-def _subtree_totals(tree: RootedTree, prefs: Sequence[int]) -> tuple[list[int], list[int]]:
-    """For each vertex v: size of its subtree and how many drivers prefer it."""
-    totals = [0] * (tree.n + 1)
-    sizes = [0] * (tree.n + 1)
+def _subtree_sums(order: Sequence[int], parents: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """The sum of ``weights`` over each subtree.  ``order`` lists children
+    before their parents, ``parents[v]`` is 0 at the root; slot 0 is unused."""
+    sums = list(weights)
+    for v in order:
+        if parents[v]:
+            sums[parents[v]] += sums[v]
+    return sums
+
+
+def _subtree_excess(tree: RootedTree, prefs: Sequence[int]) -> list[int]:
+    """For each vertex v: how many drivers prefer the subtree of v, less its size."""
+    weights = [-1] * (tree.n + 1)
     for s in prefs:
-        totals[s] += 1
-    for v in tree.bottom_up():
-        sizes[v] += 1
-        p = tree.parent(v)
-        if p:
-            totals[p] += totals[v]
-            sizes[p] += sizes[v]
-    return totals, sizes
+        weights[s] += 1
+    return _subtree_sums(tree.bottom_up(), (0,) + tree.parents, weights)
 
 
 def is_parking_function(tree: RootedTree, prefs: Sequence[int]) -> bool:
@@ -103,8 +106,8 @@ def is_parking_function(tree: RootedTree, prefs: Sequence[int]) -> bool:
     as it has vertices.  Agrees with simulation success; the test suite checks
     that exhaustively."""
     check_preferences(tree, prefs)
-    totals, sizes = _subtree_totals(tree, prefs)
-    return all(totals[v] >= sizes[v] for v in range(1, tree.n + 1))
+    excess = _subtree_excess(tree, prefs)
+    return all(excess[v] >= 0 for v in range(1, tree.n + 1))
 
 
 def used_edges(tree: RootedTree, prefs: Sequence[int]) -> tuple[Edge, ...]:
@@ -114,13 +117,13 @@ def used_edges(tree: RootedTree, prefs: Sequence[int]) -> tuple[Edge, ...]:
     two sets must agree; the simulation supplies the order.
     """
     check_preferences(tree, prefs)
-    totals, sizes = _subtree_totals(tree, prefs)
-    if any(totals[v] < sizes[v] for v in range(1, tree.n + 1)):
+    excess = _subtree_excess(tree, prefs)
+    if any(excess[v] < 0 for v in range(1, tree.n + 1)):
         raise NotAParkingFunctionError("used edges are only defined for parking functions")
     criterion = {
         (v, tree.parent(v))
         for v in range(1, tree.n + 1)
-        if tree.parent(v) and totals[v] > sizes[v]
+        if tree.parent(v) and excess[v] > 0
     }
     outcome = run_parking(tree, prefs)
     assert criterion == set(outcome.crossings), "edge criterion disagrees with simulation"
@@ -134,11 +137,9 @@ def is_prime(tree: RootedTree, prefs: Sequence[int]) -> bool:
     that uses every edge" (simulation).  The two must agree.
     """
     check_preferences(tree, prefs)
-    totals, sizes = _subtree_totals(tree, prefs)
+    excess = _subtree_excess(tree, prefs)
     root = tree.root
-    by_criterion = all(
-        totals[v] > sizes[v] for v in range(1, tree.n + 1) if v != root
-    )
+    by_criterion = all(excess[v] > 0 for v in range(1, tree.n + 1) if v != root)
     outcome = run_parking(tree, prefs)
     by_simulation = outcome.all_parked and len(outcome.crossings) == tree.n - 1
     assert by_criterion == by_simulation, "primality characterizations disagree"

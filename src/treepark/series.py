@@ -575,6 +575,8 @@ class CountTable:
     rows: tuple[CountRow, ...]
 
     def row(self, n: int) -> CountRow:
+        if not 1 <= n <= len(self.rows):
+            raise OrderMismatchError(f"row {n} outside 1..{len(self.rows)}")
         return self.rows[n - 1]
 
 

@@ -1,13 +1,20 @@
 """Standard form, the plane-tree encoding, and the path specializations."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import treepark
 from treepark import (
+    InputError,
     LabeledPlaneTree,
+    MarkedSet,
     Not132AvoidingError,
     NotPrimeError,
     NotStandardPrimeError,
@@ -50,6 +57,29 @@ def has_132_brute(word) -> bool:
     return any(
         word[i] < word[k] < word[j] for i, j, k in combinations(range(len(word)), 3)
     )
+
+
+class TestMarkedSet:
+    def test_marked_must_be_an_element(self):
+        assert MarkedSet((1, 2), 2).unmarked() == (1,)
+        with pytest.raises(InputError):
+            MarkedSet((1, 2), 5)
+
+    def test_checked_under_optimize(self):
+        # the check must not be an assert, which python -O strips
+        probe = (
+            "from treepark import InputError, MarkedSet\n"
+            "try:\n    MarkedSet((1, 2), 5)\nexcept InputError:\n    print('rejected')"
+        )
+        src = Path(treepark.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "rejected\n"
 
 
 class TestStandardize:
@@ -165,23 +195,15 @@ class TestComposedMap:
 
     def test_encode_decode_exhaustive_n6(self):
         # all 5! * Catalan(5) standard pairs, including every non-run case
-        import numpy as np
+        from treepark.census import _buckets, _standard_primes
 
-        from treepark.census import (
-            _count_matrix,
-            _is_standard_prime_fast,
-            _shape_prime_rows,
-        )
-
-        seqs = list(product(range(1, 7), repeat=6))
-        counts = _count_matrix(seqs, 6)
+        buckets = _buckets(6)
         total = 0
         for shape in enumerate_plane_trees(6):
-            for i in np.flatnonzero(_shape_prime_rows(shape, seqs, counts)):
-                if _is_standard_prime_fast(shape, seqs[i]):
-                    sp = StandardPrime(shape, seqs[i])
-                    total += 1
-                    assert decode_prime(encode_prime(sp)) == sp
+            for seq in _standard_primes(shape, buckets):
+                sp = StandardPrime(shape, seq)
+                total += 1
+                assert decode_prime(encode_prime(sp)) == sp
         assert total == factorial(5) * catalan_number(5)
 
     def test_roundtrip_random_larger(self):

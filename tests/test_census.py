@@ -3,6 +3,7 @@
 import pytest
 
 from treepark import (
+    InvalidShardError,
     LimitExceededError,
     census,
     census_counts,
@@ -43,6 +44,11 @@ class TestCensus:
 
     def test_deterministic(self):
         assert census_counts(3) == census_counts(3)
+
+    @pytest.mark.parametrize("shard", [(0, 0), (0, -1), (5, 3), (3, 3), (-1, 3)])
+    def test_bad_shard_is_named(self, shard):
+        with pytest.raises(InvalidShardError, match=rf"shard \({shard[0]}, {shard[1]}\)"):
+            census_counts(3, shard=shard)
 
 
 class TestRoundtripSuite:

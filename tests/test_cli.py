@@ -1,8 +1,17 @@
 """Command line behavior: formats, exit codes, file indirection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import treepark
 from treepark.cli import main
+
+SRC = str(Path(treepark.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -167,3 +176,39 @@ class TestUsage:
                         "borie", "series", "counts", "verify"):
             assert main([command, "--help"]) == 0
             capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "--order", "-1"),
+            ("series", "--order", "x"),
+            ("counts", "--max", "0"),
+            ("verify", "--max-n", "-1"),
+            ("verify", "--max-n", "0"),
+        ],
+    )
+    def test_sizes_must_be_positive(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[1]}: expected a positive integer" in err
+
+
+def test_import_loads_only_the_standard_library():
+    # treepark has no runtime dependencies, so no import of it, and no CLI
+    # call, pays for loading a third-party package
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import treepark.cli\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "['treepark']\n"

@@ -76,20 +76,20 @@ class TestParkingFunction:
                 assert is_parking_function(tree, seq) == park(tree, seq).all_parked
 
     def test_criterion_matches_simulation_n5(self):
-        # all 5^4 * 5^5 pairs; the criterion side is batched per tree
-        import numpy as np
-
-        from treepark.census import _ancestor_matrix, _count_matrix
+        # all 5^4 * 5^5 pairs; the criterion side is decided once per
+        # (tree, count-vector bucket), as the census does
+        from treepark.census import _buckets, _slacks
         from treepark.parking import run_parking
 
-        seqs = list(product(range(1, 6), repeat=5))
-        counts = _count_matrix(seqs, 5)
+        buckets = _buckets(5)
+        assert sum(len(seqs) for seqs in buckets.values()) == 5**5
         for tree in enumerate_rooted_trees(5):
-            m = _ancestor_matrix(tree)
-            sizes = m.sum(axis=0, dtype=np.int16)
-            mask = (counts @ m >= sizes).all(axis=1)
-            for seq, expected in zip(seqs, mask):
-                assert run_parking(tree, seq).all_parked == expected
+            for seqs, slack in _slacks(tree, buckets):
+                for seq in seqs:
+                    outcome = run_parking(tree, seq)
+                    assert outcome.all_parked == (slack >= 0)
+                    prime = outcome.all_parked and len(outcome.crossings) == 4
+                    assert prime == (slack >= 1)
 
 
 class TestUsedEdges:

@@ -188,6 +188,11 @@ class TestCountTable:
     def test_row_four_distribution(self):
         assert closed_counts(4).row(4).prime_distribution == 132
 
+    @pytest.mark.parametrize("n", [0, -1, 4])
+    def test_row_outside_table(self, n):
+        with pytest.raises(OrderMismatchError):
+            closed_counts(3).row(n)
+
     def test_marked_columns_follow_growth_rules(self):
         table = closed_counts(8)
         for n in range(2, 9):
