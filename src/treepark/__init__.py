@@ -43,6 +43,7 @@ from .errors import (
     IdentityViolatedError,
     InputError,
     InvalidShardError,
+    InvariantError,
     LabelOutOfRangeError,
     LengthMismatchError,
     LimitExceededError,

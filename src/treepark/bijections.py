@@ -25,12 +25,13 @@ from typing import Sequence
 
 from .errors import (
     InputError,
+    InvariantError,
     LengthMismatchError,
     Not132AvoidingError,
     NotPrimeError,
     NotStandardPrimeError,
 )
-from .parking import Edge, is_parking_function, is_prime, park, run_parking
+from .parking import Edge, _prime_outcome, is_parking_function, is_prime, run_parking
 from .trees import (
     LabeledPlaneTree,
     PlaneShape,
@@ -112,12 +113,12 @@ def check_standard_prime(sp: StandardPrime) -> int:
         raise LengthMismatchError(f"{len(sp.prefs)} preferences for {n} vertices")
     tree, children = _tree_of_shape(sp.shape)
     try:
-        prime = is_prime(tree, sp.prefs)
+        prime, outcome = _prime_outcome(tree, sp.prefs)
     except InputError as exc:  # out-of-range preferences and the like
         raise NotStandardPrimeError(str(exc)) from exc
     if not prime:
         raise NotStandardPrimeError("underlying pair is not prime")
-    v = _out_of_crossing_order(children, park(tree, sp.prefs).crossings)
+    v = _out_of_crossing_order(children, outcome.crossings)
     if v is not None:
         raise NotStandardPrimeError(f"children of vertex {v} are out of crossing order")
     return n
@@ -131,9 +132,10 @@ def standardize(
     Returns the relabeling permutation sigma (old label -> new label) and
     the resulting standard pair.
     """
-    if not is_prime(tree, prefs):
+    prime, outcome = _prime_outcome(tree, prefs)
+    if not prime:
         raise NotPrimeError("standard form is only defined for prime pairs")
-    tick = {edge: i for i, edge in enumerate(park(tree, prefs).crossings)}
+    tick = {edge: i for i, edge in enumerate(outcome.crossings)}
     kids = tree.children()
     for v in range(1, tree.n + 1):
         kids[v].sort(key=lambda c: tick[(c, v)], reverse=True)
@@ -208,17 +210,26 @@ def decompose(sp: StandardPrime) -> list[Component]:
     the walk re-entered.
     """
     n = shape_size(sp.shape)
-    assert n >= 2
+    if n < 2:
+        raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
     tree, children = _tree_of_shape(sp.shape)
+
+    def check(holds: bool, invariant: str) -> None:
+        if not holds:
+            raise InvariantError(invariant, tree, sp.prefs)
+
     head = run_parking(tree, sp.prefs[:-1])
-    assert head.all_parked, "all but the final driver must park in a prime pair"
+    check(head.all_parked, "all but the final driver must park in a prime pair")
     used = set(head.crossings)
 
     walk = tree.path_to_root(sp.prefs[-1])
     cut_roots = [v for v in walk[:-1] if (v, tree.parent(v)) not in used]
     all_unused = {v for v in range(1, n) if (v, tree.parent(v)) not in used}
-    assert set(cut_roots) == all_unused, "every unused edge lies on the final walk"
-    assert cut_roots and tree.parent(cut_roots[-1]) == tree.root
+    check(set(cut_roots) == all_unused, "every unused edge lies on the final walk")
+    check(
+        bool(cut_roots) and tree.parent(cut_roots[-1]) == tree.root,
+        "the final walk leaves through an unused root edge",
+    )
 
     cut_set = set(cut_roots)
     home = [0] * (n + 1)  # vertex -> root of its piece
@@ -235,9 +246,12 @@ def decompose(sp: StandardPrime) -> list[Component]:
         rank = {g: t for t, g in enumerate(verts, start=1)}
         marked_vertex = sp.prefs[-1] if i == 0 else tree.parent(previous)
         drivers = tuple(j for j in range(1, n) if home[sp.prefs[j - 1]] == rho)
-        assert len(drivers) == m, "each piece is preferred exactly its size many times"
+        check(len(drivers) == m, "each piece is preferred exactly its size many times")
         marked = MarkedSet(drivers, drivers[rank[marked_vertex] - 1])
-        assert _postorder_vertices(children, rho, previous) == verts
+        check(
+            _postorder_vertices(children, rho, previous) == verts,
+            "a piece's post-order is the global post-order restricted to it",
+        )
         piece = StandardPrime(
             _extract_shape(children, rho, previous),
             tuple(rank[sp.prefs[j - 1]] for j in drivers),

@@ -3,9 +3,13 @@
 Every count here is obtained by enumerating objects one by one (parking and
 primality depend on a sequence only through its count vector, so one subtree
 pass decides a whole bucket of sequences); the closed forms appear only on
-the *expected* side of each report.  The tree space can be sharded:
-``shard=(k, m)`` keeps the trees (or shapes) whose enumeration index is
-congruent to k mod m, and the per-shard counts sum to the full run.
+the *expected* side of each report.  The census still walks every labeled
+tree, but decides the buckets only once per isomorphism class met in a
+call: relabeling a tree permutes its buckets and keeps each bucket's size
+and slack, so a tree's parking and prime totals depend only on its
+unlabeled shape.  The tree space can be sharded: ``shard=(k, m)`` keeps the
+trees (or shapes) whose enumeration index is congruent to k mod m, and the
+per-shard counts sum to the full run.
 """
 
 from __future__ import annotations
@@ -87,31 +91,48 @@ def _standard_primes(shape: PlaneShape, buckets: Buckets) -> Iterator[tuple[int,
                     yield seq
 
 
+def _shape_code(tree: RootedTree) -> tuple:
+    """The tree's isomorphism class as a canonical nested tuple (the AHU
+    encoding): each vertex's code is the sorted tuple of its children's."""
+    below: list[list[tuple]] = [[] for _ in range(tree.n + 1)]
+    for v in tree.bottom_up():  # children first; slot 0 collects the root's code
+        below[tree.parent(v)].append(tuple(sorted(below[v])))
+    return below[0][0]
+
+
 def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = False) -> dict[str, int]:
     """Raw enumeration counts for one shard of the tree space at size n."""
     if n < 1 or n > 6:
         raise LimitExceededError(f"census is guarded to 1 <= n <= 6, got {n}")
     if n == 6 and not allow_large:
-        raise LimitExceededError("the n=6 census decides 462 buckets on each of 7776 trees; pass allow_large")
+        raise LimitExceededError(
+            "the n=6 census walks 7776 trees and decides 462 buckets on each of"
+            " their 20 isomorphism classes; pass allow_large"
+        )
     which, mod = shard
     if mod < 1 or not 0 <= which < mod:
         raise InvalidShardError(f"shard {shard}: need m >= 1 and 0 <= k < m")
     buckets = _buckets(n)
 
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
+    rows: dict[tuple, tuple[int, int, int, int]] = {}  # shape code -> per-tree row
     for index, tree in enumerate(enumerate_rooted_trees(n)):
         if index % mod != which:
             continue
-        slacks = [(len(seqs), slack) for seqs, slack in _slacks(tree, buckets)]
-        parking = [weight for weight, slack in slacks if slack >= 0]
-        prime = [weight for weight, slack in slacks if slack >= 1]
+        code = _shape_code(tree)
+        if code not in rows:
+            slacks = [(len(seqs), slack) for seqs, slack in _slacks(tree, buckets)]
+            parking = [weight for weight, slack in slacks if slack >= 0]
+            prime = [weight for weight, slack in slacks if slack >= 1]
+            rows[code] = (sum(parking), sum(prime), len(parking), len(prime))
+        parking_weight, prime_weight, parking_buckets, prime_buckets = rows[code]
         leaves = len(tree.leaves())
-        counts["parking"] += sum(parking)
-        counts["prime"] += sum(prime)
-        counts["distribution"] += len(parking)
-        counts["prime_distribution"] += len(prime)
-        counts["marked_distribution"] += leaves * len(parking)
-        counts["marked_prime"] += leaves * len(prime)
+        counts["parking"] += parking_weight
+        counts["prime"] += prime_weight
+        counts["distribution"] += parking_buckets
+        counts["prime_distribution"] += prime_buckets
+        counts["marked_distribution"] += leaves * parking_buckets
+        counts["marked_prime"] += leaves * prime_buckets
 
     for index, shape in enumerate(enumerate_plane_trees(n)):
         if index % mod == which:

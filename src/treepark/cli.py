@@ -167,7 +167,11 @@ def _verify_rows(args: argparse.Namespace) -> list[dict]:
     suites = ["census", "roundtrip", "thm53"] if args.suite == "all" else [args.suite]
 
     if "census" in suites:
-        top = min(5 if args.max_n is None else args.max_n, 6 if args.allow_large else 5)
+        cap = 6 if args.allow_large else 5
+        top = cap if args.max_n is None else args.max_n
+        if top > cap:
+            unlock = "" if args.allow_large else "; --allow-large unlocks n=6"
+            raise UsageError(f"--max-n {top} is above the census cap of {cap}{unlock}")
         for n in range(1, top + 1):
             report = run_census(n, allow_large=args.allow_large)
             for col in report.columns:
@@ -270,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, "run exhaustive verification suites")
     p.add_argument("--suite", choices=("census", "roundtrip", "thm53", "all"), default="all")
     p.add_argument("--max-n", type=_positive_int, default=None, help="cap the sizes each suite visits")
-    p.add_argument("--allow-large", action="store_true", help="unlock the n=6 census")
+    p.add_argument("--allow-large", action="store_true", help="allow the n=6 census and run to it by default")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     return parser

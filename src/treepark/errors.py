@@ -61,6 +61,18 @@ class OrderMismatchError(InputError):
     """A coefficient beyond the truncation order was requested."""
 
 
+class InvariantError(TreeParkError):
+    """Two independent evaluations of a paper invariant disagree.
+
+    Carries the witness: the tree and preference sequence it broke on.
+    """
+
+    def __init__(self, message: str, tree, prefs) -> None:
+        super().__init__(f"{message} (witness: parents {tree.parents}, prefs {tuple(prefs)})")
+        self.tree = tree
+        self.prefs = tuple(prefs)
+
+
 class IdentityViolatedError(TreeParkError):
     """A generating-function identity has a nonzero residual coefficient."""
 

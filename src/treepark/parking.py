@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    InvariantError,
     LabelOutOfRangeError,
     LengthMismatchError,
     NotAParkingFunctionError,
@@ -126,8 +127,25 @@ def used_edges(tree: RootedTree, prefs: Sequence[int]) -> tuple[Edge, ...]:
         if tree.parent(v) and excess[v] > 0
     }
     outcome = run_parking(tree, prefs)
-    assert criterion == set(outcome.crossings), "edge criterion disagrees with simulation"
+    if criterion != set(outcome.crossings):
+        raise InvariantError("edge criterion disagrees with simulation", tree, prefs)
     return outcome.crossings
+
+
+def _prime_outcome(tree: RootedTree, prefs: Sequence[int]) -> tuple[bool, ParkingOutcome]:
+    """Primality evaluated both ways, by the strict criterion (every proper
+    subtree receives strictly more preferences than its size) and as "a
+    parking function that uses every edge" (simulation), which must agree;
+    returns the verdict with the one simulation's outcome."""
+    check_preferences(tree, prefs)
+    excess = _subtree_excess(tree, prefs)
+    root = tree.root
+    by_criterion = all(excess[v] > 0 for v in range(1, tree.n + 1) if v != root)
+    outcome = run_parking(tree, prefs)
+    by_simulation = outcome.all_parked and len(outcome.crossings) == tree.n - 1
+    if by_criterion != by_simulation:
+        raise InvariantError("primality characterizations disagree", tree, prefs)
+    return by_criterion, outcome
 
 
 def is_prime(tree: RootedTree, prefs: Sequence[int]) -> bool:
@@ -136,14 +154,7 @@ def is_prime(tree: RootedTree, prefs: Sequence[int]) -> bool:
     Evaluated both ways: by the strict criterion and as "a parking function
     that uses every edge" (simulation).  The two must agree.
     """
-    check_preferences(tree, prefs)
-    excess = _subtree_excess(tree, prefs)
-    root = tree.root
-    by_criterion = all(excess[v] > 0 for v in range(1, tree.n + 1) if v != root)
-    outcome = run_parking(tree, prefs)
-    by_simulation = outcome.all_parked and len(outcome.crossings) == tree.n - 1
-    assert by_criterion == by_simulation, "primality characterizations disagree"
-    return by_criterion
+    return _prime_outcome(tree, prefs)[0]
 
 
 def is_parking_distribution(tree: RootedTree, prefs: Sequence[int]) -> bool:

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 import treepark
 from treepark import (
     InputError,
+    InvariantError,
     LabeledPlaneTree,
     MarkedSet,
     Not132AvoidingError,
@@ -43,6 +44,9 @@ from treepark import (
     validate_rooted_tree,
 )
 from treepark.bijections import check_standard_prime
+
+# the standard form of the figure pair (tree 0 3 4 1 4, preferences 2 5 3 5 2)
+FIG_SP = StandardPrime(((((),), ()),), (1, 3, 2, 3, 1))
 
 
 def iter_primes(n):
@@ -80,6 +84,70 @@ class TestMarkedSet:
             check=True,
         )
         assert done.stdout == "rejected\n"
+
+
+class TestOneSimulation:
+    """Each standard-pair check parks the drivers once and reuses the outcome."""
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        calls = []
+        real = treepark.parking.run_parking
+
+        def counting(tree, prefs):
+            calls.append(tuple(prefs))
+            return real(tree, prefs)
+
+        monkeypatch.setattr(treepark.parking, "run_parking", counting)
+        return calls
+
+    def test_check_standard_prime(self, simulations):
+        assert check_standard_prime(FIG_SP) == 5
+        assert simulations == [(1, 3, 2, 3, 1)]
+
+    def test_standardize(self, simulations):
+        # one for the crossing order, one for the check of the result
+        standardize(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
+        assert simulations == [(2, 5, 3, 5, 2), (1, 3, 2, 3, 1)]
+
+
+class TestDecomposeInvariants:
+    def test_broken_invariant_names_the_pair(self, monkeypatch):
+        monkeypatch.setattr(
+            treepark.bijections,
+            "run_parking",
+            lambda tree, prefs: treepark.ParkingOutcome((None,) * len(prefs), ()),
+        )
+        with pytest.raises(InvariantError, match="final driver") as caught:
+            decompose(FIG_SP)
+        assert caught.value.tree.parents == (2, 4, 4, 5, 0)
+        assert caught.value.prefs == FIG_SP.prefs
+
+    def test_checked_under_optimize(self):
+        # python -O strips asserts; the piece invariants must still raise
+        probe = (
+            "import treepark\n"
+            "from treepark import InvariantError, StandardPrime, decompose\n"
+            "treepark.bijections.run_parking = lambda tree, prefs: "
+            "treepark.ParkingOutcome((None,) * len(prefs), ())\n"
+            "try:\n"
+            "    decompose(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        src = Path(treepark.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "raised\n"
+
+    def test_needs_two_vertices(self):
+        with pytest.raises(InputError, match="at least 2 vertices"):
+            decompose(StandardPrime((), (1,)))
 
 
 class TestStandardize:

@@ -7,17 +7,40 @@ from treepark import (
     LimitExceededError,
     census,
     census_counts,
+    enumerate_plane_trees,
+    enumerate_rooted_trees,
     path_image_suite,
     roundtrip_suite,
     theorem53_suite,
 )
-from treepark.census import CENSUS_COLUMNS
+from treepark.census import CENSUS_COLUMNS, _buckets, _shape_code, _slacks, _standard_primes
+
+
+def unmemoized_counts(n):
+    """The census columns summed over every labeled tree straight from the
+    bucket pass, deciding each tree's buckets afresh."""
+    buckets = _buckets(n)
+    counts = dict.fromkeys(CENSUS_COLUMNS, 0)
+    for tree in enumerate_rooted_trees(n):
+        leaves = len(tree.leaves())
+        for seqs, slack in _slacks(tree, buckets):
+            if slack >= 0:
+                counts["parking"] += len(seqs)
+                counts["distribution"] += 1
+                counts["marked_distribution"] += leaves
+            if slack >= 1:
+                counts["prime"] += len(seqs)
+                counts["prime_distribution"] += 1
+                counts["marked_prime"] += leaves
+    for shape in enumerate_plane_trees(n):
+        counts["standard_prime"] += sum(1 for _ in _standard_primes(shape, buckets))
+    return counts
 
 
 class TestCensus:
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_all_columns_pass(self, n):
-        report = census(n)
+        report = census(n, allow_large=True)
         assert report.passed, [(c.name, c.counted, c.expected) for c in report.columns]
 
     def test_known_row_three(self):
@@ -37,10 +60,20 @@ class TestCensus:
             census_counts(6)  # needs allow_large
 
     def test_shards_sum_to_full(self):
-        full = census_counts(4)
-        parts = [census_counts(4, shard=(k, 3)) for k in range(3)]
-        summed = {name: sum(p[name] for p in parts) for name in CENSUS_COLUMNS}
-        assert summed == full
+        for n in (4, 5):
+            full = census_counts(n)
+            parts = [census_counts(n, shard=(k, 3)) for k in range(3)]
+            summed = {name: sum(p[name] for p in parts) for name in CENSUS_COLUMNS}
+            assert summed == full
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_every_tree_decided_afresh(self, n):
+        assert census_counts(n) == unmemoized_counts(n)
+
+    def test_shape_code_names_isomorphism_classes(self):
+        # unlabeled rooted trees on n vertices (OEIS A000081)
+        classes = [len({_shape_code(t) for t in enumerate_rooted_trees(n)}) for n in range(1, 7)]
+        assert classes == [1, 1, 2, 4, 9, 20]
 
     def test_deterministic(self):
         assert census_counts(3) == census_counts(3)

@@ -1,12 +1,18 @@
 """Parking procedure, predicates, and their agreement laws."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import treepark
 from treepark import (
+    InvariantError,
     LabelOutOfRangeError,
     LengthMismatchError,
     NotAParkingFunctionError,
@@ -122,6 +128,50 @@ class TestPrime:
             for seq in product((1, 2, 3), repeat=3):
                 if is_prime(tree, seq):
                     assert is_parking_function(tree, seq)
+
+
+class TestInvariants:
+    """Each predicate's two evaluations are checked by a raise, not an assert."""
+
+    @staticmethod
+    def parks_nobody(tree, prefs):
+        return treepark.ParkingOutcome((None,) * len(prefs), ())
+
+    def test_prime_disagreement_names_the_pair(self, monkeypatch):
+        monkeypatch.setattr(treepark.parking, "run_parking", self.parks_nobody)
+        tree = parse_rooted_tree("2 4 4 5 0")
+        with pytest.raises(InvariantError, match="primality") as caught:
+            is_prime(tree, (1, 3, 2, 3, 1))
+        assert caught.value.tree == tree and caught.value.prefs == (1, 3, 2, 3, 1)
+
+    def test_used_edges_disagreement_names_the_pair(self, monkeypatch):
+        monkeypatch.setattr(treepark.parking, "run_parking", self.parks_nobody)
+        with pytest.raises(InvariantError, match="edge criterion") as caught:
+            used_edges(FIG_TREE, (2, 2, 1, 4, 2))
+        assert caught.value.tree == FIG_TREE and caught.value.prefs == (2, 2, 1, 4, 2)
+
+    def test_checked_under_optimize(self):
+        # python -O strips asserts; the invariants must still raise
+        probe = (
+            "import treepark\n"
+            "from treepark import InvariantError, is_prime, parse_rooted_tree, used_edges\n"
+            "treepark.parking.run_parking = lambda tree, prefs: "
+            "treepark.ParkingOutcome((None,) * len(prefs), ())\n"
+            "for check in (is_prime, used_edges):\n"
+            "    try:\n"
+            "        check(parse_rooted_tree('2 4 4 5 0'), (1, 3, 2, 3, 1))\n"
+            "    except InvariantError:\n"
+            "        print('raised')\n"
+        )
+        src = Path(treepark.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "raised\nraised\n"
 
 
 class TestDistribution:
