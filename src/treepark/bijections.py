@@ -7,11 +7,26 @@ The pipeline factors a prime pair through a *standard form*:
   permutation.  :func:`destandardize` undoes it.
 * :func:`encode_prime` turns a standard pair into a plane tree whose
   non-root vertices are labeled by [n-1], by cutting along the edges the
-  final driver is the first to cross and recursing on the pieces.
+  final driver is the first to cross and encoding the pieces the same way.
   :func:`decode_prime` inverts it and is total on labeled plane trees.
 * :func:`prime_to_pair` / :func:`pair_to_prime` compose the two steps, so
   prime pairs on n vertices correspond to (permutation, labeled plane tree)
   pairs, (2n-2)! of them in total.
+
+Validation sits at the public boundaries.  :func:`check_standard_prime`,
+:func:`encode_prime`, :func:`decode_prime` and :func:`decompose` check their
+standard pair with one simulation; :func:`standardize` checks primality with
+one simulation and confirms the sibling order of its result from the same
+crossing log.  Below that boundary each level of the decomposition parks
+its piece once, all drivers but the final one, and checks every piece it
+cuts against that one log (primality by the subtree criterion, sibling order
+by the crossing ticks), raising :class:`InvariantError` on a disagreement.
+
+Inside the maps a standard pair is flat: the parent array of its post-order
+labels (slot 0 unused, the root last), so that a piece is at most two
+relabeled runs of its parent's labels.  Nothing recurses; the nested plane
+shapes and labeled plane trees of the public types are converted once, at
+the boundary.
 
 The module also covers the path specializations: preference sequences whose
 image is a labeled path, and Borie's statistic map on 132-avoiding
@@ -20,6 +35,7 @@ permutations.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,18 +47,20 @@ from .errors import (
     NotPrimeError,
     NotStandardPrimeError,
 )
-from .parking import Edge, _prime_outcome, is_parking_function, is_prime, run_parking
+from .parking import Edge, _prime_outcome, _subtree_sums, is_parking_function, is_prime, run_parking
 from .trees import (
     LabeledPlaneTree,
     PlaneShape,
     RootedTree,
+    _flatten,
+    _labeled_tree,
+    _parents_shape,
+    _shape_parents,
     check_labeled_plane_tree,
     check_permutation,
     inverse_permutation,
     path_shape,
     path_tree,
-    shape_size,
-    shape_to_parents,
 )
 
 
@@ -85,20 +103,42 @@ class Component:
     piece: StandardPrime  # the pair, relabeled by rank to its own scale
 
 
-def _tree_of_shape(shape: PlaneShape) -> tuple[RootedTree, list[list[int]]]:
-    parents, children = shape_to_parents(shape)
-    return RootedTree(parents), children
-
-
-def _out_of_crossing_order(children: list[list[int]], crossings: Sequence[Edge]) -> int | None:
+def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) -> int | None:
     """The first vertex whose children are not in decreasing first-crossing
-    order of their parent edges, or None; every edge must have been crossed."""
-    tick = {edge: i for i, edge in enumerate(crossings)}
-    for v, kids in enumerate(children):
-        times = [tick[(c, v)] for c in kids]
-        if any(a <= b for a, b in zip(times, times[1:])):
-            return v
-    return None
+    order of their parent edges, or None.
+
+    ``parents`` is a post-order parent array (slot 0 unused), so siblings
+    carry increasing labels from left to right; vertices whose entry is 0
+    have no parent edge to order, and every other edge must have been crossed.
+    """
+    tick = [0] * len(parents)
+    for i, (c, _) in enumerate(crossings):
+        tick[c] = i
+    last = [0] * len(parents)  # each vertex's latest child so far
+    bad = None
+    for v in range(1, len(parents)):
+        p = parents[v]
+        if p:
+            if last[p] and tick[last[p]] <= tick[v] and (bad is None or p < bad):
+                bad = p
+            last[p] = v
+    return bad
+
+
+def _check_standard(parents: list[int], prefs: Sequence[int]) -> None:
+    """Validate a flat standard pair with one simulation."""
+    n = len(parents) - 1
+    if len(prefs) != n:
+        raise LengthMismatchError(f"{len(prefs)} preferences for {n} vertices")
+    try:
+        prime, outcome = _prime_outcome(RootedTree(tuple(parents[1:])), prefs)
+    except InputError as exc:  # out-of-range preferences and the like
+        raise NotStandardPrimeError(str(exc)) from exc
+    if not prime:
+        raise NotStandardPrimeError("underlying pair is not prime")
+    v = _out_of_crossing_order(parents, outcome.crossings)
+    if v is not None:
+        raise NotStandardPrimeError(f"children of vertex {v} are out of crossing order")
 
 
 def check_standard_prime(sp: StandardPrime) -> int:
@@ -108,20 +148,9 @@ def check_standard_prime(sp: StandardPrime) -> int:
     each child list is ordered by decreasing first-crossing time of the
     child's parent edge.
     """
-    n = shape_size(sp.shape)
-    if len(sp.prefs) != n:
-        raise LengthMismatchError(f"{len(sp.prefs)} preferences for {n} vertices")
-    tree, children = _tree_of_shape(sp.shape)
-    try:
-        prime, outcome = _prime_outcome(tree, sp.prefs)
-    except InputError as exc:  # out-of-range preferences and the like
-        raise NotStandardPrimeError(str(exc)) from exc
-    if not prime:
-        raise NotStandardPrimeError("underlying pair is not prime")
-    v = _out_of_crossing_order(children, outcome.crossings)
-    if v is not None:
-        raise NotStandardPrimeError(f"children of vertex {v} are out of crossing order")
-    return n
+    parents = _shape_parents(sp.shape)
+    _check_standard(parents, sp.prefs)
+    return len(parents) - 1
 
 
 def standardize(
@@ -135,25 +164,27 @@ def standardize(
     prime, outcome = _prime_outcome(tree, prefs)
     if not prime:
         raise NotPrimeError("standard form is only defined for prime pairs")
-    tick = {edge: i for i, edge in enumerate(outcome.crossings)}
-    kids = tree.children()
-    for v in range(1, tree.n + 1):
-        kids[v].sort(key=lambda c: tick[(c, v)], reverse=True)
-
-    sigma = [0] * (tree.n + 1)
-    counter = [0]
-
-    def visit(v: int) -> PlaneShape:
-        down = tuple(visit(c) for c in kids[v])
-        counter[0] += 1
-        sigma[v] = counter[0]
-        return down
-
-    shape = visit(tree.root)
-    word = tuple(sigma[1:])
-    sp = StandardPrime(shape, tuple(sigma[p] for p in prefs))
-    check_standard_prime(sp)
-    return word, sp
+    n = tree.n
+    # A prime pair crosses every edge once, so reading the log backwards
+    # lists each vertex's children by decreasing first-crossing time.
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for c, p in reversed(outcome.crossings):
+        kids[p].append(c)
+    sigma = [0] * (n + 1)
+    label, stack = n, [tree.root]
+    while stack:  # pre-order, children right to left: post-order reversed
+        v = stack.pop()
+        sigma[v] = label
+        label -= 1
+        stack.extend(kids[v])
+    parents = [0] * (n + 1)
+    for v, p in enumerate(tree.parents, start=1):
+        if p:
+            parents[sigma[v]] = sigma[p]
+    relabeled = [(sigma[c], sigma[p]) for c, p in outcome.crossings]
+    if _out_of_crossing_order(parents, relabeled) is not None:
+        raise InvariantError("the standard form breaks the crossing order", tree, prefs)
+    return tuple(sigma[1:]), StandardPrime(_parents_shape(parents), tuple(sigma[p] for p in prefs))
 
 
 def destandardize(
@@ -161,14 +192,14 @@ def destandardize(
 ) -> tuple[RootedTree, tuple[int, ...]]:
     """Apply the inverse relabeling and forget the plane order."""
     word = check_permutation(word)
-    n = shape_size(sp.shape)
+    std_parents = _shape_parents(sp.shape)
+    n = len(std_parents) - 1
     if len(word) != n:
         raise LengthMismatchError(f"permutation of length {len(word)} for {n} vertices")
     inv = inverse_permutation(word)
-    std_parents, _ = shape_to_parents(sp.shape)
     parents = [0] * n
     for v in range(1, n + 1):
-        p = std_parents[v - 1]
+        p = std_parents[v]
         parents[inv[v - 1] - 1] = inv[p - 1] if p else 0
     return RootedTree(tuple(parents)), tuple(inv[q - 1] for q in sp.prefs)
 
@@ -177,26 +208,105 @@ def destandardize(
 # The final-driver decomposition and the plane-tree encoding
 # ---------------------------------------------------------------------------
 
-
-def _postorder_vertices(
-    children: list[list[int]], root: int, exclude: int | None
-) -> list[int]:
-    out: list[int] = []
-
-    def visit(v: int) -> None:
-        for c in children[v]:
-            if c != exclude:
-                visit(c)
-        out.append(v)
-
-    visit(root)
-    return out
+# One piece of a flat decomposition: its root, the vertex its cut edge (or the
+# last preference) points at, the drivers preferring it, the marked one among
+# them, and the piece itself as a flat standard pair.
+_Part = tuple[int, int, tuple[int, ...], int, list[int], list[int]]
 
 
-def _extract_shape(children: list[list[int]], root: int, exclude: int | None) -> PlaneShape:
-    return tuple(
-        _extract_shape(children, c, exclude) for c in children[root] if c != exclude
+def _split(parents: list[int], prefs: Sequence[int]) -> tuple[list[int], list[_Part]]:
+    """The final-driver decomposition of a flat standard pair on m >= 2
+    vertices, from one simulation of all drivers but the last.
+
+    The head run crosses every edge except those on the final walk, so
+    every head driver parks inside her own piece and the log, restricted to
+    a piece, is the piece's own run: every driver parks and every piece edge
+    is crossed.  Each piece is checked against that one log.  Returns each
+    vertex's piece root (0 at the root) and the pieces along the final walk.
+    """
+    m = len(parents) - 1
+    tree = RootedTree(tuple(parents[1:]))
+
+    def check(holds: bool, invariant: str) -> None:
+        if not holds:
+            raise InvariantError(invariant, tree, prefs)
+
+    head_prefs = prefs[:-1]
+    head = run_parking(tree, head_prefs)
+    check(head.all_parked, "all but the final driver must park in a prime pair")
+    crossed = [False] * (m + 1)
+    for c, _ in head.crossings:
+        crossed[c] = True
+
+    cut_roots = []
+    v = prefs[-1]
+    while parents[v]:
+        if not crossed[v]:
+            cut_roots.append(v)
+        v = parents[v]
+    check(
+        len(cut_roots) + len(head.crossings) == m - 1,
+        "every unused edge lies on the final walk",
     )
+    check(
+        bool(cut_roots) and parents[cut_roots[-1]] == m,
+        "the final walk leaves through an unused root edge",
+    )
+
+    # In post-order a subtree is the run of labels that ends at its root, and
+    # each cut root's run holds the runs of the cut roots below it on the
+    # walk.  So a piece is its root's run less the run below: labels
+    # s..lo-1 and hi+1..rho, ranked in that order.
+    home = [0] * (m + 1)
+    rank = [0] * (m + 1)
+    forest = parents[:]  # the pieces: no parent above a cut root
+    runs = []
+    s = cut_roots[0]
+    lo, hi = s, s - 1
+    for rho in cut_roots:
+        while s > 1 and parents[s - 1] <= rho:
+            s -= 1
+        first = lo - s
+        home[s:lo] = [rho] * first
+        home[hi + 1 : rho + 1] = [rho] * (rho - hi)
+        rank[s:lo] = range(1, first + 1)
+        rank[hi + 1 : rho + 1] = range(first + 1, first + rho - hi + 1)
+        forest[rho] = 0
+        runs.append((s, lo, hi))
+        lo, hi = s, rho
+    check(s == 1, "the pieces cover every vertex but the root")
+
+    weights = [-1] * (m + 1)
+    for q in head_prefs:
+        weights[q] += 1
+    excess = _subtree_sums(range(1, m), forest, weights)
+    check(
+        all(excess[rho] == 0 for rho in cut_roots),
+        "each piece is preferred exactly its size many times",
+    )
+    check(
+        all(excess[v] > 0 for v in range(1, m) if forest[v]),
+        "every piece is prime by the subtree criterion, as the head run shows",
+    )
+    check(
+        _out_of_crossing_order(forest, head.crossings) is None,
+        "every piece keeps its siblings in crossing order",
+    )
+
+    drivers: dict[int, list[int]] = {rho: [] for rho in cut_roots}
+    piece_prefs: dict[int, list[int]] = {rho: [] for rho in cut_roots}
+    for j, q in enumerate(head_prefs, start=1):
+        drivers[home[q]].append(j)
+        piece_prefs[home[q]].append(rank[q])
+
+    parts: list[_Part] = []
+    marked_vertex = prefs[-1]
+    for rho, (s, lo, hi) in zip(cut_roots, runs):
+        ds = tuple(drivers[rho])
+        piece_parents = [0] + [rank[p] for p in parents[s:lo] + parents[hi + 1 : rho]] + [0]
+        parts.append((rho, marked_vertex, ds, ds[rank[marked_vertex] - 1], piece_parents, piece_prefs[rho]))
+        marked_vertex = parents[rho]
+    return home, parts
 
 
 def decompose(sp: StandardPrime) -> list[Component]:
@@ -209,151 +319,147 @@ def decompose(sp: StandardPrime) -> list[Component]:
     driver indices that prefer it, with one index marked to remember where
     the walk re-entered.
     """
-    n = shape_size(sp.shape)
+    parents = _shape_parents(sp.shape)
+    n = len(parents) - 1
     if n < 2:
         raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
-    tree, children = _tree_of_shape(sp.shape)
-
-    def check(holds: bool, invariant: str) -> None:
-        if not holds:
-            raise InvariantError(invariant, tree, sp.prefs)
-
-    head = run_parking(tree, sp.prefs[:-1])
-    check(head.all_parked, "all but the final driver must park in a prime pair")
-    used = set(head.crossings)
-
-    walk = tree.path_to_root(sp.prefs[-1])
-    cut_roots = [v for v in walk[:-1] if (v, tree.parent(v)) not in used]
-    all_unused = {v for v in range(1, n) if (v, tree.parent(v)) not in used}
-    check(set(cut_roots) == all_unused, "every unused edge lies on the final walk")
-    check(
-        bool(cut_roots) and tree.parent(cut_roots[-1]) == tree.root,
-        "the final walk leaves through an unused root edge",
-    )
-
-    cut_set = set(cut_roots)
-    home = [0] * (n + 1)  # vertex -> root of its piece
-    for v in range(n - 1, 0, -1):  # parents carry larger post-order labels
-        home[v] = v if v in cut_set else home[tree.parent(v)]
-
-    out: list[Component] = []
-    previous: int | None = None
-    for i, rho in enumerate(cut_roots):
-        verts = [u for u in range(1, n) if home[u] == rho]
-        m = len(verts)
-        # The global post-order restricted to a piece is the piece's own
-        # post-order, so relabeling by rank puts its labels in post-order.
-        rank = {g: t for t, g in enumerate(verts, start=1)}
-        marked_vertex = sp.prefs[-1] if i == 0 else tree.parent(previous)
-        drivers = tuple(j for j in range(1, n) if home[sp.prefs[j - 1]] == rho)
-        check(len(drivers) == m, "each piece is preferred exactly its size many times")
-        marked = MarkedSet(drivers, drivers[rank[marked_vertex] - 1])
-        check(
-            _postorder_vertices(children, rho, previous) == verts,
-            "a piece's post-order is the global post-order restricted to it",
+    _check_standard(parents, sp.prefs)
+    home, parts = _split(parents, sp.prefs)
+    members: dict[int, list[int]] = {part[0]: [] for part in parts}
+    for u in range(1, n):
+        members[home[u]].append(u)
+    return [
+        Component(
+            tuple(members[rho]),
+            marked_vertex,
+            MarkedSet(drivers, marked),
+            StandardPrime(_parents_shape(piece_parents), tuple(piece_prefs)),
         )
-        piece = StandardPrime(
-            _extract_shape(children, rho, previous),
-            tuple(rank[sp.prefs[j - 1]] for j in drivers),
-        )
-        check_standard_prime(piece)
-        out.append(Component(tuple(verts), marked_vertex, marked, piece))
-        previous = rho
-    return out
+        for rho, marked_vertex, drivers, marked, piece_parents, piece_prefs in parts
+    ]
 
 
-def _relabel_encoded(image: LabeledPlaneTree, drivers: MarkedSet) -> LabeledPlaneTree:
-    unmarked = drivers.unmarked()
+def _encode(parents: list[int], prefs: Sequence[int]) -> LabeledPlaneTree:
+    """The plane-tree image of a valid flat standard pair.
 
-    def rebuild(node: LabeledPlaneTree) -> LabeledPlaneTree:
-        kids = tuple(rebuild(c) for c in node.children)
-        if node.label is None:
-            return LabeledPlaneTree(drivers.marked, kids)
-        return LabeledPlaneTree(unmarked[node.label - 1], kids)
-
-    return rebuild(image)
-
-
-def _encode(sp: StandardPrime) -> LabeledPlaneTree:
-    if shape_size(sp.shape) == 1:
-        return LabeledPlaneTree(None, ())
-    branches = tuple(
-        _relabel_encoded(_encode(comp.piece), comp.drivers) for comp in decompose(sp)
-    )
-    return LabeledPlaneTree(None, branches)
+    Each piece's image hangs below its frame's root in walk order: its root
+    takes the marked driver's label, and its vertices below take the labels
+    of the unmarked drivers, in order.  ``names[l - 1]`` is the label in the
+    final tree of a frame's local driver l.
+    """
+    labels: list[int | None] = [None]
+    kids: list[list[int]] = [[]]
+    work = [(parents, prefs, 0, range(1, len(prefs)))]
+    while work:
+        parents, prefs, node, names = work.pop()
+        if len(prefs) == 1:
+            continue
+        for _, _, drivers, marked, piece_parents, piece_prefs in _split(parents, prefs)[1]:
+            child = len(labels)
+            labels.append(names[marked - 1])
+            kids.append([])
+            kids[node].append(child)
+            sub_names = [names[d - 1] for d in drivers if d != marked]
+            work.append((piece_parents, piece_prefs, child, sub_names))
+    return _labeled_tree(labels, kids)
 
 
 def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
     """Map a standard pair to a plane tree with non-root labels in [n-1]."""
-    check_standard_prime(sp)
-    return _encode(sp)
+    parents = _shape_parents(sp.shape)
+    _check_standard(parents, sp.prefs)
+    return _encode(parents, sp.prefs)
 
 
-def _strip_root_label(node: LabeledPlaneTree, ranks: dict[int, int]) -> LabeledPlaneTree:
-    def rebuild(t: LabeledPlaneTree, is_root: bool) -> LabeledPlaneTree:
-        kids = tuple(rebuild(c, False) for c in t.children)
-        return LabeledPlaneTree(None if is_root else ranks[t.label], kids)
+def _decode(plt: LabeledPlaneTree) -> tuple[list[int], list[int]]:
+    """The flat standard pair of a valid root-unlabeled plane tree.
 
-    return rebuild(node, True)
+    Every vertex x stands for the pair decoded from its subtree with x's own
+    label dropped and the others ranked, so the vertices are decoded
+    children first.  A vertex's branches are the pieces along the final
+    walk, bottom-up: each piece is re-attached as the leftmost child of the
+    vertex the cut edge pointed at, recovered as the rank of the next
+    piece's marked driver, and the last piece hangs under a fresh root.
+    """
+    labels, kids = _flatten(plt)
+    # vertex -> (parent array, prefs, sorted labels of its subtree)
+    done: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    for x in range(len(labels) - 1, -1, -1):
+        branches = kids[x]
+        if not branches:
+            parents, prefs, below = [0, 0], [1], []
+        elif len(branches) == 1:
+            # One piece: the pair gains a root above it, and its final driver
+            # prefers the vertex at the marked driver's rank.
+            parents, prefs, below = done.pop(branches[0])
+            m = len(prefs)
+            parents[m] = m + 1
+            parents.append(0)
+            prefs.append(bisect_left(below, labels[branches[0]]) + 1)
+        else:
+            parents, prefs, below = _assemble(
+                [done.pop(b) for b in branches], [labels[b] for b in branches]
+            )
+        if labels[x] is not None:
+            insort(below, labels[x])
+        done[x] = (parents, prefs, below)
+    parents, prefs, _ = done[0]
+    return parents, prefs
 
 
-def _decode(plt: LabeledPlaneTree) -> StandardPrime:
-    n = plt.size
-    if n == 1:
-        return StandardPrime((), (1,))
+def _assemble(
+    pieces: list[tuple[list[int], list[int], list[int]]], marks: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Join decoded pieces (parent array, prefs, sorted labels), given in walk
+    order with their marked labels, into the pair of their common parent.
 
-    pieces: list[tuple[list[int], int, StandardPrime]] = []
-    for branch in plt.children:
-        labels = sorted(branch.labels())
-        marked = branch.label
-        ranks = {
-            lab: r for r, lab in enumerate((x for x in labels if x != marked), start=1)
-        }
-        pieces.append((labels, marked, _decode(_strip_root_label(branch, ranks))))
-
-    # Assemble the plane structure on (piece, local label) ids: each piece is
-    # re-attached as the leftmost child of the vertex the cut edge pointed at,
-    # recovered as the rank of the next piece's marked driver; the last piece
-    # hangs under the fresh root.
-    kids: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for index, (labels, _, piece) in enumerate(pieces):
-        _, sub_children = shape_to_parents(piece.shape)
-        for v in range(1, len(labels) + 1):
-            kids[(index, v)] = [(index, c) for c in sub_children[v]]
-    for i in range(len(pieces) - 1):
-        labels, marked, _ = pieces[i + 1]
-        k = labels.index(marked) + 1
-        kids[(i + 1, k)].insert(0, (i, len(pieces[i][0])))
-    top = (len(pieces) - 1, len(pieces[-1][0]))
-
-    # Global labels are the post-order positions of the assembled tree; the
-    # pieces need not occupy consecutive runs of them.
-    global_label: dict[tuple[int, int], int] = {}
-
-    def visit(node: tuple[int, int]) -> PlaneShape:
-        shape = tuple(visit(c) for c in kids[node])
-        global_label[node] = len(global_label) + 1
-        return shape
-
-    shape = (visit(top),)
-    assert len(global_label) == n - 1
-
+    Post-order labels the joined tree blockwise: piece i's vertices before
+    the attachment vertex's subtree, then everything hung below it, then
+    the rest of piece i.
+    """
+    below = sorted(label for _, _, labels in pieces for label in labels)
+    n = len(below) + 1
+    rank = {label: r for r, label in enumerate(below, start=1)}
+    parents = [0] * (n + 1)
     prefs = [0] * n
-    for index, (labels, _, piece) in enumerate(pieces):
-        for position, q in zip(labels, piece.prefs):
-            prefs[position - 1] = global_label[(index, q)]
-    first_labels, first_marked, _ = pieces[0]
-    prefs[n - 1] = global_label[(0, first_labels.index(first_marked) + 1)]
-
-    return StandardPrime(shape, tuple(prefs))
+    base, total, above = 0, n - 1, n  # block offset, block size, where the block's root hangs
+    for i in range(len(pieces) - 1, -1, -1):
+        piece_parents, piece_prefs, labels = pieces[i]
+        m = len(piece_prefs)
+        lower = total - m  # vertices hung below this piece
+        if i:
+            at = bisect_left(labels, marks[i]) + 1
+            start = at  # the first label of at's subtree
+            while start > 1 and piece_parents[start - 1] <= at:
+                start -= 1
+        else:
+            start = m + 1
+        g = [0, *range(base + 1, base + start), *range(base + lower + start, base + lower + m + 1)]
+        for v in range(1, m):
+            parents[g[v]] = g[piece_parents[v]]
+        parents[g[m]] = above
+        for label, q in zip(labels, piece_prefs):
+            prefs[rank[label] - 1] = g[q]
+        if i:
+            above = g[at]
+            base += start - 1
+            total = lower
+    prefs[n - 1] = g[bisect_left(pieces[0][2], marks[0]) + 1]
+    if 0 in parents[1:n] or 0 in prefs:
+        raise InvariantError(
+            "the pieces' post-order labels must cover the joined tree once",
+            RootedTree(tuple(parents[1:])),
+            prefs,
+        )
+    return parents, prefs, below
 
 
 def decode_prime(plt: LabeledPlaneTree) -> StandardPrime:
     """Inverse of :func:`encode_prime`; total on labeled plane trees."""
     check_labeled_plane_tree(plt)
-    sp = _decode(plt)
-    check_standard_prime(sp)
-    return sp
+    parents, prefs = _decode(plt)
+    _check_standard(parents, prefs)
+    return StandardPrime(_parents_shape(parents), tuple(prefs))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +519,10 @@ def borie_map(word: Sequence[int]) -> tuple[int, ...]:
     out = tuple(
         sum(1 for c in left_larger if c >= m) + 1 for m in range(n, 0, -1)
     )
-    assert all(a <= b for a, b in zip(out, out[1:]))
-    assert n == 0 or is_parking_function(path_tree(n), out)
+    if n and not all(a <= b for a, b in zip(out, out[1:])):
+        raise InvariantError("the statistic map must be weakly increasing", path_tree(n), out)
+    if n and not is_parking_function(path_tree(n), out):
+        raise InvariantError("the statistic map must be a parking function", path_tree(n), out)
     return out
 
 
@@ -432,8 +540,10 @@ def path_preimage_seq(word: Sequence[int]) -> tuple[int, ...]:
         pivot = n + 2 - i  # 1-based position into word
         below = sum(1 for j in range(pivot + 1, n + 1) if word[j - 1] < word[pivot - 1])
         seq.append(below + 1)
-    assert all(seq[i - 1] <= i - 1 for i in range(2, n + 2))
-    assert is_prime(path_tree(n + 1), seq)
+    if not all(seq[i - 1] <= i - 1 for i in range(2, n + 2)):
+        raise InvariantError("a path preimage must be a growth sequence", path_tree(n + 1), seq)
+    if not is_prime(path_tree(n + 1), seq):
+        raise InvariantError("a path preimage must be prime", path_tree(n + 1), seq)
     return tuple(seq)
 
 

@@ -22,7 +22,6 @@ from typing import Iterator
 
 from .bijections import (
     _out_of_crossing_order,
-    _tree_of_shape,
     borie_map,
     decode_prime,
     encode_prime,
@@ -39,6 +38,7 @@ from .trees import (
     LabeledPlaneTree,
     PlaneShape,
     RootedTree,
+    _shape_parents,
     enumerate_labeled_plane_trees,
     enumerate_plane_trees,
     enumerate_rooted_trees,
@@ -83,11 +83,12 @@ def _slacks(tree: RootedTree, buckets: Buckets) -> Iterator[tuple[list[tuple[int
 
 def _standard_primes(shape: PlaneShape, buckets: Buckets) -> Iterator[tuple[int, ...]]:
     """The sequences that form a standard pair with the post-order labeled shape."""
-    tree, children = _tree_of_shape(shape)
+    parents = _shape_parents(shape)
+    tree = RootedTree(tuple(parents[1:]))
     for seqs, slack in _slacks(tree, buckets):
         if slack >= 1:
             for seq in seqs:
-                if _out_of_crossing_order(children, run_parking(tree, seq).crossings) is None:
+                if _out_of_crossing_order(parents, run_parking(tree, seq).crossings) is None:
                     yield seq
 
 

@@ -49,33 +49,46 @@ def check_preferences(tree: RootedTree, prefs: Sequence[int]) -> tuple[int, ...]
 
 
 def run_parking(tree: RootedTree, prefs: Sequence[int]) -> ParkingOutcome:
-    """Simulate any prefix of drivers; no length check."""
-    occupied = [False] * (tree.n + 1)
+    """Simulate any prefix of drivers; no length check.
+
+    Two union-find link arrays with path halving (Tarjan 1975) stand in for
+    the walk to the root.  ``free[v]`` leads to the nearest empty vertex at or
+    above v (0 once the path to the root is full), and ``edge[v]`` to the
+    nearest vertex at or above v whose parent edge no driver has crossed yet
+    (the root ends every chain).  A crossed edge has an occupied lower end, so
+    an empty vertex ends every ``edge`` chain below it: a driver's new
+    crossings are the ``edge`` chain from her preferred vertex up to her spot.
+    """
+    up = (0,) + tree.parents
+    free = list(range(len(up)))
+    edge = free[:]
     spots: list[int | None] = []
-    crossed: set[Edge] = set()
     crossings: list[Edge] = []
+    add_spot, cross = spots.append, crossings.append
     for want in prefs:
-        v = want
-        if not occupied[v]:
-            occupied[v] = True
-            spots.append(v)
+        spot = free[want]
+        if spot == want:
+            free[want] = up[want]
+            add_spot(want)
             continue
-        spot = None
+        while free[spot] != spot:
+            free[spot] = spot = free[free[spot]]
+        free[want] = spot
+        if spot:
+            free[spot] = up[spot]
+            add_spot(spot)
+        else:
+            add_spot(None)
+        v = edge[want]
         while True:
-            p = tree.parent(v)
-            if p == 0:
+            while edge[v] != v:
+                edge[v] = v = edge[edge[v]]
+            p = up[v]
+            if v == spot or not p:
                 break
-            edge = (v, p)
-            if edge not in crossed:
-                crossed.add(edge)
-                crossings.append(edge)
-            v = p
-            if not occupied[v]:
-                spot = v
-                break
-        spots.append(spot)
-        if spot is not None:
-            occupied[spot] = True
+            cross((v, p))
+            edge[v] = v = p
+        edge[want] = v
     return ParkingOutcome(tuple(spots), tuple(crossings))
 
 

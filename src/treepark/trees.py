@@ -19,7 +19,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, permutations, product
+from itertools import permutations, product
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -226,7 +226,11 @@ def enumerate_plane_trees(n: int) -> Iterator[PlaneShape]:
 
 
 def shape_size(shape: PlaneShape) -> int:
-    return 1 + sum(shape_size(c) for c in shape)
+    total, stack = 0, [shape]
+    while stack:
+        total += 1
+        stack.extend(stack.pop())
+    return total
 
 
 def path_shape(n: int) -> PlaneShape:
@@ -236,6 +240,44 @@ def path_shape(n: int) -> PlaneShape:
     return shape
 
 
+def _shape_parents(shape: PlaneShape) -> list[int]:
+    """The parent array of a shape under post-order labels, slot 0 unused:
+    entry v is the parent of v, and 0 at the root, which is the last label.
+
+    Post-order is the reverse of the pre-order that visits children right to
+    left, so the k-th vertex that walk meets has label n + 1 - k.
+    """
+    above: list[int] = []  # visit number of each visited vertex's parent, 0 at the root
+    stack = [(shape, 0)]
+    while stack:
+        node, p = stack.pop()
+        above.append(p)
+        here = len(above)
+        stack.extend((c, here) for c in node)
+    n = len(above)
+    parents = [0] * (n + 1)
+    for k, p in enumerate(above, start=1):
+        if p:
+            parents[n + 1 - k] = n + 1 - p
+    return parents
+
+
+def _parents_shape(parents: Sequence[int]) -> PlaneShape:
+    """Inverse of :func:`_shape_parents`.  In post-order a vertex's children
+    are the last finished subtrees that are still unattached."""
+    roots: list[int] = []
+    shapes: list[PlaneShape] = []
+    for v in range(1, len(parents)):
+        k = len(roots)
+        while k and parents[roots[k - 1]] == v:
+            k -= 1
+        shape = tuple(shapes[k:])
+        del roots[k:], shapes[k:]
+        roots.append(v)
+        shapes.append(shape)
+    return shapes[0]
+
+
 def shape_to_parents(shape: PlaneShape) -> tuple[tuple[int, ...], list[list[int]]]:
     """Parent list and ordered child lists of a shape under post-order labels.
 
@@ -243,21 +285,10 @@ def shape_to_parents(shape: PlaneShape) -> tuple[tuple[int, ...], list[list[int]
     all of its descendants and all subtrees of its left siblings, so the root
     receives the largest label.
     """
-    n = shape_size(shape)
-    parents = [0] * (n + 1)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    ticker = count(1)
-
-    def visit(node: PlaneShape) -> int:
-        kid_labels = [visit(c) for c in node]
-        label = next(ticker)
-        for k in kid_labels:
-            parents[k] = label
-        children[label] = kid_labels
-        return label
-
-    root = visit(shape)
-    parents[root] = 0
+    parents = _shape_parents(shape)
+    children: list[list[int]] = [[] for _ in parents]
+    for v in range(1, len(parents) - 1):  # every label but the root's
+        children[parents[v]].append(v)
     return tuple(parents[1:]), children
 
 
@@ -273,12 +304,39 @@ class LabeledPlaneTree:
     label: int | None
     children: tuple["LabeledPlaneTree", ...] = ()
 
+    # Equality and hashing walk the tree with an explicit stack, so that deep
+    # trees compare without recursion.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        labels, kids = _flatten(self)
+        return hash((tuple(labels), tuple(map(len, kids))))
+
     @property
     def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
+        total, stack = 0, [self]
+        while stack:
+            total += 1
+            stack.extend(stack.pop().children)
+        return total
 
     def shape(self) -> PlaneShape:
-        return tuple(c.shape() for c in self.children)
+        labels, kids = _flatten(self)
+        made: list[PlaneShape] = [()] * len(labels)
+        for i in range(len(labels) - 1, -1, -1):
+            made[i] = tuple(made[c] for c in kids[i])
+        return made[0]
 
     def labels(self) -> list[int]:
         """All labels in pre-order, skipping unlabeled vertices."""
@@ -290,6 +348,32 @@ class LabeledPlaneTree:
                 out.append(node.label)
             stack.extend(reversed(node.children))
         return out
+
+
+def _flatten(t: LabeledPlaneTree) -> tuple[list[int | None], list[list[int]]]:
+    """A labeled plane tree as pre-order arrays: the label of node i and the
+    nodes of its children, left to right.  Children come after their parent."""
+    labels: list[int | None] = []
+    kids: list[list[int]] = []
+    stack: list[tuple[LabeledPlaneTree, int]] = [(t, -1)]
+    while stack:
+        node, p = stack.pop()
+        i = len(labels)
+        labels.append(node.label)
+        kids.append([])
+        if p >= 0:
+            kids[p].append(i)
+        stack.extend((c, i) for c in reversed(node.children))
+    return labels, kids
+
+
+def _labeled_tree(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> LabeledPlaneTree:
+    """Inverse of :func:`_flatten`: node 0 is the root and every child has a
+    larger number than its parent."""
+    made: list[LabeledPlaneTree | None] = [None] * len(labels)
+    for i in range(len(labels) - 1, -1, -1):
+        made[i] = LabeledPlaneTree(labels[i], tuple(made[c] for c in kids[i]))
+    return made[0]
 
 
 def check_labeled_plane_tree(t: LabeledPlaneTree) -> int:
@@ -334,17 +418,20 @@ def post_order_relabel(t: LabeledPlaneTree) -> tuple[tuple[int, ...], LabeledPla
     the relabeled tree.  Running it again on the output yields the identity.
     """
     n = check_all_labeled(t)
+    labels, kids = _flatten(t)
+    # post-order is the reverse of the pre-order that visits children right to left
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(kids[i])
+    new = [0] * len(labels)
+    for k, i in enumerate(order):
+        new[i] = n - k
     mapping = [0] * (n + 1)
-    ticker = count(1)
-
-    def visit(node: LabeledPlaneTree) -> LabeledPlaneTree:
-        kids = tuple(visit(c) for c in node.children)
-        new = next(ticker)
-        mapping[node.label] = new
-        return LabeledPlaneTree(new, kids)
-
-    relabeled = visit(t)
-    return tuple(mapping[1:]), relabeled
+    for i, label in enumerate(labels):
+        mapping[label] = new[i]
+    return tuple(mapping[1:]), _labeled_tree(new, kids)
 
 
 def enumerate_labeled_plane_trees(n: int) -> Iterator[LabeledPlaneTree]:
@@ -414,10 +501,22 @@ def format_word(word: Sequence[int]) -> str:
 
 
 def format_plane_tree(t: LabeledPlaneTree) -> str:
-    head = "*" if t.label is None else str(t.label)
-    if not t.children:
-        return head
-    return head + "[" + " ".join(format_plane_tree(c) for c in t.children) + "]"
+    out: list[str] = []
+    stack: list[LabeledPlaneTree | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append("*" if item.label is None else str(item.label))
+        if item.children:
+            stack.append("]")
+            for i in range(len(item.children) - 1, 0, -1):
+                stack.append(item.children[i])
+                stack.append(" ")
+            stack.append(item.children[0])
+            stack.append("[")
+    return "".join(out)
 
 
 _TOKEN = re.compile(r"\s*(\*|\d+|\[|\])")
@@ -437,28 +536,36 @@ def parse_plane_tree(text: str) -> LabeledPlaneTree:
     if not tokens:
         raise InputError("plane tree: empty input")
 
+    # The vertices whose bracket is open, each with the children read so far.
+    open_: list[tuple[int | None, list[LabeledPlaneTree]]] = []
     index = 0
-
-    def parse_node() -> LabeledPlaneTree:
-        nonlocal index
+    while True:
         if index >= len(tokens) or tokens[index] in "[]":
             raise InputError("plane tree: expected a vertex")
         tok = tokens[index]
         index += 1
         label = None if tok == "*" else int(tok)
-        kids: list[LabeledPlaneTree] = []
+        node: LabeledPlaneTree | None = None
         if index < len(tokens) and tokens[index] == "[":
             index += 1
-            while index < len(tokens) and tokens[index] != "]":
-                kids.append(parse_node())
+            open_.append((label, []))
+        else:
+            node = LabeledPlaneTree(label, ())
+        # Attach the finished vertex and close every bracket that ends here.
+        while True:
+            if node is not None:
+                if not open_:
+                    if index != len(tokens):
+                        raise InputError("plane tree: trailing tokens")
+                    return node
+                open_[-1][1].append(node)
+                node = None
+            if index < len(tokens) and tokens[index] != "]":
+                break  # the next child of the innermost open vertex
             if index >= len(tokens):
                 raise InputError("plane tree: missing closing bracket")
             index += 1
+            label, kids = open_.pop()
             if not kids:
                 raise InputError("plane tree: empty bracket pair")
-        return LabeledPlaneTree(label, tuple(kids))
-
-    tree = parse_node()
-    if index != len(tokens):
-        raise InputError("plane tree: trailing tokens")
-    return tree
+            node = LabeledPlaneTree(label, tuple(kids))

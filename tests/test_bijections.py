@@ -87,7 +87,8 @@ class TestMarkedSet:
 
 
 class TestOneSimulation:
-    """Each standard-pair check parks the drivers once and reuses the outcome."""
+    """Each standard-pair check parks the drivers once and reuses the outcome,
+    and each level of the decomposition parks its piece once."""
 
     @pytest.fixture
     def simulations(self, monkeypatch):
@@ -99,6 +100,7 @@ class TestOneSimulation:
             return real(tree, prefs)
 
         monkeypatch.setattr(treepark.parking, "run_parking", counting)
+        monkeypatch.setattr(treepark.bijections, "run_parking", counting)
         return calls
 
     def test_check_standard_prime(self, simulations):
@@ -106,9 +108,24 @@ class TestOneSimulation:
         assert simulations == [(1, 3, 2, 3, 1)]
 
     def test_standardize(self, simulations):
-        # one for the crossing order, one for the check of the result
+        # the crossing order of the one run also confirms the result's order
         standardize(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
-        assert simulations == [(2, 5, 3, 5, 2), (1, 3, 2, 3, 1)]
+        assert simulations == [(2, 5, 3, 5, 2)]
+
+    def test_prime_to_pair(self, simulations):
+        word, plt = prime_to_pair(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
+        assert (word, format_plane_tree(plt)) == ((5, 1, 2, 4, 3), "*[1 3 4[2]]")
+        assert simulations == [
+            (2, 5, 3, 5, 2),  # standardize
+            (1, 3, 2, 3, 1),  # encode_prime's check of the standard pair
+            (1, 3, 2, 3),  # the first level: all but the final driver
+            (1,),  # the one piece with two vertices
+        ]
+
+    def test_pair_to_prime(self, simulations):
+        tree, prefs = pair_to_prime((5, 1, 2, 4, 3), parse_plane_tree("*[1 3 4[2]]"))
+        assert (tree.parents, prefs) == ((0, 3, 4, 1, 4), (2, 5, 3, 5, 2))
+        assert simulations == [(1, 3, 2, 3, 1)]  # decode_prime's check
 
 
 class TestDecomposeInvariants:
@@ -148,6 +165,60 @@ class TestDecomposeInvariants:
     def test_needs_two_vertices(self):
         with pytest.raises(InputError, match="at least 2 vertices"):
             decompose(StandardPrime((), (1,)))
+
+    def test_refuses_a_pair_that_is_not_standard(self):
+        with pytest.raises(NotStandardPrimeError):
+            decompose(StandardPrime((((),),), (1, 2, 3)))  # parking but not prime
+
+
+class TestStandardizeInvariant:
+    def test_broken_sibling_order_names_the_pair(self, monkeypatch):
+        monkeypatch.setattr(treepark.bijections, "_out_of_crossing_order", lambda parents, crossings: 1)
+        with pytest.raises(InvariantError, match="crossing order") as caught:
+            standardize(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
+        assert caught.value.tree.parents == (0, 3, 4, 1, 4)
+        assert caught.value.prefs == (2, 5, 3, 5, 2)
+
+
+class TestPathInvariants:
+    """The self-checks of the path maps raise, with the witness, and are not
+    asserts that python -O strips."""
+
+    def test_statistic_map_checks_its_image(self, monkeypatch):
+        monkeypatch.setattr(treepark.bijections, "is_parking_function", lambda tree, prefs: False)
+        with pytest.raises(InvariantError, match="parking function") as caught:
+            borie_map((2, 1))
+        assert caught.value.tree.parents == (2, 0)
+        assert caught.value.prefs == (1, 2)
+
+    def test_preimage_checks_primality(self, monkeypatch):
+        monkeypatch.setattr(treepark.bijections, "is_prime", lambda tree, prefs: False)
+        with pytest.raises(InvariantError, match="prime") as caught:
+            path_preimage_seq((2, 1))
+        assert caught.value.tree.parents == (2, 3, 0)
+        assert caught.value.prefs == (1, 1, 2)
+
+    def test_checked_under_optimize(self):
+        probe = (
+            "import treepark\n"
+            "from treepark import InvariantError, borie_map, path_preimage_seq\n"
+            "treepark.bijections.is_prime = lambda tree, prefs: False\n"
+            "treepark.bijections.is_parking_function = lambda tree, prefs: False\n"
+            "for call in (lambda: path_preimage_seq((2, 1)), lambda: borie_map((2, 1))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except InvariantError:\n"
+            "        print('raised')\n"
+        )
+        src = Path(treepark.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "raised\nraised\n"
 
 
 class TestStandardize:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,50 @@ class TestMaps:
     def test_borie_rejects_pattern(self, capsys):
         code, _, err = run(capsys, "borie", "--perm", "1 3 2")
         assert code == 2 and "132" in err
+
+
+class TestDeepInputs:
+    """Paths far deeper than the default recursion limit, end to end."""
+
+    def cli(self, *argv):
+        # a fresh interpreter runs at the default recursion limit
+        return subprocess.run(
+            [sys.executable, "-m", "treepark.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    def test_psi_on_a_1200_vertex_path(self, tmp_path):
+        word = list(range(1, 1200))
+        random.Random(1200).shuffle(word)
+        tree, seq, ptree = tmp_path / "tree.txt", tmp_path / "seq.txt", tmp_path / "ptree.txt"
+        tree.write_text(treepark.format_rooted_tree(treepark.path_tree(1200)))
+        seq.write_text(treepark.format_word(treepark.path_preimage_seq(word)))
+        done = self.cli("psi", "--tree", f"@{tree}", "--seq", f"@{seq}", "--check")
+        assert done.returncode == 0, done.stderr
+        sigma, image, verdict = done.stdout.splitlines()
+        assert sigma == "sigma: " + " ".join(map(str, range(1, 1201)))
+        assert image == treepark.format_plane_tree(treepark.labeled_path(word))
+        assert verdict == "roundtrip: ok"
+
+        perm = tmp_path / "perm.txt"
+        perm.write_text(sigma.removeprefix("sigma: "))
+        ptree.write_text(image)
+        done = self.cli("psi-inv", "--perm", f"@{perm}", "--ptree", f"@{ptree}", "--check")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "tree: " + tree.read_text(),
+            "seq: " + seq.read_text(),
+            "roundtrip: ok",
+        ]
+
+    def test_pair_to_prime_on_an_800_vertex_path(self):
+        word = tuple(range(1, 800))
+        tree, prefs = treepark.pair_to_prime(tuple(range(1, 801)), treepark.labeled_path(word))
+        assert tree == treepark.path_tree(800)
+        assert prefs == treepark.path_preimage_seq(word)
 
 
 class TestSeriesAndCounts:

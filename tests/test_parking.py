@@ -25,6 +25,8 @@ from treepark import (
     path_tree,
     used_edges,
 )
+from treepark.parking import run_parking
+from treepark.trees import RootedTree
 
 FIG_TREE = parse_rooted_tree("3 3 5 5 0")
 
@@ -65,6 +67,59 @@ class TestPark:
             park(FIG_TREE, (1, 9, 1, 1, 1))
 
 
+def walk_to_root(parents, prefs):
+    """Reference simulation: each driver walks parent by parent from her
+    preferred vertex; spots and first crossings as ``run_parking`` reports."""
+    taken, spots, crossings, seen = set(), [], [], set()
+    for v in prefs:
+        while v in taken:
+            p = parents[v - 1]
+            if p == 0:
+                v = None
+                break
+            if (v, p) not in seen:
+                seen.add((v, p))
+                crossings.append((v, p))
+            v = p
+        if v is not None:
+            taken.add(v)
+        spots.append(v)
+    return tuple(spots), tuple(crossings)
+
+
+class TestKernelAgainstWalk:
+    """The union-find kernel against the plain walk to the root."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_tree_and_sequence(self, n):
+        # Every length up to n covers every prefix, and drivers leave the
+        # tree whenever a sequence is not a parking function.  The n^n
+        # full-length sequences at n = 5 are compared in
+        # TestParkingFunction.test_criterion_matches_simulation_n5, which
+        # simulates each of them already.
+        for tree in enumerate_rooted_trees(n):
+            for length in range(n + 1 if n < 5 else n):
+                for seq in product(range(1, n + 1), repeat=length):
+                    outcome = run_parking(tree, seq)
+                    assert (outcome.spots, outcome.crossings) == walk_to_root(tree.parents, seq)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_deep_paths_and_caterpillars(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(300, 500)
+        spine = n if seed % 2 else rng.randint(n // 2, n - 1)
+        parents = [v + 1 for v in range(1, spine)] + [0]
+        parents += [rng.randint(1, spine) for _ in range(spine, n)]  # legs
+        tree = RootedTree(tuple(parents))
+        for prefs in (
+            [1] * n,  # everyone walks from the bottom of the spine
+            [rng.randint(1, n) for _ in range(n + 20)],  # more drivers than spots
+            [rng.randint(1, min(n, 30)) for _ in range(rng.randint(1, n))],
+        ):
+            outcome = run_parking(tree, prefs)
+            assert (outcome.spots, outcome.crossings) == walk_to_root(tree.parents, prefs)
+
+
 class TestParkingFunction:
     def test_figure_example(self):
         assert is_parking_function(FIG_TREE, (2, 2, 1, 4, 2))
@@ -83,9 +138,9 @@ class TestParkingFunction:
 
     def test_criterion_matches_simulation_n5(self):
         # all 5^4 * 5^5 pairs; the criterion side is decided once per
-        # (tree, count-vector bucket), as the census does
+        # (tree, count-vector bucket), as the census does, and each
+        # simulation is also checked against the plain walk to the root
         from treepark.census import _buckets, _slacks
-        from treepark.parking import run_parking
 
         buckets = _buckets(5)
         assert sum(len(seqs) for seqs in buckets.values()) == 5**5
@@ -93,6 +148,7 @@ class TestParkingFunction:
             for seqs, slack in _slacks(tree, buckets):
                 for seq in seqs:
                     outcome = run_parking(tree, seq)
+                    assert (outcome.spots, outcome.crossings) == walk_to_root(tree.parents, seq)
                     assert outcome.all_parked == (slack >= 0)
                     prime = outcome.all_parked and len(outcome.crossings) == 4
                     assert prime == (slack >= 1)
