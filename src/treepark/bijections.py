@@ -56,6 +56,7 @@ from .trees import (
     _labeled_tree,
     _parents_shape,
     _shape_parents,
+    _shape_repr,
     check_labeled_plane_tree,
     check_permutation,
     inverse_permutation,
@@ -76,6 +77,21 @@ class StandardPrime:
 
     shape: PlaneShape
     prefs: tuple[int, ...]
+
+    # The shape nests one tuple per level, so equality and hashing compare
+    # flat post-order parent arrays and repr writes it out with a stack.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.prefs == other.prefs and (
+            self.shape is other.shape or _shape_parents(self.shape) == _shape_parents(other.shape)
+        )
+
+    def __hash__(self) -> int:
+        return hash((tuple(_shape_parents(self.shape)), self.prefs))
+
+    def __repr__(self) -> str:
+        return f"StandardPrime(shape={_shape_repr(self.shape)}, prefs={self.prefs!r})"
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,8 @@ class BranchUndefinedError(InputError):
 
 
 class OrderMismatchError(InputError):
-    """A coefficient beyond the truncation order was requested."""
+    """A series order or count size out of range, or a coefficient beyond
+    the truncation order."""
 
 
 class InvariantError(TreeParkError):
@@ -78,7 +79,9 @@ class IdentityViolatedError(TreeParkError):
 
 
 class FixedPointNotConvergedError(TreeParkError):
-    """The ODE coefficient iteration failed to stabilize within its bound."""
+    """An iteration failed to stabilize within its bound.  The series layer
+    no longer iterates (its ODE solve is online), so nothing raises this;
+    it stays for callers that catch it."""
 
 
 class LimitExceededError(InputError):

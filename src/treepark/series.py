@@ -9,6 +9,11 @@ Normalizations: the parking and prime series divide count n by (n!)^2,
 covering relabelings of the tree and reorderings of the sequence; the
 distribution series divide by n! only, since a weakly increasing sequence
 has no reorderings.
+
+The distribution series is solved from its differential equation online,
+each coefficient from the ones before it (the relaxed scheme of van der
+Hoeven), and checked against the equation once.  Every named series takes
+any order >= 0; a bad order or size raises ``OrderMismatchError`` naming it.
 """
 
 from __future__ import annotations
@@ -16,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     BranchUndefinedError,
-    FixedPointNotConvergedError,
     IdentityViolatedError,
     InputError,
     OrderMismatchError,
@@ -31,6 +35,13 @@ Q = Fraction
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _at_least(value: int, least: int, name: str) -> int:
+    """``value`` itself if it is an integer >= ``least``; else a named error."""
+    if not isinstance(value, int) or value < least:
+        raise OrderMismatchError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -188,15 +199,19 @@ class Series:
         return Series(tuple(out))
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitute ``inner`` (which must have no constant term) into self."""
+        """Substitute ``inner`` (which must have no constant term) into self.
+
+        Truncated Horner: the accumulator for a_k is later multiplied by
+        inner^k, of valuation >= k, so it needs order n - k only.
+        """
         if inner.coeffs[0] != 0:
             raise BranchUndefinedError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
         a = self.coeffs
-        acc = Series.constant(a[n], n)
-        b = inner.truncate(n)
+        acc = Series((a[n],))
+        b = inner.truncate(n).shift_down()
         for k in range(n - 1, -1, -1):
-            acc = acc * b + a[k]
+            acc = (acc * b).shift_up() + a[k]
         return acc
 
     def scale_argument(self, factor) -> "Series":
@@ -206,7 +221,8 @@ class Series:
 
 
 def x_series(order: int) -> Series:
-    return Series((Q(0), Q(1)) + (Q(0),) * (order - 1))
+    _at_least(order, 0, "order")
+    return Series(((Q(0), Q(1)) + (Q(0),) * (order - 1))[: order + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -216,48 +232,53 @@ def x_series(order: int) -> Series:
 
 def tree_function(order: int) -> Series:
     """Exponential series of labeled rooted trees: sum n^(n-1) x^n / n!."""
-    return Series(
-        (Q(0),) + tuple(Q(n ** (n - 1), factorial(n)) for n in range(1, order + 1))
-    )
+    _at_least(order, 0, "order")
+    return Series((Q(0),) + tuple(Q(n ** (n - 1), factorial(n)) for n in range(1, order + 1)))
 
 
 def catalan_series(order: int) -> Series:
     """(1 - sqrt(1 - 4x)) / (2x); coefficients are the Catalan numbers."""
+    _at_least(order, 0, "order")
     radicand = Series((Q(1), Q(-4)) + (Q(0),) * order)  # order + 1
     return ((1 - radicand.sqrt()).shift_down()) * Q(1, 2)
 
 
 def schroder_series(order: int) -> Series:
     """(1 - x - sqrt(x^2 - 6x + 1)) / (2x); the large Schroeder numbers."""
+    _at_least(order, 0, "order")
     radicand = Series((Q(1), Q(-6), Q(1)) + (Q(0),) * max(order - 1, 0))  # order + 1
     numerator = Series((Q(1), Q(-1)) + (Q(0),) * order) - radicand.sqrt()
     return numerator.shift_down() * Q(1, 2)
 
 
 def catalan_number(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
+    return comb(2 * _at_least(n, 0, "n"), n) // (n + 1)
 
 
 def schroder_number(n: int) -> int:
-    value = schroder_series(n).coefficient(n)
-    assert value.denominator == 1
-    return value.numerator
+    """Large Schroeder number, the sum over k of C(n + k, n - k) C_k: a path
+    of semilength n with k up steps is a Dyck path of semilength k with
+    n - k flat steps placed among its n + k steps."""
+    _at_least(n, 0, "n")
+    return sum(comb(n + k, n - k) * catalan_number(k) for k in range(n + 1))
 
 
 def parking_count(n: int) -> int:
     """Closed form for the number of (tree, parking function) pairs on n vertices."""
+    _at_least(n, 1, "n")
     total = sum(Q((n - i) * (2 * n) ** i, factorial(i)) for i in range(n))
     value = Q(factorial(n - 1) ** 2) * total
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise IdentityViolatedError(f"parking count at n={n} is not an integer: {value}")
     return value.numerator
 
 
 def prime_count(n: int) -> int:
-    return factorial(2 * n - 2)
+    return factorial(2 * _at_least(n, 1, "n") - 2)
 
 
 def prime_distribution_count(n: int) -> int:
-    return factorial(n - 1) * schroder_number(n - 1)
+    return factorial(_at_least(n, 1, "n") - 1) * schroder_number(n - 1)
 
 
 def parking_series(order: int) -> Series:
@@ -274,6 +295,7 @@ def prime_series(order: int, verify: bool = True) -> Series:
     composition identity against the parking series, the derivative identity
     against the Catalan series, and the closed logarithmic form.
     """
+    _at_least(order, 0, "order")
     series = Series(
         (Q(0),)
         + tuple(Q(prime_count(n), factorial(n) ** 2) for n in range(1, order + 1))
@@ -286,44 +308,38 @@ def prime_series(order: int, verify: bool = True) -> Series:
 
 
 def _distribution_rhs(f: Series) -> Series:
-    one_plus = 1 + f.x_derivative()
-    one_plus2 = 1 + 2 * f.x_derivative()
-    return f.exp() * one_plus * one_plus2
-
-
-def distribution_ode_iterations(order: int) -> Iterator[Series]:
-    """Successive coefficient iterates for the distribution series equation
-    f' = exp(f) (1 + x f') (1 + 2x f') with f(0) = 0.
-
-    Each round pins down at least one further coefficient, so the sequence
-    stabilizes within ``order`` rounds.
-    """
-    f = x_series(order)
-    yield f
-    for _ in range(order + 1):
-        rhs = _distribution_rhs(f)
-        coeffs = [Q(0)] + [rhs.coeffs[k - 1] / k for k in range(1, order + 1)]
-        nxt = Series(tuple(coeffs))
-        yield nxt
-        if nxt == f:
-            return
-        f = nxt
-    raise FixedPointNotConvergedError(f"no fixed point within {order + 1} rounds")
+    e = f.x_derivative()
+    return f.exp() * (1 + e) * (1 + 2 * e)
 
 
 def _distribution_series(order: int) -> Series:
-    result = None
-    previous = None
-    for it in distribution_ode_iterations(order):
-        previous, result = result, it
-    assert result == previous  # loop ends on a genuine fixed point
-    return result
+    """Solve f' = exp(f) (1 + x f') (1 + 2x f') with f(0) = 0, online.
+
+    With e = x f', g = exp(f) and h = (1 + e)(1 + 2e) = 1 + 3e + 2e^2, step k
+    knows f_0..f_k: it extends e by e_k = k f_k, g by the recurrence of
+    :meth:`Series.exp` and h by h_k, and sets f_{k+1} = [x^k](g h) / (k + 1).
+    That is O(order^2) coefficient products in all.  One evaluation of the
+    right-hand side then confirms the equation, or raises
+    ``IdentityViolatedError``.
+    """
+    f = [Q(0)] * (_at_least(order, 0, "order") + 1)
+    e, g, h = [Q(0)], [Q(1)], [Q(1)]
+    for k in range(order):
+        if k:
+            e.append(k * f[k])
+            g.append(sum(e[j] * g[k - j] for j in range(1, k + 1)) / k)
+            h.append(3 * e[k] + 2 * sum(e[i] * e[k - i] for i in range(1, k)))
+        f[k + 1] = sum(g[i] * h[k - i] for i in range(k + 1)) / (k + 1)
+    solved = Series(tuple(f))
+    bad = (solved.derivative() - _distribution_rhs(solved)).first_nonzero()
+    if bad is not None:
+        raise IdentityViolatedError(f"distribution ODE: residual {bad[1]} at x^{bad[0]}")
+    return solved
 
 
 def prime_distribution_series(order: int) -> Series:
-    return Series(
-        (Q(0),) + tuple(Q(schroder_number(n - 1), n) for n in range(1, order + 1))
-    )
+    _at_least(order, 0, "order")
+    return Series((Q(0),) + tuple(Q(schroder_number(n - 1), n) for n in range(1, order + 1)))
 
 
 class DistributionSeries(NamedTuple):
@@ -334,45 +350,36 @@ class DistributionSeries(NamedTuple):
 
 
 def distribution_series(order: int, verify: bool = True) -> DistributionSeries:
-    """The four distribution series, cross-checked against one another.
+    """The four distribution series, each computed once.
 
     With ``verify`` set, every distribution identity is asserted to have an
     exactly zero residual up to ``order``.
     """
-    bundle = DistributionSeries(
-        _distribution_series(order),
-        prime_distribution_series(order),
-        marked_prime_series(order),
-        marked_distribution_series(order),
-    )
+    f = _distribution_series(order)
+    p = prime_distribution_series(order)
+    bundle = DistributionSeries(f, p, _marked(p, 1), _marked(f, 2))
     if verify:
-        assert_identities(
-            order,
-            [
-                "distribution-composition",
-                "marked-prime-sum",
-                "marked-prime-recursion",
-                "schroder-quadratic",
-                "schroder-gf",
-                "marked-distribution-sum",
-                "marked-distribution-recursion",
-                "distribution-ode",
-                "parking-ode",
-            ],
-        )
+        assert_identities(order, [
+            "distribution-composition", "marked-prime-sum", "marked-prime-recursion",
+            "schroder-quadratic", "schroder-gf", "marked-distribution-sum",
+            "marked-distribution-recursion", "distribution-ode", "parking-ode",
+        ])
     return bundle
+
+
+def _marked(inner: Series, factor: int) -> Series:
+    """x + factor * x^2 * inner', at the order of ``inner``."""
+    return (x_series(inner.order + 1) + factor * inner.x_derivative().shift_up()).truncate(inner.order)
 
 
 def marked_prime_series(order: int) -> Series:
     """x + x^2 * (prime distribution series)'."""
-    inner = prime_distribution_series(order)
-    return (x_series(order + 1) + inner.x_derivative().shift_up()).truncate(order)
+    return _marked(prime_distribution_series(order), 1)
 
 
 def marked_distribution_series(order: int) -> Series:
     """x + 2 x^2 * (distribution series)'."""
-    inner = _distribution_series(order)
-    return (x_series(order + 1) + 2 * inner.x_derivative().shift_up()).truncate(order)
+    return _marked(_distribution_series(order), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +435,22 @@ def _residual_distribution_composition(order: int) -> Series:
     return f - prime_distribution_series(order).compose(z)
 
 
+def _leaf_marked(order: int, counts: Sequence[int], factor: int) -> Series:
+    """x + sum over n >= 2 of factor n (n - 1) counts[n - 1] x^n / n!: a marked
+    leaf, counted from the unmarked structures one size down."""
+    terms = (Q(factor * n * (n - 1) * counts[n - 1], factorial(n)) for n in range(2, order + 1))
+    return Series((Q(0), Q(1))[: order + 1] + tuple(terms))
+
+
 def _residual_marked_prime_sum(order: int) -> Series:
-    return marked_prime_series(order) - (
-        x_series(order + 1) + prime_distribution_series(order).x_derivative().shift_up()
-    ).truncate(order)
+    counts = [0] + [prime_distribution_count(n) for n in range(1, order)]
+    return marked_prime_series(order) - _leaf_marked(order, counts, 1)
 
 
 def _residual_marked_prime_recursion(order: int) -> Series:
-    star = marked_prime_series(order)
-    d = prime_distribution_series(order + 1).derivative()
+    p = prime_distribution_series(order + 1)
+    star = _marked(p.truncate(order), 1)
+    d = p.derivative()
     denom = (1 - d.shift_up()).truncate(order)
     return star - (x_series(order) + (star * denom.inverse()).shift_up().truncate(order))
 
@@ -452,28 +466,25 @@ def _residual_schroder_gf(order: int) -> Series:
 
 
 def _residual_marked_distribution_sum(order: int) -> Series:
-    return marked_distribution_series(order) - (
-        x_series(order + 1) + 2 * _distribution_series(order).x_derivative().shift_up()
-    ).truncate(order)
+    f = _distribution_series(order)
+    counts = [_series_count(f, n, factorial(n), "distribution count") for n in range(order)]
+    return _marked(f, 2) - _leaf_marked(order, counts, 2)
 
 
 def _residual_marked_distribution_recursion(order: int) -> Series:
-    star = marked_distribution_series(order)
     f = _distribution_series(order + 1)
-    ef = f.truncate(order).exp()
-    fd = f.derivative()
-    term1 = (star * ef).shift_up().truncate(order)
-    term2 = fd.shift_up().shift_up().truncate(order)
-    term3 = (star * fd.truncate(order) * ef).shift_up().shift_up().truncate(order)
-    return star - (x_series(order) + term1 + term2 + term3)
+    return _marked_recursion(_marked(f.truncate(order), 2), f, order)
 
 
 def _residual_marked_distribution_unnormalized(order: int) -> Series:
     # Same shape as the recursion above but with the doubly-factorial parking
     # series in place of the distribution series.  Informational: the two
     # normalizations differ, so the residual is not expected to vanish.
-    star = marked_distribution_series(order)
-    f = parking_series(order + 1)
+    return _marked_recursion(marked_distribution_series(order), parking_series(order + 1), order)
+
+
+def _marked_recursion(star: Series, f: Series, order: int) -> Series:
+    """star - (x + x star e^f + x^2 f' + x^2 star f' e^f), f one order longer."""
     ef = f.truncate(order).exp()
     fd = f.derivative()
     term1 = (star * ef).shift_up().truncate(order)
@@ -533,6 +544,7 @@ class IdentityResult:
 def check_identity(name: str, order: int) -> IdentityResult:
     if name not in _RESIDUALS:
         raise InputError(f"unknown identity {name!r}")
+    _at_least(order, 0, "order")
     residual = _RESIDUALS[name](order)
     return IdentityResult(
         name, residual.order, residual.first_nonzero(), name not in INFORMATIONAL_IDENTITIES
@@ -593,23 +605,17 @@ def closed_counts(max_n: int) -> CountTable:
     Every closed-form entry must equal the matching series coefficient times
     its factorial normalization; a mismatch raises ``IdentityViolatedError``.
     """
+    _at_least(max_n, 1, "max_n")
     parking = parking_series(max_n)
     prime = prime_series(max_n, verify=False)
     bundle = distribution_series(max_n, verify=False)
+    ft = [_series_count(bundle.distribution, n, factorial(n), "distribution count") for n in range(max_n + 1)]
     rows = []
     for n in range(1, max_n + 1):
         square = factorial(n) ** 2
-        f_n = parking_count(n)
-        p_n = prime_count(n)
-        ft_n = _series_count(bundle.distribution, n, factorial(n), "distribution count")
-        pt_n = prime_distribution_count(n)
+        f_n, p_n, pt_n = parking_count(n), prime_count(n), prime_distribution_count(n)
         ps_n = 1 if n == 1 else n * (n - 1) * prime_distribution_count(n - 1)
-        fs_prev = (
-            1
-            if n == 1
-            else _series_count(bundle.distribution, n - 1, factorial(n - 1), "distribution count")
-        )
-        fs_n = 1 if n == 1 else 2 * n * (n - 1) * fs_prev
+        fs_n = 1 if n == 1 else 2 * n * (n - 1) * ft[n - 1]
         checks = [
             (parking, n, square, f_n, "parking count"),
             (prime, n, square, p_n, "prime count"),
@@ -622,16 +628,6 @@ def closed_counts(max_n: int) -> CountTable:
             if got != expected:
                 raise IdentityViolatedError(f"{what} at n={k}: series gives {got}, closed form {expected}")
         rows.append(
-            CountRow(
-                n,
-                f_n,
-                p_n,
-                ft_n,
-                pt_n,
-                ps_n,
-                fs_n,
-                catalan_number(n - 1),
-                schroder_number(n - 1),
-            )
+            CountRow(n, f_n, p_n, ft[n], pt_n, ps_n, fs_n, catalan_number(n - 1), schroder_number(n - 1))
         )
     return CountTable(tuple(rows))

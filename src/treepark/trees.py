@@ -262,6 +262,24 @@ def _shape_parents(shape: PlaneShape) -> list[int]:
     return parents
 
 
+def _shape_repr(shape: PlaneShape) -> str:
+    """``repr(shape)``, written out with an explicit stack."""
+    out: list[str] = []
+    stack: list[PlaneShape | str] = [shape]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append("(")
+        stack.append(",)" if len(item) == 1 else ")")
+        for i in range(len(item) - 1, -1, -1):
+            stack.append(item[i])
+            if i:
+                stack.append(", ")
+    return "".join(out)
+
+
 def _parents_shape(parents: Sequence[int]) -> PlaneShape:
     """Inverse of :func:`_shape_parents`.  In post-order a vertex's children
     are the last finished subtrees that are still unattached."""
@@ -304,8 +322,8 @@ class LabeledPlaneTree:
     label: int | None
     children: tuple["LabeledPlaneTree", ...] = ()
 
-    # Equality and hashing walk the tree with an explicit stack, so that deep
-    # trees compare without recursion.
+    # Equality, hashing and repr walk the tree with an explicit stack, so that
+    # deep trees compare and print without recursion.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -322,6 +340,9 @@ class LabeledPlaneTree:
     def __hash__(self) -> int:
         labels, kids = _flatten(self)
         return hash((tuple(labels), tuple(map(len, kids))))
+
+    def __repr__(self) -> str:
+        return f"parse_plane_tree({format_plane_tree(self)!r})"
 
     @property
     def size(self) -> int:

@@ -221,6 +221,33 @@ class TestPathInvariants:
         assert done.stdout == "raised\nraised\n"
 
 
+class TestDeepValues:
+    """Equality, hashing and repr of a 1200-vertex path pair, which nests
+    deeper than the default recursion limit."""
+
+    N = 1200
+
+    def test_standard_prime(self):
+        labels = tuple(range(1, self.N))
+        a, b = decode_prime(labeled_path(labels)), decode_prime(labeled_path(labels))
+        assert a.shape is not b.shape
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != StandardPrime(a.shape, a.prefs[:-1] + (2,))
+        assert a != StandardPrime(((),) * (self.N - 1), a.prefs)  # a star, not a path
+        k = self.N - 1
+        assert repr(a) == f"StandardPrime(shape={'(' * k}(){',)' * k}, prefs={a.prefs!r})"
+
+    def test_labeled_plane_tree(self):
+        t = labeled_path(tuple(range(1, self.N)))
+        assert repr(t) == f"parse_plane_tree({format_plane_tree(t)!r})"
+        assert eval(repr(t), {"parse_plane_tree": parse_plane_tree}) == t
+
+    @pytest.mark.parametrize("shape", [(), ((),), ((), ()), ((((),), ()),), (((),), (), ((), ((),)))])
+    def test_small_reprs_are_unchanged(self, shape):
+        # the same text as the generated dataclass repr
+        assert repr(StandardPrime(shape, (1, 2))) == f"StandardPrime(shape={shape!r}, prefs=(1, 2))"
+
+
 class TestStandardize:
     def test_figure_example(self):
         tree = validate_rooted_tree([0, 3, 4, 1, 4])

@@ -1,16 +1,26 @@
 """Exact series kernel and the generating-function identities."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from functools import partial
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import treepark
 from treepark import (
     BranchUndefinedError,
     IDENTITY_NAMES,
+    IdentityViolatedError,
+    InputError,
     OrderMismatchError,
     Series,
+    catalan_number,
     catalan_series,
     check_identities,
     check_identity,
@@ -20,11 +30,13 @@ from treepark import (
     parking_series,
     prime_count,
     prime_distribution_count,
+    prime_distribution_series,
     prime_series,
+    schroder_number,
     schroder_series,
     tree_function,
 )
-from treepark.series import distribution_ode_iterations, x_series
+from treepark.series import marked_distribution_series, marked_prime_series, x_series
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -38,6 +50,27 @@ def series_strategy(order: int, constant=None):
     else:
         head = st.just(Q(constant))
     return st.tuples(head, body).map(lambda t: Series((t[0], *t[1])))
+
+
+def picard_iterations(order: int):
+    """Whole-series iterates f -> integral of exp(f) (1 + x f') (1 + 2x f'),
+    from f = x, until one repeats: a reference for the online ODE solve."""
+    f = x_series(order)
+    yield f
+    for _ in range(order + 1):
+        xd = f.x_derivative()
+        rhs = f.exp() * (1 + xd) * (1 + 2 * xd)
+        nxt = Series((Q(0),) + tuple(rhs.coeffs[k - 1] / k for k in range(1, order + 1)))
+        yield nxt
+        if nxt == f:
+            return
+        f = nxt
+    raise AssertionError(f"no fixed point within {order + 1} rounds")
+
+
+def random_series(rng: random.Random, order: int, constant=None) -> Series:
+    head = Q(rng.randint(-9, 9), rng.randint(1, 6)) if constant is None else Q(constant)
+    return Series((head,) + tuple(Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(order)))
 
 
 class TestKernel:
@@ -56,6 +89,11 @@ class TestKernel:
     def test_schroder_values(self):
         s = schroder_series(6)
         assert [s.coefficient(k) for k in range(7)] == [1, 2, 6, 22, 90, 394, 1806]
+
+    def test_schroder_numbers(self):
+        assert [schroder_number(n) for n in range(13)] == [
+            1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718, 5293446, 27297738,
+        ]
 
     def test_compose_requires_zero_constant(self):
         with pytest.raises(BranchUndefinedError):
@@ -108,6 +146,72 @@ class TestKernel:
         h = x_series(5) + x_series(5) * x_series(5)
         assert (f * g).compose(h) == f.compose(h) * g.compose(h)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_compose_matches_plain_horner(self, seed):
+        # untruncated Horner on coefficient lists, cut to the result order at the end
+        rng = random.Random(seed)
+        outer = random_series(rng, rng.randint(0, 12))
+        inner = random_series(rng, rng.randint(0, 12), constant=0)
+        n = min(outer.order, inner.order)
+        acc = [outer.coeffs[n]]
+        for a in reversed(outer.coeffs[:n]):
+            prod = [Q(0)] * (len(acc) + inner.order)
+            for i, u in enumerate(acc):
+                for j, v in enumerate(inner.coeffs):
+                    prod[i + j] += u * v
+            prod[0] += a
+            acc = prod
+        acc += [Q(0)] * (n + 1)
+        assert outer.compose(inner) == Series(tuple(acc[: n + 1]))
+
+
+def sympy_ring():
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys import ring_series
+    from sympy.polys.rings import ring
+
+    return ring("x", QQ)[1], QQ, ring_series
+
+
+class TestKernelAgainstSympy:
+    """exp / log / sqrt / inverse / compose against sympy's ring series on
+    random rational series; no code is shared with the kernel."""
+
+    ORDER = 9
+
+    @staticmethod
+    def to_sympy(series, x, qq):
+        return sum((qq(c.numerator, c.denominator) * x**k for k, c in enumerate(series.coeffs)), x.ring.zero)
+
+    def from_sympy(self, poly, x):
+        coeffs = [poly.coeff(x**k) for k in range(self.ORDER + 1)]
+        return Series(tuple(Q(int(c.numerator), int(c.denominator)) for c in coeffs))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("op", ["exp", "log", "sqrt", "inverse"])
+    def test_unary(self, op, seed):
+        x, qq, rs = sympy_ring()
+        rng = random.Random(seed)
+        constant = {"exp": 0, "log": 1, "sqrt": Q(rng.randint(1, 5), rng.randint(1, 5)) ** 2, "inverse": None}[op]
+        a = random_series(rng, self.ORDER, constant)
+        p, n = self.to_sympy(a, x, qq), self.ORDER + 1
+        want = {
+            "exp": lambda: rs.rs_exp(p, x, n),
+            "log": lambda: rs.rs_log(p, x, n),
+            "sqrt": lambda: rs.rs_nth_root(p, 2, x, n),
+            "inverse": lambda: rs.rs_series_inversion(p, x, n),
+        }[op]()
+        assert getattr(a, op)() == self.from_sympy(want, x)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compose(self, seed):
+        x, qq, rs = sympy_ring()
+        rng = random.Random(seed)
+        a, b = random_series(rng, self.ORDER), random_series(rng, self.ORDER, constant=0)
+        want = rs.rs_subs(self.to_sympy(a, x, qq), {x: self.to_sympy(b, x, qq)}, x, self.ORDER + 1)
+        assert a.compose(b) == self.from_sympy(want, x)
+
 
 class TestNamedSeries:
     def test_tree_function_counts(self):
@@ -159,12 +263,112 @@ class TestIdentities:
         results = check_identities(12)
         assert all(r.ok for r in results)
 
+    def test_all_at_order_forty(self):
+        for result in check_identities(40):
+            assert result.order >= 40
+            if result.expected_zero:
+                assert result.first_bad is None, (result.name, result.first_bad)
+
     def test_ode_prefix_stabilizes(self):
-        history = list(distribution_ode_iterations(10))
+        history = list(picard_iterations(10))
         for k in range(1, len(history)):
             stable = history[k - 1].coeffs[: k + 1]
             for later in history[k:]:
                 assert later.coeffs[: k + 1] == stable
+
+    @pytest.mark.parametrize("order", range(1, 17))
+    def test_online_solve_matches_picard(self, order):
+        assert distribution_series(order, verify=False).distribution == list(picard_iterations(order))[-1]
+
+    @pytest.mark.parametrize("name", ["marked-prime-sum", "marked-distribution-sum"])
+    def test_leaf_sums_check_the_marked_series(self, name, monkeypatch):
+        # each side is computed on its own, so a wrong marked series shows
+        real = treepark.series._marked
+        monkeypatch.setattr(treepark.series, "_marked", lambda inner, factor: real(inner, factor + 1))
+        assert check_identity(name, 6).first_bad is not None
+
+
+class TestOdeSelfCheck:
+    """The online solve confirms the equation with a typed error, not an
+    assert that python -O strips."""
+
+    def test_raises(self, monkeypatch):
+        rhs = treepark.series._distribution_rhs
+
+        def off_by_x_cubed(f):
+            return rhs(f) + Series((0, 0, 0, 1) + (0,) * (f.order - 3))
+
+        monkeypatch.setattr(treepark.series, "_distribution_rhs", off_by_x_cubed)
+        with pytest.raises(IdentityViolatedError, match="x\\^3"):
+            distribution_series(6, verify=False)
+
+    def test_checked_under_optimize(self):
+        probe = (
+            "import treepark.series as s\n"
+            "from treepark import IdentityViolatedError, Series\n"
+            "rhs = s._distribution_rhs\n"
+            "s._distribution_rhs = lambda f: rhs(f) + Series((0, 0, 0, 1) + (0,) * (f.order - 3))\n"
+            "try:\n"
+            "    s.closed_counts(6)\n"
+            "except IdentityViolatedError:\n"
+            "    print('raised')\n"
+        )
+        src = Path(treepark.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "raised\n"
+
+
+NAMED_SERIES = [
+    tree_function,
+    catalan_series,
+    schroder_series,
+    parking_series,
+    prime_series,
+    prime_distribution_series,
+    marked_prime_series,
+    marked_distribution_series,
+    x_series,
+]
+
+
+class TestOrders:
+    """Order 0 is valid everywhere; a bad order or size is a named input error."""
+
+    @pytest.mark.parametrize("make", NAMED_SERIES, ids=lambda f: f.__name__)
+    def test_order_zero(self, make):
+        assert make(0) == make(3).truncate(0)
+
+    def test_order_zero_bundle_and_identities(self):
+        assert all(series == Series((0,)) for series in distribution_series(0))
+        assert all(r.ok and r.order >= 0 for r in check_identities(0))
+
+    @pytest.mark.parametrize(
+        "call, argument",
+        [
+            pytest.param(lambda: check_identity("parking-gf", -1), "order", id="check_identity"),
+            pytest.param(lambda: check_identities(-1), "order", id="check_identities"),
+            pytest.param(lambda: check_identity("parking-gf", 2.5), "order", id="check_identity-float"),
+            pytest.param(lambda: closed_counts(0), "max_n", id="closed_counts-0"),
+            pytest.param(lambda: closed_counts(-3), "max_n", id="closed_counts-negative"),
+            pytest.param(lambda: distribution_series(-1), "order", id="distribution_series"),
+            pytest.param(lambda: parking_series(-2), "order", id="parking_series-2"),
+            pytest.param(lambda: schroder_number(-1), "n", id="schroder_number"),
+            pytest.param(lambda: catalan_number(-1), "n", id="catalan_number"),
+            pytest.param(lambda: parking_count(0), "n", id="parking_count"),
+            pytest.param(lambda: prime_count(0), "n", id="prime_count"),
+            pytest.param(lambda: prime_distribution_count(0), "n", id="prime_distribution_count"),
+        ]
+        + [pytest.param(partial(make, -1), "order", id=make.__name__) for make in NAMED_SERIES],
+    )
+    def test_bad_order_is_named(self, call, argument):
+        with pytest.raises(InputError, match=f"^{argument} must be an integer >= "):
+            call()
 
 
 class TestCountTable:
