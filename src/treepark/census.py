@@ -31,7 +31,7 @@ from .bijections import (
     prime_to_pair,
     standard_path_prime,
 )
-from .errors import InvalidShardError, LimitExceededError
+from .errors import InputError, InvalidShardError, LimitExceededError
 from .parking import _subtree_sums, run_parking
 from .series import catalan_number, closed_counts
 from .trees import (
@@ -211,11 +211,17 @@ def _iter_primes(n: int):
                     yield tree, seq
 
 
+def _guard_suite(n: int, least: int, most: int, what: str) -> None:
+    if n < least:
+        raise InputError(f"{what} needs n >= {least}, got n={n}")
+    if n > most:
+        raise LimitExceededError(f"{what} is guarded to n <= {most}")
+
+
 def roundtrip_suite(n: int) -> SuiteReport:
     """Both composites of the prime <-> (permutation, plane tree) maps are
     identities, and the forward image has no duplicates."""
-    if n > 4:
-        raise LimitExceededError("the round-trip suite is guarded to n <= 4")
+    _guard_suite(n, 1, 4, "the round-trip suite")
     start = time.perf_counter()
     failures: list[str] = []
     cases = 0
@@ -257,8 +263,7 @@ def roundtrip_suite(n: int) -> SuiteReport:
 def theorem53_suite(n: int) -> SuiteReport:
     """For every 132-avoiding permutation, the statistic map agrees with the
     decoded labeled path after dropping its leading 1."""
-    if n > 7:
-        raise LimitExceededError("the pattern suite is guarded to n <= 7")
+    _guard_suite(n, 0, 7, "the pattern suite")
     start = time.perf_counter()
     failures: list[str] = []
     cases = 0
@@ -282,8 +287,7 @@ def theorem53_suite(n: int) -> SuiteReport:
 def path_image_suite(n: int) -> SuiteReport:
     """Encoding restricted to growth sequences (s_1 = 1, s_i <= i-1) on the
     (n+1)-spot path is a bijection onto all n! labeled paths."""
-    if n > 6:
-        raise LimitExceededError("the path-image suite is guarded to n <= 6")
+    _guard_suite(n, 0, 6, "the path-image suite")
     start = time.perf_counter()
     failures: list[str] = []
     seen: set[tuple[int, ...]] = set()

@@ -186,14 +186,22 @@ def _verify_rows(args: argparse.Namespace) -> list[dict]:
                     }
                 )
     if "roundtrip" in suites:
-        for n in range(1, min(4 if args.max_n is None else args.max_n, 4) + 1):
-            report = roundtrip_suite(n)
-            rows.append(_suite_row(report))
+        for n in _suite_sizes(args, "roundtrip", default=4, cap=4):
+            rows.append(_suite_row(roundtrip_suite(n)))
     if "thm53" in suites:
-        for n in range(1, min(6 if args.max_n is None else args.max_n, 7) + 1):
-            report = theorem53_suite(n)
-            rows.append(_suite_row(report))
+        for n in _suite_sizes(args, "thm53", default=6, cap=7):
+            rows.append(_suite_row(theorem53_suite(n)))
     return rows
+
+
+def _suite_sizes(args: argparse.Namespace, suite: str, default: int, cap: int) -> range:
+    """Sizes 1..top for a bijection suite.  A named suite refuses a --max-n
+    above its guard; ``--suite all`` clamps to it."""
+    if args.max_n is None:
+        return range(1, default + 1)
+    if args.max_n > cap and args.suite == suite:
+        raise UsageError(f"--max-n {args.max_n} is above the {suite} cap of {cap}")
+    return range(1, min(args.max_n, cap) + 1)
 
 
 def _suite_row(report) -> dict:
@@ -273,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "run exhaustive verification suites")
     p.add_argument("--suite", choices=("census", "roundtrip", "thm53", "all"), default="all")
-    p.add_argument("--max-n", type=_positive_int, default=None, help="cap the sizes each suite visits")
+    p.add_argument(
+        "--max-n", type=_positive_int, default=None,
+        help="largest n each suite visits; a named suite refuses one above its guard",
+    )
     p.add_argument("--allow-large", action="store_true", help="allow the n=6 census and run to it by default")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 

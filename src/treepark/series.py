@@ -12,8 +12,10 @@ has no reorderings.
 
 The distribution series is solved from its differential equation online,
 each coefficient from the ones before it (the relaxed scheme of van der
-Hoeven), and checked against the equation once.  Every named series takes
-any order >= 0; a bad order or size raises ``OrderMismatchError`` naming it.
+Hoeven), and checked against the equation once.  Beyond that self-check,
+:func:`check_identities` is the one place that verifies identities: the
+named series and the count table run none.  Every named series takes any
+order >= 0; a bad order or size raises ``OrderMismatchError`` naming it.
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ class Series:
         if order > self.order:
             raise OrderMismatchError(f"cannot extend order {self.order} to {order}")
         return Series(self.coeffs[: order + 1])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def first_nonzero(self) -> tuple[int, Fraction] | None:
         for k, c in enumerate(self.coeffs):
@@ -288,23 +287,13 @@ def parking_series(order: int) -> Series:
     return t2 + (1 - t2 * Q(1, 2)).log()
 
 
-def prime_series(order: int, verify: bool = True) -> Series:
-    """Prime-pair series sum (2n-2)! x^n / (n!)^2.
-
-    With ``verify`` set, checks three zero residuals up to ``order``: the
-    composition identity against the parking series, the derivative identity
-    against the Catalan series, and the closed logarithmic form.
-    """
+def prime_series(order: int) -> Series:
+    """Prime-pair series sum (2n-2)! x^n / (n!)^2, read off :func:`prime_count`."""
     _at_least(order, 0, "order")
-    series = Series(
+    return Series(
         (Q(0),)
         + tuple(Q(prime_count(n), factorial(n) ** 2) for n in range(1, order + 1))
     )
-    if verify:
-        assert_identities(
-            order, ["parking-composition", "prime-derivative", "prime-log-form"]
-        )
-    return series
 
 
 def _distribution_rhs(f: Series) -> Series:
@@ -349,22 +338,11 @@ class DistributionSeries(NamedTuple):
     marked_distribution: Series  # distributions with a marked leaf
 
 
-def distribution_series(order: int, verify: bool = True) -> DistributionSeries:
-    """The four distribution series, each computed once.
-
-    With ``verify`` set, every distribution identity is asserted to have an
-    exactly zero residual up to ``order``.
-    """
+def distribution_series(order: int) -> DistributionSeries:
+    """The four distribution series, each computed once, from one ODE solve."""
     f = _distribution_series(order)
     p = prime_distribution_series(order)
-    bundle = DistributionSeries(f, p, _marked(p, 1), _marked(f, 2))
-    if verify:
-        assert_identities(order, [
-            "distribution-composition", "marked-prime-sum", "marked-prime-recursion",
-            "schroder-quadratic", "schroder-gf", "marked-distribution-sum",
-            "marked-distribution-recursion", "distribution-ode", "parking-ode",
-        ])
-    return bundle
+    return DistributionSeries(f, p, _marked(p, 1), _marked(f, 2))
 
 
 def _marked(inner: Series, factor: int) -> Series:
@@ -401,14 +379,14 @@ def _residual_parking_gf(order: int) -> Series:
 def _residual_parking_composition(order: int) -> Series:
     f = parking_series(order)
     z = f.exp().shift_up().truncate(order)
-    return f - prime_series(order, verify=False).compose(z)
+    return f - prime_series(order).compose(z)
 
 
 def _residual_combined_composition(order: int) -> Series:
-    f = parking_series(order)
-    z = f.exp().shift_up().truncate(order)
-    t2 = tree_function(order).scale_argument(2)
-    return prime_series(order, verify=False).compose(z) - (t2 + (1 - t2 * Q(1, 2)).log())
+    # Closed parking counts on the inner side, the tree-function form on the
+    # other: unlike parking-composition, neither side is built from the other.
+    z = _closed_parking_series(order).exp().shift_up().truncate(order)
+    return prime_series(order).compose(z) - parking_series(order)
 
 
 def _residual_catalan_ratio(order: int) -> Series:
@@ -420,13 +398,13 @@ def _residual_catalan_ratio(order: int) -> Series:
 
 
 def _residual_prime_derivative(order: int) -> Series:
-    return prime_series(order + 1, verify=False).derivative() - catalan_series(order)
+    return prime_series(order + 1).derivative() - catalan_series(order)
 
 
 def _residual_prime_log_form(order: int) -> Series:
     c = catalan_series(order)
     xc = c.shift_up().truncate(order)
-    return prime_series(order, verify=False) - (2 * xc + (1 - xc).log())
+    return prime_series(order) - (2 * xc + (1 - xc).log())
 
 
 def _residual_distribution_composition(order: int) -> Series:
@@ -555,15 +533,6 @@ def check_identities(order: int, names: Sequence[str] | None = None) -> list[Ide
     return [check_identity(name, order) for name in (names or IDENTITY_NAMES)]
 
 
-def assert_identities(order: int, names: Sequence[str] | None = None) -> None:
-    for result in check_identities(order, names):
-        if not result.ok:
-            k, value = result.first_bad
-            raise IdentityViolatedError(
-                f"{result.name}: residual coefficient {value} at x^{k}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Exact count table
 # ---------------------------------------------------------------------------
@@ -600,34 +569,26 @@ def _series_count(series: Series, n: int, normalization: int, what: str) -> int:
 
 
 def closed_counts(max_n: int) -> CountTable:
-    """Exact integer counts for n = 1..max_n, cross-checked against the series.
+    """Exact integer counts for n = 1..max_n.
 
-    Every closed-form entry must equal the matching series coefficient times
-    its factorial normalization; a mismatch raises ``IdentityViolatedError``.
+    Each parking count must equal the tree-function series coefficient times
+    (n!)^2, and each distribution count, read off the solved ODE, must be an
+    integer; a failure raises ``IdentityViolatedError``.
     """
     _at_least(max_n, 1, "max_n")
     parking = parking_series(max_n)
-    prime = prime_series(max_n, verify=False)
-    bundle = distribution_series(max_n, verify=False)
-    ft = [_series_count(bundle.distribution, n, factorial(n), "distribution count") for n in range(max_n + 1)]
+    f = _distribution_series(max_n)
+    ft = [_series_count(f, n, factorial(n), "distribution count") for n in range(max_n + 1)]
     rows = []
     for n in range(1, max_n + 1):
-        square = factorial(n) ** 2
-        f_n, p_n, pt_n = parking_count(n), prime_count(n), prime_distribution_count(n)
+        f_n = parking_count(n)
+        got = _series_count(parking, n, factorial(n) ** 2, "parking count")
+        if got != f_n:
+            raise IdentityViolatedError(f"parking count at n={n}: series gives {got}, closed form {f_n}")
         ps_n = 1 if n == 1 else n * (n - 1) * prime_distribution_count(n - 1)
         fs_n = 1 if n == 1 else 2 * n * (n - 1) * ft[n - 1]
-        checks = [
-            (parking, n, square, f_n, "parking count"),
-            (prime, n, square, p_n, "prime count"),
-            (bundle.prime_distribution, n, factorial(n), pt_n, "prime distribution count"),
-            (bundle.marked_prime, n, factorial(n), ps_n, "marked prime count"),
-            (bundle.marked_distribution, n, factorial(n), fs_n, "marked distribution count"),
-        ]
-        for series, k, norm, expected, what in checks:
-            got = _series_count(series, k, norm, what)
-            if got != expected:
-                raise IdentityViolatedError(f"{what} at n={k}: series gives {got}, closed form {expected}")
-        rows.append(
-            CountRow(n, f_n, p_n, ft[n], pt_n, ps_n, fs_n, catalan_number(n - 1), schroder_number(n - 1))
-        )
+        rows.append(CountRow(
+            n, f_n, prime_count(n), ft[n], prime_distribution_count(n), ps_n, fs_n,
+            catalan_number(n - 1), schroder_number(n - 1),
+        ))
     return CountTable(tuple(rows))

@@ -74,13 +74,6 @@ class RootedTree:
         order.reverse()
         return order
 
-    def path_to_root(self, v: int) -> list[int]:
-        """Vertices on the directed path from v to the root, inclusive."""
-        walk = [v]
-        while self.parents[walk[-1] - 1]:
-            walk.append(self.parents[walk[-1] - 1])
-        return walk
-
 
 def validate_rooted_tree(entries: Sequence[int]) -> RootedTree:
     """Check a parent list and wrap it as a :class:`RootedTree`.
@@ -401,18 +394,19 @@ def check_labeled_plane_tree(t: LabeledPlaneTree) -> int:
     """Validate the root-unlabeled form: non-root labels are a bijection onto [n-1]."""
     if t.label is not None:
         raise InputError(f"root carries label {t.label}; expected an unlabeled root")
-    n = t.size
-    seen = t.labels()
-    if sorted(seen) != list(range(1, n)):
-        raise LabelOutOfRangeError(
-            f"non-root labels {sorted(seen)} are not a bijection onto 1..{n - 1}"
-        )
+    seen: list[int] = []
     stack = list(t.children)
     while stack:
         node = stack.pop()
         if node.label is None:
             raise InputError("unlabeled vertex below the root")
+        seen.append(node.label)
         stack.extend(node.children)
+    n = len(seen) + 1
+    if sorted(seen) != list(range(1, n)):
+        raise LabelOutOfRangeError(
+            f"non-root labels {sorted(seen)} are not a bijection onto 1..{n - 1}"
+        )
     return n
 
 

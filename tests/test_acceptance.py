@@ -5,13 +5,16 @@ to see the per-criterion PASS lines.  The censuses enumerate, the closed
 forms only ever sit on the expected side.
 """
 
+import ast
 import random
 import time
 from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import treepark
 from treepark import (
     IDENTITY_NAMES,
     catalan_number,
@@ -191,3 +194,15 @@ def test_11_property_suites():
         rng.shuffle(sigma)
         ok = ok and _property_checks(tree, seq, [tuple(sigma)])
     _announce("11 invariant properties exhaustive n<=4 plus 10^4 random n=6..8", ok)
+
+
+def test_no_assert_in_the_package():
+    """python -O strips asserts, so no invariant may rest on one."""
+    root = Path(treepark.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -14,6 +14,7 @@ import treepark
 from treepark import (
     InputError,
     InvariantError,
+    LabelOutOfRangeError,
     LabeledPlaneTree,
     MarkedSet,
     Not132AvoidingError,
@@ -319,6 +320,21 @@ class TestEncode:
     def test_rejects_non_standard(self):
         with pytest.raises(NotStandardPrimeError):
             encode_prime(StandardPrime((((),),), (1, 2, 3)))  # parking but not prime
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("*[1 *]", InputError, "unlabeled vertex below the root"),
+            ("*[*]", InputError, "unlabeled vertex below the root"),
+            ("*[2[*] 1]", InputError, "unlabeled vertex below the root"),
+            ("*[1 3]", LabelOutOfRangeError, r"non-root labels \[1, 3\] are not a bijection onto 1..2"),
+            ("2[1]", InputError, "root carries label 2; expected an unlabeled root"),
+        ],
+        ids=["inner-leaf", "only-child", "deep-leaf", "label-gap", "labeled-root"],
+    )
+    def test_decode_names_a_malformed_tree(self, text, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            decode_prime(parse_plane_tree(text))
 
 
 class TestComposedMap:

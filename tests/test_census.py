@@ -3,6 +3,7 @@
 import pytest
 
 from treepark import (
+    InputError,
     InvalidShardError,
     LimitExceededError,
     census,
@@ -126,3 +127,18 @@ class TestPathImageSuite:
     def test_guard(self):
         with pytest.raises(LimitExceededError):
             path_image_suite(7)
+
+
+@pytest.mark.parametrize(
+    "suite, n",
+    [(roundtrip_suite, -1), (roundtrip_suite, 0), (theorem53_suite, -1), (path_image_suite, -1)],
+)
+def test_suite_size_below_range_is_named(suite, n):
+    with pytest.raises(InputError, match=f"needs n >= [01], got n={n}$"):
+        suite(n)
+
+
+@pytest.mark.parametrize("suite", [theorem53_suite, path_image_suite])
+def test_suite_size_zero_is_one_case(suite):
+    report = suite(0)
+    assert report.passed and report.cases == 1

@@ -107,6 +107,10 @@ class TestMaps:
         assert code == 0
         assert out.splitlines() == ["tree: 2 3 4 5 8 7 8 9 0", "seq: 6 4 1 3 3 1 6 7 2"]
 
+    def test_psi_inv_rejects_an_inner_unlabeled_vertex(self, capsys):
+        code, out, err = run(capsys, "psi-inv", "--perm", "1 2 3", "--ptree", "*[1 *]")
+        assert (code, out, err) == (2, "", "error: unlabeled vertex below the root\n")
+
     def test_borie(self, capsys):
         code, out, _ = run(capsys, "borie", "--perm", "2 1")
         assert code == 0 and out == "seq: 1 2\n"
@@ -240,6 +244,30 @@ class TestVerifyCensusCap:
         code, out, _ = run(capsys, "verify", "--suite", "census", "--format", "json")
         assert code == 0
         assert {row["n"] for row in json.loads(out)} == set(range(1, 6))
+
+
+class TestVerifySuiteCaps:
+    """A named bijection suite refuses a --max-n above its guard; --suite all
+    clamps it, so one --max-n can still reach the census."""
+
+    @pytest.mark.parametrize("suite, max_n, cap", [("roundtrip", "6", 4), ("thm53", "9", 7)])
+    def test_named_suite_refuses_max_n_above_its_cap(self, capsys, suite, max_n, cap):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert err == f"error: --max-n {max_n} is above the {suite} cap of {cap}\n"
+
+    def test_named_suite_runs_to_its_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "thm53", "--max-n", "7", "--format", "json")
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)] == list(range(1, 8))
+
+    def test_all_clamps_the_bijection_suites(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5", "--format", "json")
+        assert code == 0
+        sizes = {}
+        for row in json.loads(out):
+            sizes.setdefault(row["suite"], set()).add(row["n"])
+        assert sizes == {"census": set(range(1, 6)), "roundtrip": set(range(1, 5)), "thm53": set(range(1, 6))}
 
 
 class TestUsage:

@@ -278,7 +278,7 @@ class TestIdentities:
 
     @pytest.mark.parametrize("order", range(1, 17))
     def test_online_solve_matches_picard(self, order):
-        assert distribution_series(order, verify=False).distribution == list(picard_iterations(order))[-1]
+        assert distribution_series(order).distribution == list(picard_iterations(order))[-1]
 
     @pytest.mark.parametrize("name", ["marked-prime-sum", "marked-distribution-sum"])
     def test_leaf_sums_check_the_marked_series(self, name, monkeypatch):
@@ -300,7 +300,7 @@ class TestOdeSelfCheck:
 
         monkeypatch.setattr(treepark.series, "_distribution_rhs", off_by_x_cubed)
         with pytest.raises(IdentityViolatedError, match="x\\^3"):
-            distribution_series(6, verify=False)
+            distribution_series(6)
 
     def test_checked_under_optimize(self):
         probe = (
@@ -322,6 +322,61 @@ class TestOdeSelfCheck:
             check=True,
         )
         assert done.stdout == "raised\n"
+
+
+class TestVerifiesInOnePlace:
+    """Only check_identities runs identity residuals; the named series and
+    the count table build what they return and check nothing else."""
+
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        calls = []
+
+        def counted(name, residual):
+            def run(order):
+                calls.append(name)
+                return residual(order)
+            return run
+
+        table = {name: counted(name, r) for name, r in treepark.series._RESIDUALS.items()}
+        monkeypatch.setattr(treepark.series, "_RESIDUALS", table)
+        return calls
+
+    @pytest.mark.parametrize(
+        "make", [distribution_series, prime_series, closed_counts], ids=lambda f: f.__name__
+    )
+    def test_runs_no_residual(self, make, residual_calls):
+        make(8)
+        assert residual_calls == []
+        check_identity("parking-gf", 2)  # the patched table is the one in use
+        assert residual_calls == ["parking-gf"]
+
+    def test_closed_counts_solves_the_ode_once(self, monkeypatch):
+        solves = []
+        solve = treepark.series._distribution_series
+        monkeypatch.setattr(
+            treepark.series, "_distribution_series", lambda order: solves.append(order) or solve(order)
+        )
+
+        def refuse(name):
+            def call(*args):
+                raise AssertionError(f"closed_counts built {name}")
+            return call
+
+        for name in ("prime_series", "distribution_series", "prime_distribution_series"):
+            monkeypatch.setattr(treepark.series, name, refuse(name))
+        closed_counts(10)
+        assert solves == [10]
+
+    def test_wrong_parking_count_shows(self, monkeypatch):
+        # combined-composition builds its inner series from the closed parking
+        # counts, parking-composition from the tree function alone
+        real = treepark.series.parking_count
+        monkeypatch.setattr(treepark.series, "parking_count", lambda n: real(n) + (n == 3))
+        assert check_identity("combined-composition", 6).first_bad is not None
+        assert check_identity("parking-composition", 6).first_bad is None
+        with pytest.raises(IdentityViolatedError, match="^parking count at n=3: "):
+            closed_counts(6)
 
 
 NAMED_SERIES = [
