@@ -39,7 +39,6 @@ from .census import (
 from .errors import (
     BranchUndefinedError,
     CycleDetectedError,
-    FixedPointNotConvergedError,
     IdentityViolatedError,
     InputError,
     InvalidShardError,

@@ -14,10 +14,10 @@ The pipeline factors a prime pair through a *standard form*:
   pairs, (2n-2)! of them in total.
 
 Validation sits at the public boundaries.  :func:`check_standard_prime`,
-:func:`encode_prime`, :func:`decode_prime` and :func:`decompose` check their
-standard pair with one simulation; :func:`standardize` checks primality with
-one simulation and confirms the sibling order of its result from the same
-crossing log.  Below that boundary each level of the decomposition parks
+:func:`encode_prime`, :func:`decode_prime`, :func:`decompose` and
+:func:`destandardize` check their standard pair with one simulation;
+:func:`standardize` checks primality with one simulation and confirms the
+sibling order of its result from the same crossing log.  Below that boundary each level of the decomposition parks
 its piece once, all drivers but the final one, and checks every piece it
 cuts against that one log (primality by the subtree criterion, sibling order
 by the crossing ticks), raising :class:`InvariantError` on a disagreement.
@@ -52,12 +52,12 @@ from .trees import (
     LabeledPlaneTree,
     PlaneShape,
     RootedTree,
+    _check_labels,
     _flatten,
     _labeled_tree,
     _parents_shape,
     _shape_parents,
     _shape_repr,
-    check_labeled_plane_tree,
     check_permutation,
     inverse_permutation,
     path_shape,
@@ -203,21 +203,39 @@ def standardize(
     return tuple(sigma[1:]), StandardPrime(_parents_shape(parents), tuple(sigma[p] for p in prefs))
 
 
-def destandardize(
-    word: Sequence[int], sp: StandardPrime
-) -> tuple[RootedTree, tuple[int, ...]]:
-    """Apply the inverse relabeling and forget the plane order."""
+def _inverse_relabeling(word: Sequence[int], std_parents: list[int]) -> tuple[int, ...]:
+    """The inverse of ``word``, checked as a relabeling of the pair's vertices."""
     word = check_permutation(word)
-    std_parents = _shape_parents(sp.shape)
     n = len(std_parents) - 1
     if len(word) != n:
         raise LengthMismatchError(f"permutation of length {len(word)} for {n} vertices")
-    inv = inverse_permutation(word)
+    return inverse_permutation(word)
+
+
+def _destandardize(
+    inv: Sequence[int], std_parents: list[int], prefs: Sequence[int]
+) -> tuple[RootedTree, tuple[int, ...]]:
+    """The pair of a flat standard pair under the inverse relabeling ``inv``."""
+    n = len(std_parents) - 1
     parents = [0] * n
     for v in range(1, n + 1):
         p = std_parents[v]
         parents[inv[v - 1] - 1] = inv[p - 1] if p else 0
-    return RootedTree(tuple(parents)), tuple(inv[q - 1] for q in sp.prefs)
+    return RootedTree(tuple(parents)), tuple(inv[q - 1] for q in prefs)
+
+
+def destandardize(
+    word: Sequence[int], sp: StandardPrime
+) -> tuple[RootedTree, tuple[int, ...]]:
+    """Apply the inverse relabeling and forget the plane order.
+
+    The permutation is checked first, then the standard pair, with the one
+    simulation of :func:`check_standard_prime`.
+    """
+    std_parents = _shape_parents(sp.shape)
+    inv = _inverse_relabeling(word, std_parents)
+    _check_standard(std_parents, sp.prefs)
+    return _destandardize(inv, std_parents, sp.prefs)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +405,9 @@ def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
     return _encode(parents, sp.prefs)
 
 
-def _decode(plt: LabeledPlaneTree) -> tuple[list[int], list[int]]:
-    """The flat standard pair of a valid root-unlabeled plane tree.
+def _decode(labels: list[int | None], kids: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The flat standard pair of a valid root-unlabeled plane tree, given as
+    its pre-order arrays (see :func:`_flatten`).
 
     Every vertex x stands for the pair decoded from its subtree with x's own
     label dropped and the others ranked, so the vertices are decoded
@@ -397,7 +416,6 @@ def _decode(plt: LabeledPlaneTree) -> tuple[list[int], list[int]]:
     vertex the cut edge pointed at, recovered as the rank of the next
     piece's marked driver, and the last piece hangs under a fresh root.
     """
-    labels, kids = _flatten(plt)
     # vertex -> (parent array, prefs, sorted labels of its subtree)
     done: dict[int, tuple[list[int], list[int], list[int]]] = {}
     for x in range(len(labels) - 1, -1, -1):
@@ -472,8 +490,9 @@ def _assemble(
 
 def decode_prime(plt: LabeledPlaneTree) -> StandardPrime:
     """Inverse of :func:`encode_prime`; total on labeled plane trees."""
-    check_labeled_plane_tree(plt)
-    parents, prefs = _decode(plt)
+    labels, kids = _flatten(plt)
+    _check_labels(labels, root_labeled=False)
+    parents, prefs = _decode(labels, kids)
     _check_standard(parents, prefs)
     return StandardPrime(_parents_shape(parents), tuple(prefs))
 
@@ -495,8 +514,9 @@ def pair_to_prime(
     word: Sequence[int], plt: LabeledPlaneTree
 ) -> tuple[RootedTree, tuple[int, ...]]:
     """(permutation, labeled plane tree) -> prime pair."""
-    sp = decode_prime(plt)
-    return destandardize(word, sp)
+    sp = decode_prime(plt)  # a valid standard pair: only the word is left to check
+    std_parents = _shape_parents(sp.shape)
+    return _destandardize(_inverse_relabeling(word, std_parents), std_parents, sp.prefs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ per-shard counts sum to the full run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations, product
 from math import factorial
 from typing import Iterator
@@ -35,9 +35,9 @@ from .errors import InputError, InvalidShardError, LimitExceededError
 from .parking import _subtree_sums, run_parking
 from .series import catalan_number, closed_counts
 from .trees import (
-    LabeledPlaneTree,
     PlaneShape,
     RootedTree,
+    _flatten,
     _shape_parents,
     enumerate_labeled_plane_trees,
     enumerate_plane_trees,
@@ -167,16 +167,8 @@ def census(n: int, allow_large: bool = False) -> CensusReport:
     """Full census at size n, compared column by column with the closed forms."""
     start = time.perf_counter()
     counted = census_counts(n, allow_large=allow_large)
-    row = closed_counts(n).row(n)
-    expected = {
-        "parking": row.parking,
-        "prime": row.prime,
-        "distribution": row.distribution,
-        "prime_distribution": row.prime_distribution,
-        "marked_prime": row.marked_prime,
-        "marked_distribution": row.marked_distribution,
-        "standard_prime": factorial(n - 1) * catalan_number(n - 1),
-    }
+    expected = asdict(closed_counts(n).row(n))  # a field per column but standard_prime
+    expected["standard_prime"] = factorial(n - 1) * catalan_number(n - 1)
     columns = tuple(
         ColumnCheck(name, counted[name], expected[name]) for name in CENSUS_COLUMNS
     )
@@ -295,17 +287,11 @@ def path_image_suite(n: int) -> SuiteReport:
     ranges = [range(1, 2)] + [range(1, i) for i in range(2, n + 2)]
     for seq in product(*ranges):
         cases += 1
-        image = encode_prime(standard_path_prime(seq))
-        word = []
-        node: LabeledPlaneTree = image
-        while node.children:
-            if len(node.children) > 1:
-                failures.append(f"seq={seq}: image is not a path")
-                break
-            node = node.children[0]
-            word.append(node.label)
+        labels, kids = _flatten(encode_prime(standard_path_prime(seq)))
+        if any(len(k) > 1 for k in kids):
+            failures.append(f"seq={seq}: image is not a path")
         else:
-            seen.add(tuple(word))
+            seen.add(tuple(labels[1:]))  # a path's pre-order reads it downward
     if cases != factorial(n):
         failures.append(f"enumerated {cases} growth sequences, expected {factorial(n)}")
     if len(seen) != factorial(n):

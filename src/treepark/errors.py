@@ -78,12 +78,6 @@ class IdentityViolatedError(TreeParkError):
     """A generating-function identity has a nonzero residual coefficient."""
 
 
-class FixedPointNotConvergedError(TreeParkError):
-    """An iteration failed to stabilize within its bound.  The series layer
-    no longer iterates (its ODE solve is online), so nothing raises this;
-    it stays for callers that catch it."""
-
-
 class LimitExceededError(InputError):
     """Exhaustive enumeration requested beyond its guarded size."""
 

@@ -11,6 +11,12 @@ Conventions used throughout the package:
 * The labeled plane-tree text form is ``*[6[3] 2[5 4] 8[7[1]]]``: ``*`` is
   the unlabeled root, each labeled vertex is ``label[children...]``, and
   brackets are omitted on leaves.
+
+The two nested types are walked in one place each, into a flat form that
+every other reader takes: :func:`_shape_parents` turns a plane shape into
+its post-order parent array, and :func:`_flatten` turns a labeled plane tree
+into pre-order label and child arrays.  Only equality and the text forms
+walk the nested values themselves.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
@@ -191,39 +196,35 @@ def enumerate_rooted_trees(n: int) -> Iterator[RootedTree]:
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """Ordered positive parts of ``total``, in lexicographic order."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
+    """Ordered positive parts of ``total >= 1``, in lexicographic order.
+
+    Between consecutive units a 0 cuts and a 1 joins; a cut where the other
+    word joins ends a smaller part, so the words in lexicographic order give
+    the compositions in lexicographic order.
+    """
+    for joins in product((0, 1), repeat=total - 1):
+        cuts = [i for i, join in enumerate(joins, start=1) if not join]
+        yield tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
 
 
-@lru_cache(maxsize=None)
-def _shapes(n: int) -> tuple[PlaneShape, ...]:
-    if n == 1:
-        return ((),)
-    out: list[PlaneShape] = []
-    for sizes in _compositions(n - 1):
-        for combo in product(*(_shapes(k) for k in sizes)):
-            out.append(tuple(combo))
-    return tuple(out)
+# _SHAPES[k] holds the shapes on k vertices, for every k computed so far.
+_SHAPES: list[tuple[PlaneShape, ...]] = [(), ((),)]
 
 
 def enumerate_plane_trees(n: int) -> Iterator[PlaneShape]:
     """All plane-tree shapes on n vertices; there are Catalan(n-1) of them."""
     if n < 1:
         raise VertexOutOfRangeError("need n >= 1")
-    yield from _shapes(n)
-
-
-def shape_size(shape: PlaneShape) -> int:
-    total, stack = 0, [shape]
-    while stack:
-        total += 1
-        stack.extend(stack.pop())
-    return total
+    while len(_SHAPES) <= n:  # a root over the shapes of each composition of k - 1
+        k = len(_SHAPES)
+        _SHAPES.append(
+            tuple(
+                combo
+                for sizes in _compositions(k - 1)
+                for combo in product(*(_SHAPES[size] for size in sizes))
+            )
+        )
+    yield from _SHAPES[n]
 
 
 def path_shape(n: int) -> PlaneShape:
@@ -244,6 +245,8 @@ def _shape_parents(shape: PlaneShape) -> list[int]:
     stack = [(shape, 0)]
     while stack:
         node, p = stack.pop()
+        if not isinstance(node, tuple):  # a string would iterate to itself forever
+            raise InputError(f"plane shape: vertex {node!r} is not a tuple of child shapes")
         above.append(p)
         here = len(above)
         stack.extend((c, here) for c in node)
@@ -289,20 +292,6 @@ def _parents_shape(parents: Sequence[int]) -> PlaneShape:
     return shapes[0]
 
 
-def shape_to_parents(shape: PlaneShape) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Parent list and ordered child lists of a shape under post-order labels.
-
-    Post-order walks the left border of the tree: a vertex is labeled after
-    all of its descendants and all subtrees of its left siblings, so the root
-    receives the largest label.
-    """
-    parents = _shape_parents(shape)
-    children: list[list[int]] = [[] for _ in parents]
-    for v in range(1, len(parents) - 1):  # every label but the root's
-        children[parents[v]].append(v)
-    return tuple(parents[1:]), children
-
-
 # ---------------------------------------------------------------------------
 # Labeled plane trees
 # ---------------------------------------------------------------------------
@@ -337,32 +326,6 @@ class LabeledPlaneTree:
     def __repr__(self) -> str:
         return f"parse_plane_tree({format_plane_tree(self)!r})"
 
-    @property
-    def size(self) -> int:
-        total, stack = 0, [self]
-        while stack:
-            total += 1
-            stack.extend(stack.pop().children)
-        return total
-
-    def shape(self) -> PlaneShape:
-        labels, kids = _flatten(self)
-        made: list[PlaneShape] = [()] * len(labels)
-        for i in range(len(labels) - 1, -1, -1):
-            made[i] = tuple(made[c] for c in kids[i])
-        return made[0]
-
-    def labels(self) -> list[int]:
-        """All labels in pre-order, skipping unlabeled vertices."""
-        out: list[int] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.label is not None:
-                out.append(node.label)
-            stack.extend(reversed(node.children))
-        return out
-
 
 def _flatten(t: LabeledPlaneTree) -> tuple[list[int | None], list[list[int]]]:
     """A labeled plane tree as pre-order arrays: the label of node i and the
@@ -390,40 +353,24 @@ def _labeled_tree(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -
     return made[0]
 
 
-def check_labeled_plane_tree(t: LabeledPlaneTree) -> int:
-    """Validate the root-unlabeled form: non-root labels are a bijection onto [n-1]."""
-    if t.label is not None:
-        raise InputError(f"root carries label {t.label}; expected an unlabeled root")
-    seen: list[int] = []
-    stack = list(t.children)
-    while stack:
-        node = stack.pop()
-        if node.label is None:
-            raise InputError("unlabeled vertex below the root")
-        seen.append(node.label)
-        stack.extend(node.children)
-    n = len(seen) + 1
-    if sorted(seen) != list(range(1, n)):
+def _check_labels(labels: Sequence[int | None], root_labeled: bool) -> int:
+    """Validate the pre-order labels of a plane tree (see :func:`_flatten`)
+    and return its size n.  Everywhere labeled, the labels are a bijection
+    onto [n]; otherwise the root is unlabeled and the others are a bijection
+    onto [n-1]."""
+    if root_labeled:
+        named, what, unlabeled = labels, "labels", "every vertex must carry a label"
+    else:
+        if labels[0] is not None:
+            raise InputError(f"root carries label {labels[0]}; expected an unlabeled root")
+        named, what, unlabeled = labels[1:], "non-root labels", "unlabeled vertex below the root"
+    if None in named:
+        raise InputError(unlabeled)
+    if sorted(named) != list(range(1, len(named) + 1)):
         raise LabelOutOfRangeError(
-            f"non-root labels {sorted(seen)} are not a bijection onto 1..{n - 1}"
+            f"{what} {sorted(named)} are not a bijection onto 1..{len(named)}"
         )
-    return n
-
-
-def check_all_labeled(t: LabeledPlaneTree) -> int:
-    """Validate the everywhere-labeled form: labels are a bijection onto [n]."""
-    n = t.size
-    labels: list[int] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.label is None:
-            raise InputError("every vertex must carry a label")
-        labels.append(node.label)
-        stack.extend(node.children)
-    if sorted(labels) != list(range(1, n + 1)):
-        raise LabelOutOfRangeError(f"labels {sorted(labels)} are not a bijection onto 1..{n}")
-    return n
+    return len(labels)
 
 
 def post_order_relabel(t: LabeledPlaneTree) -> tuple[tuple[int, ...], LabeledPlaneTree]:
@@ -432,8 +379,8 @@ def post_order_relabel(t: LabeledPlaneTree) -> tuple[tuple[int, ...], LabeledPla
     Returns the permutation ``sigma`` (old label -> new label) together with
     the relabeled tree.  Running it again on the output yields the identity.
     """
-    n = check_all_labeled(t)
     labels, kids = _flatten(t)
+    n = _check_labels(labels, root_labeled=True)
     # post-order is the reverse of the pre-order that visits children right to left
     order, stack = [], [0]
     while stack:
@@ -450,15 +397,22 @@ def post_order_relabel(t: LabeledPlaneTree) -> tuple[tuple[int, ...], LabeledPla
 
 
 def enumerate_labeled_plane_trees(n: int) -> Iterator[LabeledPlaneTree]:
-    """All Catalan(n-1) * (n-1)! plane trees with non-root labels from [n-1]."""
-
-    def build(shape: PlaneShape, labels: Iterator[int], is_root: bool) -> LabeledPlaneTree:
-        label = None if is_root else next(labels)
-        return LabeledPlaneTree(label, tuple(build(c, labels, False) for c in shape))
-
+    """All Catalan(n-1) * (n-1)! plane trees with non-root labels from [n-1]:
+    each shape in turn, with every word of [n-1] written on it in pre-order."""
     for shape in enumerate_plane_trees(n):
+        # The shape's flat form, its post-order vertices renumbered in pre-order.
+        parents = _shape_parents(shape)
+        below: list[list[int]] = [[] for _ in parents]
+        for v in range(1, n):  # siblings carry increasing labels, left to right
+            below[parents[v]].append(v)
+        order, stack = [], [n]
+        while stack:
+            order.append(stack.pop())
+            stack.extend(reversed(below[order[-1]]))
+        number = {v: i for i, v in enumerate(order)}
+        kids = [[number[c] for c in below[v]] for v in order]
         for word in permutations(range(1, n)):
-            yield build(shape, iter(word), True)
+            yield _labeled_tree((None, *word), kids)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from treepark import (
     InvariantError,
     LabelOutOfRangeError,
     LabeledPlaneTree,
+    LengthMismatchError,
     MarkedSet,
     Not132AvoidingError,
     NotPrimeError,
@@ -45,6 +46,7 @@ from treepark import (
     validate_rooted_tree,
 )
 from treepark.bijections import check_standard_prime
+from treepark.trees import _flatten
 
 # the standard form of the figure pair (tree 0 3 4 1 4, preferences 2 5 3 5 2)
 FIG_SP = StandardPrime(((((),), ()),), (1, 3, 2, 3, 1))
@@ -249,6 +251,44 @@ class TestDeepValues:
         assert repr(StandardPrime(shape, (1, 2))) == f"StandardPrime(shape={shape!r}, prefs=(1, 2))"
 
 
+class TestShapeNodes:
+    """A plane shape whose vertex is not a tuple is named at every entry."""
+
+    ENTRIES = (
+        "check_standard_prime(sp)",
+        "encode_prime(sp)",
+        "decompose(sp)",
+        "destandardize((1, 2), sp)",
+        "hash(sp)",
+    )
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_non_tuple_child(self, entry):
+        sp = StandardPrime(((), 1), (1, 1))
+        with pytest.raises(InputError, match="^plane shape: vertex 1 is not a tuple of child shapes$"):
+            eval(entry, vars(treepark) | {"sp": sp})
+
+    def test_string_shape_returns(self):
+        # a one-character string iterates to itself, so an unchecked walk never ends
+        probe = (
+            "from treepark import *\n"
+            "sp = StandardPrime('ab', (1, 1))\n"
+            f"for entry in {self.ENTRIES!r}:\n"
+            "    try:\n        eval(entry)\n"
+            "    except InputError as exc:\n        print(exc)\n"
+        )
+        src = Path(treepark.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=2,
+            check=True,
+        )
+        assert done.stdout == "plane shape: vertex 'ab' is not a tuple of child shapes\n" * 5
+
+
 class TestStandardize:
     def test_figure_example(self):
         tree = validate_rooted_tree([0, 3, 4, 1, 4])
@@ -272,6 +312,23 @@ class TestStandardize:
         for tree, seq in iter_primes(n):
             word, sp = standardize(tree, seq)
             assert destandardize(word, sp) == (tree, seq)
+
+    @pytest.mark.parametrize(
+        "sp",
+        [
+            StandardPrime(((),), (1, 0)),  # preference 0 would wrap to the last label
+            StandardPrime(((),), (1, 9)),
+            StandardPrime(((),), (2, 2)),  # not prime: nobody parks at vertex 1
+        ],
+        ids=["zero", "nine", "not-prime"],
+    )
+    def test_destandardize_validates_the_pair(self, sp):
+        with pytest.raises(NotStandardPrimeError):
+            destandardize((1, 2), sp)
+
+    def test_destandardize_checks_the_word_first(self):
+        with pytest.raises(LengthMismatchError, match="permutation of length 3 for 2 vertices"):
+            destandardize((1, 2, 3), StandardPrime(((),), (1, 9)))
 
     def test_validation_catches_wrong_sibling_order(self):
         # swapping the sibling order of a valid standard pair breaks it
@@ -307,11 +364,10 @@ class TestEncode:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_image_labels_are_a_bijection(self, n):
-        from treepark.trees import check_labeled_plane_tree
-
         for tree, seq in iter_primes(n):
             _, sp = standardize(tree, seq)
-            assert check_labeled_plane_tree(encode_prime(sp)) == n
+            labels, _ = _flatten(encode_prime(sp))
+            assert labels[0] is None and sorted(labels[1:]) == list(range(1, n))
 
     def test_decode_running_example(self):
         sp = decode_prime(parse_plane_tree("*[6[3] 2[5 4] 8[7[1]]]"))

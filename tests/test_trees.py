@@ -1,8 +1,11 @@
 """Tree representations, validation, traversal, and enumeration."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
+import treepark
 from treepark import (
     CycleDetectedError,
     LabeledPlaneTree,
@@ -11,6 +14,7 @@ from treepark import (
     NoRootError,
     RootedTree,
     VertexOutOfRangeError,
+    decode_prime,
     enumerate_labeled_plane_trees,
     enumerate_plane_trees,
     enumerate_rooted_trees,
@@ -24,7 +28,7 @@ from treepark import (
     validate_rooted_tree,
 )
 from treepark.errors import InputError
-from treepark.trees import shape_size, shape_to_parents
+from treepark.trees import _shape_parents
 
 
 def brute_subtree_size(tree: RootedTree, v: int) -> int:
@@ -126,7 +130,7 @@ class TestEnumeration:
         shapes = list(enumerate_plane_trees(n))
         assert len(shapes) == catalan_by_recursion(n - 1)
         assert len(set(shapes)) == len(shapes)
-        assert all(shape_size(s) == n for s in shapes)
+        assert all(len(_shape_parents(s)) - 1 == n for s in shapes)
 
     def test_plane_trees_n3(self):
         # the path and the two-child star
@@ -136,6 +140,18 @@ class TestEnumeration:
         trees = list(enumerate_labeled_plane_trees(4))
         assert len(trees) == catalan_by_recursion(3) * 6
         assert len(set(trees)) == len(trees)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_labeled_plane_trees_match_a_recursive_reference(self, n):
+        def build(shape, labels, label=None):
+            return LabeledPlaneTree(label, tuple(build(c, labels, next(labels)) for c in shape))
+
+        expected = [
+            build(shape, iter(word))
+            for shape in enumerate_plane_trees(n)
+            for word in permutations(range(1, n))
+        ]
+        assert list(enumerate_labeled_plane_trees(n)) == expected
 
 
 class TestPostOrder:
@@ -171,11 +187,39 @@ class TestPostOrder:
         word, _ = post_order_relabel(tree)
         assert word == (3, 2, 1)
 
-    def test_shape_to_parents_root_is_last(self):
+    def test_shape_parents_root_is_last(self):
         for shape in enumerate_plane_trees(5):
-            parents, children = shape_to_parents(shape)
-            assert parents[-1] == 0
-            assert sorted(sum((children[v] for v in range(1, 6)), [])) == [1, 2, 3, 4]
+            parents = _shape_parents(shape)
+            assert len(parents) == 6 and parents[5] == 0
+            assert all(1 <= parents[v] <= 5 for v in range(1, 5))
+
+
+class TestOneFlatten:
+    """Each boundary that reads a labeled plane tree flattens it once and
+    hands the same arrays to its check and to its work."""
+
+    @pytest.fixture
+    def flattens(self, monkeypatch):
+        calls = []
+        real = treepark.trees._flatten
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(treepark.trees, "_flatten", counting)
+        monkeypatch.setattr(treepark.bijections, "_flatten", counting)
+        return calls
+
+    def test_decode_prime(self, flattens):
+        plt = parse_plane_tree("*[6[3] 2[5 4] 8[7[1]]]")
+        assert decode_prime(plt).prefs == (6, 4, 1, 3, 3, 1, 6, 7, 2)
+        assert flattens == [plt]
+
+    def test_post_order_relabel(self, flattens):
+        tree = parse_plane_tree("1[4[3[2] 5]]")
+        assert post_order_relabel(tree)[0] == (5, 1, 2, 4, 3)
+        assert flattens == [tree]
 
 
 class TestPlaneTreeText:
