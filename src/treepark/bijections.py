@@ -13,7 +13,8 @@ The pipeline factors a prime pair through a *standard form*:
   prime pairs on n vertices correspond to (permutation, labeled plane tree)
   pairs, (2n-2)! of them in total.
 
-Validation sits at the public boundaries.  :func:`check_standard_prime`,
+Validation sits at the public boundaries, behind the input gate
+``parking.check_preferences``.  :func:`check_standard_prime`,
 :func:`encode_prime`, :func:`decode_prime`, :func:`decompose` and
 :func:`destandardize` check their standard pair with one simulation;
 :func:`standardize` checks primality with one simulation and confirms the
@@ -42,12 +43,23 @@ from typing import Sequence
 from .errors import (
     InputError,
     InvariantError,
+    LabelOutOfRangeError,
     LengthMismatchError,
     Not132AvoidingError,
     NotPrimeError,
     NotStandardPrimeError,
+    _ints,
 )
-from .parking import Edge, _prime_outcome, _subtree_sums, is_parking_function, is_prime, run_parking
+from .parking import (
+    Edge,
+    _preferences,
+    _prime_outcome,
+    _subtree_sums,
+    check_preferences,
+    is_parking_function,
+    is_prime,
+    run_parking,
+)
 from .trees import (
     LabeledPlaneTree,
     PlaneShape,
@@ -102,7 +114,11 @@ class MarkedSet:
     marked: int
 
     def __post_init__(self) -> None:
-        if self.marked not in self.elements:
+        elements = _ints(self.elements, InputError, "element {}:")
+        _ints((self.marked,), InputError, "marked index")
+        if any(a >= b for a, b in zip(elements, elements[1:])):
+            raise InputError(f"elements {self.elements!r} are not strictly increasing")
+        if self.marked not in elements:
             raise InputError(f"marked index {self.marked} is not among {self.elements}")
 
     def unmarked(self) -> tuple[int, ...]:
@@ -141,20 +157,26 @@ def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) ->
     return bad
 
 
-def _check_standard(parents: list[int], prefs: Sequence[int]) -> None:
-    """Validate a flat standard pair with one simulation."""
-    n = len(parents) - 1
-    if len(prefs) != n:
-        raise LengthMismatchError(f"{len(prefs)} preferences for {n} vertices")
-    try:
-        prime, outcome = _prime_outcome(RootedTree(tuple(parents[1:])), prefs)
-    except InputError as exc:  # out-of-range preferences and the like
+def _standard_parents(sp: StandardPrime) -> list[int]:
+    """The flat parent array of a standard pair's shape."""
+    if not isinstance(sp, StandardPrime):
+        raise NotStandardPrimeError(f"{sp!r} is not a StandardPrime")
+    return _shape_parents(sp.shape)
+
+
+def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[int, ...]:
+    """Validate a flat standard pair with one simulation; returns its prefs."""
+    try:  # the tree comes from a shape, so only the preferences pass the gate
+        prefs = _preferences(len(parents) - 1, prefs)
+    except LabelOutOfRangeError as exc:  # a preference outside 1..n, or not an int
         raise NotStandardPrimeError(str(exc)) from exc
+    prime, outcome = _prime_outcome(RootedTree(tuple(parents[1:])), prefs)
     if not prime:
         raise NotStandardPrimeError("underlying pair is not prime")
     v = _out_of_crossing_order(parents, outcome.crossings)
     if v is not None:
         raise NotStandardPrimeError(f"children of vertex {v} are out of crossing order")
+    return prefs
 
 
 def check_standard_prime(sp: StandardPrime) -> int:
@@ -164,7 +186,7 @@ def check_standard_prime(sp: StandardPrime) -> int:
     each child list is ordered by decreasing first-crossing time of the
     child's parent edge.
     """
-    parents = _shape_parents(sp.shape)
+    parents = _standard_parents(sp)
     _check_standard(parents, sp.prefs)
     return len(parents) - 1
 
@@ -177,6 +199,7 @@ def standardize(
     Returns the relabeling permutation sigma (old label -> new label) and
     the resulting standard pair.
     """
+    prefs = check_preferences(tree, prefs)
     prime, outcome = _prime_outcome(tree, prefs)
     if not prime:
         raise NotPrimeError("standard form is only defined for prime pairs")
@@ -232,10 +255,9 @@ def destandardize(
     The permutation is checked first, then the standard pair, with the one
     simulation of :func:`check_standard_prime`.
     """
-    std_parents = _shape_parents(sp.shape)
+    std_parents = _standard_parents(sp)
     inv = _inverse_relabeling(word, std_parents)
-    _check_standard(std_parents, sp.prefs)
-    return _destandardize(inv, std_parents, sp.prefs)
+    return _destandardize(inv, std_parents, _check_standard(std_parents, sp.prefs))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +375,11 @@ def decompose(sp: StandardPrime) -> list[Component]:
     driver indices that prefer it, with one index marked to remember where
     the walk re-entered.
     """
-    parents = _shape_parents(sp.shape)
+    parents = _standard_parents(sp)
     n = len(parents) - 1
     if n < 2:
         raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
-    _check_standard(parents, sp.prefs)
-    home, parts = _split(parents, sp.prefs)
+    home, parts = _split(parents, _check_standard(parents, sp.prefs))
     members: dict[int, list[int]] = {part[0]: [] for part in parts}
     for u in range(1, n):
         members[home[u]].append(u)
@@ -400,9 +421,8 @@ def _encode(parents: list[int], prefs: Sequence[int]) -> LabeledPlaneTree:
 
 def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
     """Map a standard pair to a plane tree with non-root labels in [n-1]."""
-    parents = _shape_parents(sp.shape)
-    _check_standard(parents, sp.prefs)
-    return _encode(parents, sp.prefs)
+    parents = _standard_parents(sp)
+    return _encode(parents, _check_standard(parents, sp.prefs))
 
 
 def _decode(labels: list[int | None], kids: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -526,7 +546,11 @@ def pair_to_prime(
 
 def is_132_avoiding(word: Sequence[int]) -> bool:
     """No positions i < j < k with word[i] < word[k] < word[j]."""
-    check_permutation(word)
+    return _avoids_132(check_permutation(word))
+
+
+def _avoids_132(word: Sequence[int]) -> bool:
+    """:func:`is_132_avoiding` of a checked permutation."""
     smallest = None
     for j in range(len(word)):
         if smallest is not None:
@@ -546,7 +570,7 @@ def borie_map(word: Sequence[int]) -> tuple[int, ...]:
     positions with at least m larger letters to their left.
     """
     word = check_permutation(word)
-    if not is_132_avoiding(word):
+    if not _avoids_132(word):
         raise Not132AvoidingError(f"{list(word)} contains a 132 pattern")
     n = len(word)
     left_larger = [
@@ -594,4 +618,5 @@ def labeled_path(word: Sequence[int]) -> LabeledPlaneTree:
 
 def standard_path_prime(prefs: Sequence[int]) -> StandardPrime:
     """Wrap a preference sequence on the n-spot path as a standard pair."""
-    return StandardPrime(path_shape(len(prefs)), tuple(prefs))
+    prefs = _ints(prefs, LabelOutOfRangeError, "driver {}: preference", 1)
+    return StandardPrime(path_shape(len(prefs)), prefs)

@@ -21,17 +21,17 @@ from math import factorial
 from typing import Iterator
 
 from .bijections import (
+    _avoids_132,
     _out_of_crossing_order,
     borie_map,
     decode_prime,
     encode_prime,
-    is_132_avoiding,
     labeled_path,
     pair_to_prime,
     prime_to_pair,
     standard_path_prime,
 )
-from .errors import InputError, InvalidShardError, LimitExceededError
+from .errors import InputError, InvalidShardError, LimitExceededError, _at_least, _ints
 from .parking import _subtree_sums, run_parking
 from .series import catalan_number, closed_counts
 from .trees import (
@@ -103,16 +103,18 @@ def _shape_code(tree: RootedTree) -> tuple:
 
 def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = False) -> dict[str, int]:
     """Raw enumeration counts for one shard of the tree space at size n."""
-    if n < 1 or n > 6:
-        raise LimitExceededError(f"census is guarded to 1 <= n <= 6, got {n}")
+    guard = f"census is guarded to 1 <= n <= 6, got {n}"
+    if _at_least(n, 1, "n", LimitExceededError, guard) > 6:
+        raise LimitExceededError(guard)
     if n == 6 and not allow_large:
         raise LimitExceededError(
             "the n=6 census walks 7776 trees and decides 462 buckets on each of"
             " their 20 isomorphism classes; pass allow_large"
         )
-    which, mod = shard
-    if mod < 1 or not 0 <= which < mod:
+    which_mod = _ints(shard, InvalidShardError, "shard entry {}:")
+    if len(which_mod) != 2 or which_mod[1] < 1 or not 0 <= which_mod[0] < which_mod[1]:
         raise InvalidShardError(f"shard {shard}: need m >= 1 and 0 <= k < m")
+    which, mod = which_mod
     buckets = _buckets(n)
 
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
@@ -203,25 +205,16 @@ def _iter_primes(n: int):
                     yield tree, seq
 
 
-def _guard_suite(n: int, least: int, most: int, what: str) -> None:
-    if n < least:
-        raise InputError(f"{what} needs n >= {least}, got n={n}")
-    if n > most:
-        raise LimitExceededError(f"{what} is guarded to n <= {most}")
-
-
 def roundtrip_suite(n: int) -> SuiteReport:
     """Both composites of the prime <-> (permutation, plane tree) maps are
     identities, and the forward image has no duplicates."""
-    _guard_suite(n, 1, 4, "the round-trip suite")
+    if _at_least(n, 1, "n", InputError, f"the round-trip suite needs n >= 1, got n={n}") > 4:
+        raise LimitExceededError("the round-trip suite is guarded to n <= 4")
     start = time.perf_counter()
     failures: list[str] = []
-    cases = 0
-
     images: set = set()
     forward = 0
     for tree, prefs in _iter_primes(n):
-        cases += 1
         forward += 1
         word, plt = prime_to_pair(tree, prefs)
         images.add((word, plt))
@@ -238,7 +231,6 @@ def roundtrip_suite(n: int) -> SuiteReport:
     backward = 0
     for word in permutations(range(1, n + 1)):
         for plt in enumerate_labeled_plane_trees(n):
-            cases += 1
             backward += 1
             tree, prefs = pair_to_prime(word, plt)
             word2, plt2 = prime_to_pair(tree, prefs)
@@ -249,18 +241,19 @@ def roundtrip_suite(n: int) -> SuiteReport:
     if backward != factorial(n) * factorial(n - 1) * catalan_number(n - 1):
         failures.append(f"enumerated {backward} (permutation, tree) pairs")
 
-    return SuiteReport("roundtrip", n, cases, tuple(failures), time.perf_counter() - start)
+    return SuiteReport("roundtrip", n, forward + backward, tuple(failures), time.perf_counter() - start)
 
 
 def theorem53_suite(n: int) -> SuiteReport:
     """For every 132-avoiding permutation, the statistic map agrees with the
     decoded labeled path after dropping its leading 1."""
-    _guard_suite(n, 0, 7, "the pattern suite")
+    if _at_least(n, 0, "n", InputError, f"the pattern suite needs n >= 0, got n={n}") > 7:
+        raise LimitExceededError("the pattern suite is guarded to n <= 7")
     start = time.perf_counter()
     failures: list[str] = []
     cases = 0
     for word in permutations(range(1, n + 1)):
-        if not is_132_avoiding(word):
+        if not _avoids_132(word):  # permutations() makes valid words
             continue
         cases += 1
         sp = decode_prime(labeled_path(word))
@@ -279,7 +272,8 @@ def theorem53_suite(n: int) -> SuiteReport:
 def path_image_suite(n: int) -> SuiteReport:
     """Encoding restricted to growth sequences (s_1 = 1, s_i <= i-1) on the
     (n+1)-spot path is a bijection onto all n! labeled paths."""
-    _guard_suite(n, 0, 6, "the path-image suite")
+    if _at_least(n, 0, "n", InputError, f"the path-image suite needs n >= 0, got n={n}") > 6:
+        raise LimitExceededError("the path-image suite is guarded to n <= 6")
     start = time.perf_counter()
     failures: list[str] = []
     seen: set[tuple[int, ...]] = set()

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bijections import borie_map, pair_to_prime, prime_to_pair
 from .census import census as run_census
@@ -25,6 +26,7 @@ from .series import (
     closed_counts,
 )
 from .trees import (
+    RootedTree,
     format_plane_tree,
     format_rooted_tree,
     format_word,
@@ -39,7 +41,7 @@ def _payload(value: str) -> str:
     if value.startswith("@"):
         try:
             return Path(value[1:]).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {value[1:]!r}: {exc}") from exc
     return value
 
@@ -51,41 +53,35 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _pair(args: argparse.Namespace) -> tuple[RootedTree, tuple[int, ...]]:
+    return parse_rooted_tree(_payload(args.tree)), parse_preferences(_payload(args.seq))
+
+
 def _cmd_park(args: argparse.Namespace) -> int:
-    tree = parse_rooted_tree(_payload(args.tree))
-    prefs = parse_preferences(_payload(args.seq))
-    outcome = park(tree, prefs)
+    outcome = park(*_pair(args))
     print("spots: " + " ".join("-" if s is None else str(s) for s in outcome.spots))
     return 0 if outcome.all_parked else 1
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    tree = parse_rooted_tree(_payload(args.tree))
-    prefs = parse_preferences(_payload(args.seq))
-    ok = is_parking_function(tree, prefs)
-    print(f"parking-function: {'true' if ok else 'false'}")
-    return 0 if ok else 1
+def _predicate(label: str, holds: Callable[..., bool]) -> Callable[[argparse.Namespace], int]:
+    """The command that prints whether ``holds`` of the pair, as ``label``."""
 
+    def command(args: argparse.Namespace) -> int:
+        ok = holds(*_pair(args))
+        print(f"{label}: {'true' if ok else 'false'}")
+        return 0 if ok else 1
 
-def _cmd_prime(args: argparse.Namespace) -> int:
-    tree = parse_rooted_tree(_payload(args.tree))
-    prefs = parse_preferences(_payload(args.seq))
-    ok = is_prime(tree, prefs)
-    print(f"prime: {'true' if ok else 'false'}")
-    return 0 if ok else 1
+    return command
 
 
 def _cmd_used_edges(args: argparse.Namespace) -> int:
-    tree = parse_rooted_tree(_payload(args.tree))
-    prefs = parse_preferences(_payload(args.seq))
-    edges = used_edges(tree, prefs)
+    edges = used_edges(*_pair(args))
     print("used-edges: " + " ".join(f"{u}->{v}" for u, v in edges))
     return 0
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
-    tree = parse_rooted_tree(_payload(args.tree))
-    prefs = parse_preferences(_payload(args.seq))
+    tree, prefs = _pair(args)
     word, plt = prime_to_pair(tree, prefs)
     print("sigma: " + format_word(word))
     print(format_plane_tree(plt))
@@ -135,19 +131,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# Headers of the first seven fields of a CountRow, in field order.
 _COUNT_HEADER = ("n", "F", "P", "Ftilde", "Ptilde", "Pstar", "Fstar")
 
 
 def _count_cells(row) -> tuple[int, ...]:
-    return (
-        row.n,
-        row.parking,
-        row.prime,
-        row.distribution,
-        row.prime_distribution,
-        row.marked_prime,
-        row.marked_distribution,
-    )
+    return astuple(row)[: len(_COUNT_HEADER)]
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
@@ -175,16 +164,7 @@ def _verify_rows(args: argparse.Namespace) -> list[dict]:
         for n in range(1, top + 1):
             report = run_census(n, allow_large=args.allow_large)
             for col in report.columns:
-                rows.append(
-                    {
-                        "suite": "census",
-                        "n": n,
-                        "metric": col.name,
-                        "counted": col.counted,
-                        "expected": col.expected,
-                        "status": "PASS" if col.passed else "FAIL",
-                    }
-                )
+                rows.append(_verify_row("census", n, col.name, col.counted, col.expected, col.passed))
     if "roundtrip" in suites:
         for n in _suite_sizes(args, "roundtrip", default=4, cap=4):
             rows.append(_suite_row(roundtrip_suite(n)))
@@ -204,16 +184,18 @@ def _suite_sizes(args: argparse.Namespace, suite: str, default: int, cap: int) -
     return range(1, min(args.max_n, cap) + 1)
 
 
+# The columns of a verify row, in output order.
+_VERIFY_COLUMNS = ("suite", "n", "metric", "counted", "expected", "status")
+
+
+def _verify_row(suite: str, n: int, metric: str, counted, expected, passed: bool) -> dict:
+    status = "PASS" if passed else "FAIL"
+    return dict(zip(_VERIFY_COLUMNS, (suite, n, metric, counted, expected, status)))
+
+
 def _suite_row(report) -> dict:
-    detail = report.failures[0] if report.failures else ""
-    return {
-        "suite": report.name,
-        "n": report.n,
-        "metric": "cases",
-        "counted": report.cases,
-        "expected": report.cases if report.passed else detail,
-        "status": "PASS" if report.passed else "FAIL",
-    }
+    expected = report.cases if report.passed else report.failures[0]
+    return _verify_row(report.name, report.n, "cases", report.cases, expected, report.passed)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -221,13 +203,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(rows, indent=None, separators=(",", ":")))
     else:
-        print("\t".join(("suite", "n", "metric", "counted", "expected", "status")))
+        print("\t".join(_VERIFY_COLUMNS))
         for row in rows:
-            print(
-                "\t".join(
-                    str(row[k]) for k in ("suite", "n", "metric", "counted", "expected", "status")
-                )
-            )
+            print("\t".join(str(row[k]) for k in _VERIFY_COLUMNS))
     return 0 if all(row["status"] == "PASS" for row in rows) else 1
 
 
@@ -245,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, help_ in (
         ("park", _cmd_park, "run the parking procedure and print the spots"),
-        ("check", _cmd_check, "is the pair a parking function?"),
-        ("prime", _cmd_prime, "is the pair a prime parking function?"),
+        ("check", _predicate("parking-function", is_parking_function), "is the pair a parking function?"),
+        ("prime", _predicate("prime", is_prime), "is the pair a prime parking function?"),
         ("used-edges", _cmd_used_edges, "edges used by a parking function, in crossing order"),
     ):
         p = add(name, func, help_)

@@ -1,7 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer input gate.
 
 Everything derives from :class:`TreeParkError`; input-shaped problems also
 derive from :class:`ValueError` so callers can catch them generically.
+Every integer input passes :func:`_at_least` or :func:`_ints`: an exact
+``int``, never a ``bool``.
 """
 
 
@@ -88,3 +90,34 @@ class UsageError(InputError):
 
 class InvalidShardError(InputError):
     """A census shard (k, m) with m < 1 or k outside 0..m-1."""
+
+
+def _at_least(value, least: int, name: str, error: type[InputError] = OrderMismatchError, message: str = "") -> int:
+    """``value`` itself if it is an int >= ``least``; else ``error``.  The call
+    site may word the case of an int below ``least`` as ``message``; every
+    other case names ``name``, the bound and the value."""
+    if type(value) is int and value >= least:
+        return value
+    raise error(message if message and type(value) is int else f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _ints(values, error: type[InputError], name: str, lo: int | None = None, hi: int | None = None,
+          permutation=None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each in lo..hi when ``lo`` is given;
+    ``hi`` defaults to their number, as for parents, preferences and labels.
+    Else ``error`` naming the first bad entry i as ``name.format(i)``.  With
+    ``permutation``, the ints must be a permutation of 1..n, or ``error``
+    carries ``permutation(values)``."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise error(f"{values!r} is not a sequence of integers") from None
+    hi = len(out) if hi is None else hi
+    for x in out:
+        if type(x) is not int or lo is not None and not lo <= x <= hi:
+            i = next(i for i, y in enumerate(out, start=1) if y is x)  # the first bad entry
+            fault = "is not an integer" if type(x) is not int else f"outside {lo}..{hi}"
+            raise error(f"{name.format(i)} {x!r} {fault}")
+    if permutation and sorted(out) != list(range(1, len(out) + 1)):
+        raise error(permutation(out))
+    return out

@@ -17,8 +17,9 @@ from .errors import (
     LabelOutOfRangeError,
     LengthMismatchError,
     NotAParkingFunctionError,
+    _ints,
 )
-from .trees import RootedTree
+from .trees import RootedTree, _check_tree
 
 Edge = tuple[int, int]  # (child, parent) with the edge oriented child -> parent
 
@@ -40,12 +41,21 @@ class ParkingOutcome:
 
 
 def check_preferences(tree: RootedTree, prefs: Sequence[int]) -> tuple[int, ...]:
-    if len(prefs) != tree.n:
-        raise LengthMismatchError(f"{len(prefs)} preferences for a tree on {tree.n} vertices")
-    for i, s in enumerate(prefs, start=1):
-        if not 1 <= s <= tree.n:
-            raise LabelOutOfRangeError(f"driver {i}: preference {s} outside 1..{tree.n}")
-    return tuple(prefs)
+    """The input gate of a pair: a checked tree and one preference in 1..n
+    per vertex, returned as a tuple that callers use in place of ``prefs``."""
+    return _preferences(_check_tree(tree).n, prefs)
+
+
+def _preferences(n: int, prefs: Sequence[int]) -> tuple[int, ...]:
+    """The gate's half for a tree that the package built itself.  A wrong
+    length is reported before a bad entry."""
+    try:
+        count = len(prefs)
+    except TypeError:
+        raise LabelOutOfRangeError(f"{prefs!r} is not a sequence of integers") from None
+    if count != n:
+        raise LengthMismatchError(f"{count} preferences for a tree on {n} vertices")
+    return _ints(prefs, LabelOutOfRangeError, "driver {}: preference", 1, n)
 
 
 def run_parking(tree: RootedTree, prefs: Sequence[int]) -> ParkingOutcome:
@@ -119,8 +129,7 @@ def is_parking_function(tree: RootedTree, prefs: Sequence[int]) -> bool:
     """Subtree criterion: every subtree receives at least as many preferences
     as it has vertices.  Agrees with simulation success; the test suite checks
     that exhaustively."""
-    check_preferences(tree, prefs)
-    excess = _subtree_excess(tree, prefs)
+    excess = _subtree_excess(tree, check_preferences(tree, prefs))
     return all(excess[v] >= 0 for v in range(1, tree.n + 1))
 
 
@@ -130,7 +139,7 @@ def used_edges(tree: RootedTree, prefs: Sequence[int]) -> tuple[Edge, ...]:
     Computed twice: by the strict subtree criterion and by simulation.  The
     two sets must agree; the simulation supplies the order.
     """
-    check_preferences(tree, prefs)
+    prefs = check_preferences(tree, prefs)
     excess = _subtree_excess(tree, prefs)
     if any(excess[v] < 0 for v in range(1, tree.n + 1)):
         raise NotAParkingFunctionError("used edges are only defined for parking functions")
@@ -149,8 +158,8 @@ def _prime_outcome(tree: RootedTree, prefs: Sequence[int]) -> tuple[bool, Parkin
     """Primality evaluated both ways, by the strict criterion (every proper
     subtree receives strictly more preferences than its size) and as "a
     parking function that uses every edge" (simulation), which must agree;
-    returns the verdict with the one simulation's outcome."""
-    check_preferences(tree, prefs)
+    returns the verdict with the one simulation's outcome.  The pair has
+    passed :func:`check_preferences`."""
     excess = _subtree_excess(tree, prefs)
     root = tree.root
     by_criterion = all(excess[v] > 0 for v in range(1, tree.n + 1) if v != root)
@@ -167,11 +176,11 @@ def is_prime(tree: RootedTree, prefs: Sequence[int]) -> bool:
     Evaluated both ways: by the strict criterion and as "a parking function
     that uses every edge" (simulation).  The two must agree.
     """
-    return _prime_outcome(tree, prefs)[0]
+    return _prime_outcome(tree, check_preferences(tree, prefs))[0]
 
 
 def is_parking_distribution(tree: RootedTree, prefs: Sequence[int]) -> bool:
     """Weakly increasing parking function."""
-    check_preferences(tree, prefs)
+    prefs = check_preferences(tree, prefs)
     increasing = all(a <= b for a, b in zip(prefs, prefs[1:]))
-    return increasing and is_parking_function(tree, prefs)
+    return increasing and min(_subtree_excess(tree, prefs)[1:]) >= 0

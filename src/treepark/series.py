@@ -30,6 +30,8 @@ from .errors import (
     IdentityViolatedError,
     InputError,
     OrderMismatchError,
+    _at_least,
+    _ints,
 )
 
 Q = Fraction
@@ -39,13 +41,6 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _at_least(value: int, least: int, name: str) -> int:
-    """``value`` itself if it is an integer >= ``least``; else a named error."""
-    if not isinstance(value, int) or value < least:
-        raise OrderMismatchError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Series:
     """Dense truncated power series with exact rational coefficients."""
@@ -53,23 +48,28 @@ class Series:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+        try:
+            coeffs = tuple(_as_fraction(c) for c in self.coeffs)
+        except (TypeError, ValueError, ArithmeticError):  # what Fraction() raises on junk
+            raise InputError(f"coefficients {self.coeffs!r} are not rational numbers") from None
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def constant(value, order: int) -> "Series":
-        return Series((_as_fraction(value),) + (Q(0),) * order)
+        return Series((_as_fraction(value),) + (Q(0),) * _at_least(order, 0, "order"))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise OrderMismatchError(f"coefficient {k} beyond truncation order {self.order}")
+        beyond = f"coefficient {k} beyond truncation order {self.order}"
+        if _at_least(k, 0, "coefficient", message=beyond) > self.order:
+            raise OrderMismatchError(beyond)
         return self.coeffs[k]
 
     def truncate(self, order: int) -> "Series":
-        if order > self.order:
+        if _at_least(order, 0, "order") > self.order:
             raise OrderMismatchError(f"cannot extend order {self.order} to {order}")
         return Series(self.coeffs[: order + 1])
 
@@ -520,7 +520,7 @@ class IdentityResult:
 
 
 def check_identity(name: str, order: int) -> IdentityResult:
-    if name not in _RESIDUALS:
+    if name not in IDENTITY_NAMES:  # a tuple: an unhashable name is unknown too
         raise InputError(f"unknown identity {name!r}")
     _at_least(order, 0, "order")
     residual = _RESIDUALS[name](order)
@@ -530,7 +530,11 @@ def check_identity(name: str, order: int) -> IdentityResult:
 
 
 def check_identities(order: int, names: Sequence[str] | None = None) -> list[IdentityResult]:
-    return [check_identity(name, order) for name in (names or IDENTITY_NAMES)]
+    """Every identity, or those in ``names``, in order."""
+    _at_least(order, 0, "order")
+    if not isinstance(names, (list, tuple, type(None))):  # a string would iterate by letter
+        raise InputError(f"names must be a list or tuple of identity names, got {names!r}")
+    return [check_identity(name, order) for name in (IDENTITY_NAMES if names is None else names)]
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +560,7 @@ class CountTable:
     rows: tuple[CountRow, ...]
 
     def row(self, n: int) -> CountRow:
-        if not 1 <= n <= len(self.rows):
-            raise OrderMismatchError(f"row {n} outside 1..{len(self.rows)}")
+        _ints((n,), OrderMismatchError, "row", 1, len(self.rows))
         return self.rows[n - 1]
 
 

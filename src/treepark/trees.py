@@ -15,8 +15,9 @@ Conventions used throughout the package:
 The two nested types are walked in one place each, into a flat form that
 every other reader takes: :func:`_shape_parents` turns a plane shape into
 its post-order parent array, and :func:`_flatten` turns a labeled plane tree
-into pre-order label and child arrays.  Only equality and the text forms
-walk the nested values themselves.
+into pre-order label and child arrays; both refuse a vertex of the wrong
+type.  Only ``repr`` of a shape walks a nested value itself.  A public
+function checks a rooted tree it is given with :func:`_check_tree`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .errors import (
     MultipleRootsError,
     NoRootError,
     VertexOutOfRangeError,
+    _at_least,
+    _ints,
 )
 
 # A plane-tree shape: tuple of child shapes, left to right.
@@ -87,41 +90,39 @@ def validate_rooted_tree(entries: Sequence[int]) -> RootedTree:
     :class:`CycleDetectedError` or :class:`LabelOutOfRangeError`, each naming
     the offending vertex.
     """
+    entries = _ints(entries, LabelOutOfRangeError, "vertex {}: parent", 0)
     n = len(entries)
     if n == 0:
         raise NoRootError("empty parent list")
-    for v, p in enumerate(entries, start=1):
-        if not isinstance(p, int) or not 0 <= p <= n:
-            raise LabelOutOfRangeError(f"vertex {v}: parent {p!r} outside 0..{n}")
-    # Every parent chain must terminate within n steps; a revisited vertex
-    # pins down the cycle.
-    safe: set[int] = set()
+    # Every parent chain must reach the root, so a parent list without a 0
+    # has a cycle; a vertex met twice on one walk pins the cycle down.  A
+    # walk that meets an earlier walk stops: that one reached the root.
+    walker = [-1] + [0] * n  # the walk that first met each vertex; -1 above the root
     for v in range(1, n + 1):
-        walk: list[int] = []
-        seen: set[int] = set()
         u = v
-        while u not in safe:
-            if u in seen:
-                raise CycleDetectedError(f"cycle through vertex {u}")
-            seen.add(u)
-            walk.append(u)
-            p = entries[u - 1]
-            if p == 0:
-                break
-            u = p
-        safe.update(walk)
-    roots = [v for v, p in enumerate(entries, start=1) if p == 0]
-    if not roots:
-        raise NoRootError("no vertex marked as root")
-    if len(roots) > 1:
+        while not walker[u]:
+            walker[u] = v
+            u = entries[u - 1]
+        if walker[u] == v:
+            raise CycleDetectedError(f"cycle through vertex {u}")
+    if entries.count(0) > 1:
+        roots = [v for v, p in enumerate(entries, start=1) if p == 0]
         raise MultipleRootsError(f"vertices {roots} all marked as root")
-    return RootedTree(tuple(entries))
+    return RootedTree(entries)
+
+
+def _check_tree(tree: RootedTree) -> RootedTree:
+    """``tree`` itself if it is a :class:`RootedTree` whose parent tuple
+    passes :func:`validate_rooted_tree`; else an error naming the fault."""
+    if not isinstance(tree, RootedTree) or not isinstance(tree.parents, tuple):
+        raise InputError(f"{tree!r} is not a RootedTree over a tuple of parents")
+    validate_rooted_tree(tree.parents)
+    return tree
 
 
 def subtree_size(tree: RootedTree, v: int) -> int:
     """Number of vertices whose path to the root passes through v, v included."""
-    if not 1 <= v <= tree.n:
-        raise VertexOutOfRangeError(f"vertex {v} outside 1..{tree.n}")
+    _ints((v,), VertexOutOfRangeError, "vertex", 1, _check_tree(tree).n)
     kids = tree.children()
     total = 0
     stack = [v]
@@ -134,8 +135,7 @@ def subtree_size(tree: RootedTree, v: int) -> int:
 
 def path_tree(n: int) -> RootedTree:
     """The path 1 -> 2 -> ... -> n rooted at n (the classical parking lot)."""
-    if n < 1:
-        raise VertexOutOfRangeError("path needs at least one vertex")
+    _at_least(n, 1, "n", VertexOutOfRangeError, "path needs at least one vertex")
     return RootedTree(tuple(range(2, n + 1)) + (0,))
 
 
@@ -184,9 +184,7 @@ def _orient(edges: list[tuple[int, int]], n: int, root: int) -> RootedTree:
 
 def enumerate_rooted_trees(n: int) -> Iterator[RootedTree]:
     """All n^(n-1) labeled rooted trees: every Pruefer word crossed with every root."""
-    if n < 1:
-        raise VertexOutOfRangeError("need n >= 1")
-    if n == 1:
+    if _at_least(n, 1, "n", VertexOutOfRangeError, "need n >= 1") == 1:
         yield RootedTree((0,))
         return
     for seq in product(range(1, n + 1), repeat=n - 2):
@@ -213,8 +211,7 @@ _SHAPES: list[tuple[PlaneShape, ...]] = [(), ((),)]
 
 def enumerate_plane_trees(n: int) -> Iterator[PlaneShape]:
     """All plane-tree shapes on n vertices; there are Catalan(n-1) of them."""
-    if n < 1:
-        raise VertexOutOfRangeError("need n >= 1")
+    _at_least(n, 1, "n", VertexOutOfRangeError, "need n >= 1")
     while len(_SHAPES) <= n:  # a root over the shapes of each composition of k - 1
         k = len(_SHAPES)
         _SHAPES.append(
@@ -304,20 +301,12 @@ class LabeledPlaneTree:
     label: int | None
     children: tuple["LabeledPlaneTree", ...] = ()
 
-    # Equality, hashing and repr walk the tree with an explicit stack, so that
-    # deep trees compare and print without recursion.
+    # Equality, hashing and repr read the flat form, so that deep trees
+    # compare and print without recursion.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.label != b.label or len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+        return self is other or _flatten(self) == _flatten(other)
 
     def __hash__(self) -> int:
         labels, kids = _flatten(self)
@@ -335,6 +324,10 @@ def _flatten(t: LabeledPlaneTree) -> tuple[list[int | None], list[list[int]]]:
     stack: list[tuple[LabeledPlaneTree, int]] = [(t, -1)]
     while stack:
         node, p = stack.pop()
+        if not isinstance(node, LabeledPlaneTree):
+            raise InputError(f"plane tree: vertex {node!r} is not a LabeledPlaneTree")
+        if not isinstance(node.children, tuple):
+            raise InputError(f"plane tree: children {node.children!r} of {node.label!r} are not a tuple")
         i = len(labels)
         labels.append(node.label)
         kids.append([])
@@ -359,17 +352,17 @@ def _check_labels(labels: Sequence[int | None], root_labeled: bool) -> int:
     onto [n]; otherwise the root is unlabeled and the others are a bijection
     onto [n-1]."""
     if root_labeled:
-        named, what, unlabeled = labels, "labels", "every vertex must carry a label"
+        named, what, unlabeled = labels, "label", "every vertex must carry a label"
     else:
         if labels[0] is not None:
-            raise InputError(f"root carries label {labels[0]}; expected an unlabeled root")
-        named, what, unlabeled = labels[1:], "non-root labels", "unlabeled vertex below the root"
+            raise InputError(f"root carries label {labels[0]!r}; expected an unlabeled root")
+        named, what, unlabeled = labels[1:], "non-root label", "unlabeled vertex below the root"
     if None in named:
         raise InputError(unlabeled)
-    if sorted(named) != list(range(1, len(named) + 1)):
-        raise LabelOutOfRangeError(
-            f"{what} {sorted(named)} are not a bijection onto 1..{len(named)}"
-        )
+    _ints(
+        named, LabelOutOfRangeError, what,
+        permutation=lambda word: f"{what}s {sorted(word)} are not a bijection onto 1..{len(word)}",
+    )
     return len(labels)
 
 
@@ -420,14 +413,11 @@ def enumerate_labeled_plane_trees(n: int) -> Iterator[LabeledPlaneTree]:
 # ---------------------------------------------------------------------------
 
 
-def is_permutation(word: Sequence[int]) -> bool:
-    return sorted(word) == list(range(1, len(word) + 1))
-
-
 def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
-    if not is_permutation(word):
-        raise InputError(f"{list(word)} is not a permutation of 1..{len(word)}")
-    return tuple(word)
+    return _ints(
+        word, InputError, "permutation entry {}:",
+        permutation=lambda word: f"{list(word)} is not a permutation of 1..{len(word)}",
+    )
 
 
 def inverse_permutation(word: Sequence[int]) -> tuple[int, ...]:
@@ -445,7 +435,7 @@ def inverse_permutation(word: Sequence[int]) -> tuple[int, ...]:
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split()]
-    except ValueError as exc:
+    except (ValueError, AttributeError) as exc:  # AttributeError: ``text`` is no string
         raise InputError(f"{what}: expected whitespace-separated integers, got {text!r}") from exc
 
 
@@ -454,7 +444,7 @@ def parse_rooted_tree(text: str) -> RootedTree:
 
 
 def format_rooted_tree(tree: RootedTree) -> str:
-    return " ".join(str(p) for p in tree.parents)
+    return " ".join(str(p) for p in _check_tree(tree).parents)
 
 
 def parse_preferences(text: str) -> tuple[int, ...]:
@@ -466,75 +456,70 @@ def parse_permutation(text: str) -> tuple[int, ...]:
 
 
 def format_word(word: Sequence[int]) -> str:
-    return " ".join(str(x) for x in word)
+    return " ".join(str(x) for x in _ints(word, InputError, "word entry {}:"))
 
 
 def format_plane_tree(t: LabeledPlaneTree) -> str:
+    labels, kids = _flatten(t)
+    depth = [0] * len(labels)
+    for i, below in enumerate(kids):
+        for c in below:
+            depth[c] = depth[i] + 1
+    # In pre-order a vertex no deeper than the one before it follows a leaf,
+    # and is a sibling of one of its ancestors: the brackets between close.
     out: list[str] = []
-    stack: list[LabeledPlaneTree | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        out.append("*" if item.label is None else str(item.label))
-        if item.children:
-            stack.append("]")
-            for i in range(len(item.children) - 1, 0, -1):
-                stack.append(item.children[i])
-                stack.append(" ")
-            stack.append(item.children[0])
-            stack.append("[")
+    for i, label in enumerate(labels):
+        if i and depth[i] <= depth[i - 1]:
+            out.append("]" * (depth[i - 1] - depth[i]) + " ")
+        out.append("*" if label is None else str(label))
+        if kids[i]:
+            out.append("[")
+    out.append("]" * depth[-1])
     return "".join(out)
 
 
-_TOKEN = re.compile(r"\s*(\*|\d+|\[|\])")
+# A token, or else the character that cannot start one.
+_TOKEN = re.compile(r"\s*(?:(\*|\d+|\[|\])|(\S))")
 
 
 def parse_plane_tree(text: str) -> LabeledPlaneTree:
+    if not isinstance(text, str):
+        raise InputError(f"plane tree: expected text, got {text!r}")
     tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise InputError(f"plane tree: unexpected character at {text[pos:]!r}")
-            break
+    for m in _TOKEN.finditer(text):
+        if m.group(2) is not None:
+            raise InputError(f"plane tree: unexpected character at {text[m.start():]!r}")
         tokens.append(m.group(1))
-        pos = m.end()
     if not tokens:
         raise InputError("plane tree: empty input")
 
     # The vertices whose bracket is open, each with the children read so far.
     open_: list[tuple[int | None, list[LabeledPlaneTree]]] = []
-    index = 0
-    while True:
-        if index >= len(tokens) or tokens[index] in "[]":
-            raise InputError("plane tree: expected a vertex")
-        tok = tokens[index]
-        index += 1
-        label = None if tok == "*" else int(tok)
-        node: LabeledPlaneTree | None = None
-        if index < len(tokens) and tokens[index] == "[":
-            index += 1
-            open_.append((label, []))
-        else:
-            node = LabeledPlaneTree(label, ())
-        # Attach the finished vertex and close every bracket that ends here.
-        while True:
-            if node is not None:
-                if not open_:
-                    if index != len(tokens):
-                        raise InputError("plane tree: trailing tokens")
-                    return node
-                open_[-1][1].append(node)
-                node = None
-            if index < len(tokens) and tokens[index] != "]":
-                break  # the next child of the innermost open vertex
-            if index >= len(tokens):
-                raise InputError("plane tree: missing closing bracket")
-            index += 1
+    root: LabeledPlaneTree | None = None
+    for i, tok in enumerate(tokens):
+        if root is not None:
+            raise InputError("plane tree: trailing tokens")
+        if tok == "[":
+            if i == 0 or tokens[i - 1] in "[]":
+                raise InputError("plane tree: expected a vertex")
+            continue  # opened with the vertex before it
+        if tok == "]":
+            if not open_:  # the first token
+                raise InputError("plane tree: expected a vertex")
             label, kids = open_.pop()
             if not kids:
                 raise InputError("plane tree: empty bracket pair")
             node = LabeledPlaneTree(label, tuple(kids))
+        else:
+            label = None if tok == "*" else int(tok)
+            if tokens[i + 1 : i + 2] == ["["]:
+                open_.append((label, []))
+                continue
+            node = LabeledPlaneTree(label, ())
+        if open_:
+            open_[-1][1].append(node)
+        else:
+            root = node
+    if open_:
+        raise InputError("plane tree: missing closing bracket")
+    return root

@@ -1,6 +1,7 @@
 """Standard form, the plane-tree encoding, and the path specializations."""
 
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations, permutations, product
@@ -28,6 +29,7 @@ from treepark import (
     decompose,
     destandardize,
     encode_prime,
+    enumerate_labeled_plane_trees,
     enumerate_plane_trees,
     enumerate_rooted_trees,
     format_plane_tree,
@@ -71,6 +73,28 @@ class TestMarkedSet:
         assert MarkedSet((1, 2), 2).unmarked() == (1,)
         with pytest.raises(InputError):
             MarkedSet((1, 2), 5)
+
+    @pytest.mark.parametrize(
+        "elements, marked, bad",
+        [
+            ((3, 1), 1, "(3, 1)"),
+            ((1, 1), 1, "(1, 1)"),
+            ((1, 2.0), 1, "2.0"),
+            ((True, 2), 2, "True"),
+            ((1, 2), 1.0, "1.0"),
+            (None, 1, "None"),
+        ],
+    )
+    def test_elements_are_increasing_ints(self, elements, marked, bad):
+        with pytest.raises(InputError, match=re.escape(bad)):
+            MarkedSet(elements, marked)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_decompose_builds_increasing_sets(self, n):
+        for plt in enumerate_labeled_plane_trees(n):
+            for component in decompose(decode_prime(plt)):
+                elements = component.drivers.elements
+                assert list(elements) == sorted(set(elements))
 
     def test_checked_under_optimize(self):
         # the check must not be an assert, which python -O strips

@@ -47,6 +47,21 @@ class TestPark:
         code, _, err = run(capsys, "park", "--tree", "@/no/such/file", "--seq", "1")
         assert code == 2
 
+    def test_binary_file_exits_two(self, capsys, tmp_path):
+        payload = tmp_path / "bin.txt"
+        payload.write_bytes(b"\xff\xfe 0\n")
+        code, out, err = run(capsys, "park", "--tree", f"@{payload}", "--seq", "1")
+        assert (code, out) == (2, "")
+        assert "cannot read" in err and str(payload) in err
+        done = subprocess.run(
+            [sys.executable, "-m", "treepark.cli", "park", "--tree", f"@{payload}", "--seq", "1"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2 and "cannot read" in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 class TestPredicates:
     def test_prime_true(self, capsys):

@@ -1,0 +1,359 @@
+"""The input gate: every public function, and every CLI subcommand, either
+answers or refuses a bad input with a named ``InputError`` subclass."""
+
+import argparse
+import contextlib
+import inspect
+import io
+import itertools
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import treepark
+from treepark import (
+    CycleDetectedError,
+    IDENTITY_NAMES,
+    InputError,
+    InvalidShardError,
+    LabeledPlaneTree,
+    LabelOutOfRangeError,
+    LengthMismatchError,
+    LimitExceededError,
+    MarkedSet,
+    NotStandardPrimeError,
+    OrderMismatchError,
+    RootedTree,
+    Series,
+    StandardPrime,
+    VertexOutOfRangeError,
+    census_counts,
+    check_identities,
+    check_identity,
+    decode_prime,
+    encode_prime,
+    format_plane_tree,
+    format_word,
+    is_prime,
+    labeled_path,
+    pair_to_prime,
+    park,
+    parse_plane_tree,
+    parse_rooted_tree,
+    path_tree,
+    roundtrip_suite,
+    standardize,
+    subtree_size,
+    validate_rooted_tree,
+)
+from treepark.cli import build_parser, main
+
+# Each bad call with the exact error class its call site raises, and the bad
+# value the message must name.
+REPRODUCTIONS = [
+    ("park-two-cycle", lambda: park(RootedTree((2, 1)), (1, 1)), CycleDetectedError, "vertex 1"),
+    ("shard-float", lambda: census_counts(3, shard=(0.5, 2)), InvalidShardError, "0.5"),
+    ("labeled-path-float", lambda: labeled_path((1.0,)), InputError, "1.0"),
+    ("subtree-size-bool", lambda: subtree_size(path_tree(3), True), VertexOutOfRangeError, "True"),
+    ("is-prime-self-loop", lambda: is_prime(RootedTree((1, 0)), (1, 1)), CycleDetectedError, "vertex 1"),
+    ("is-prime-parent-range", lambda: is_prime(RootedTree((3, 0)), (1, 1)), LabelOutOfRangeError, "parent 3"),
+    ("park-float-parent", lambda: park(RootedTree((2.0, 0)), (1, 1)), LabelOutOfRangeError, "2.0"),
+    ("standardize-float", lambda: standardize(path_tree(2), (1, 1.0)), LabelOutOfRangeError, "1.0"),
+    ("park-bool", lambda: park(path_tree(2), (True, 1)), LabelOutOfRangeError, "True"),
+    ("validate-bool", lambda: validate_rooted_tree((True, 0)), LabelOutOfRangeError, "True"),
+    (
+        "decode-str-label",
+        lambda: decode_prime(LabeledPlaneTree(None, (LabeledPlaneTree("a"), LabeledPlaneTree(1)))),
+        LabelOutOfRangeError,
+        "'a'",
+    ),
+    ("encode-float", lambda: encode_prime(StandardPrime(((),), (1.0, 1))), NotStandardPrimeError, "1.0"),
+    ("standardize-float-2", lambda: standardize(path_tree(2), (1, 2.0)), LabelOutOfRangeError, "2.0"),
+    ("pair-to-prime-float", lambda: pair_to_prime((1.0, 2), parse_plane_tree("*[1]")), InputError, "1.0"),
+    ("decode-int-child", lambda: decode_prime(LabeledPlaneTree(None, (5,))), InputError, "5"),
+    ("park-no-prefs", lambda: park(path_tree(2), None), LabelOutOfRangeError, "None"),
+    ("park-length-before-range", lambda: park(path_tree(2), (5,)), LengthMismatchError, "1 preferences"),
+    (
+        "encode-length-before-range",
+        lambda: encode_prime(StandardPrime(((),), (5,))),
+        LengthMismatchError,
+        "1 preferences",
+    ),
+    ("park-not-a-tree", lambda: park((2, 0), (1, 1)), InputError, "(2, 0)"),
+    ("park-list-parents", lambda: park(RootedTree([2, 0]), (1, 1)), InputError, "[2, 0]"),
+    ("subtree-size-float", lambda: subtree_size(path_tree(3), 1.5), VertexOutOfRangeError, "1.5"),
+    ("format-plane-tree-none", lambda: format_plane_tree(None), InputError, "None"),
+    ("format-word-none", lambda: format_word(None), InputError, "None"),
+    ("children-not-a-tuple", lambda: format_plane_tree(LabeledPlaneTree(1, None)), InputError, "None"),
+    ("encode-none", lambda: encode_prime(None), NotStandardPrimeError, "None"),
+    ("series-none", lambda: Series((None,)), InputError, "None"),
+    ("identity-list", lambda: check_identity(["x"], 3), InputError, "['x']"),
+    ("parse-tree-none", lambda: parse_rooted_tree(None), InputError, "None"),
+    ("parse-plane-tree-none", lambda: parse_plane_tree(None), InputError, "None"),
+    ("suite-float", lambda: roundtrip_suite(2.0), InputError, "2.0"),
+    ("census-str", lambda: census_counts("3"), LimitExceededError, "'3'"),
+    ("truncate-negative", lambda: Series((1, 2, 3)).truncate(-2), OrderMismatchError, "-2"),
+    ("constant-negative-order", lambda: Series.constant(1, -3), OrderMismatchError, "-3"),
+    ("constant-float-order", lambda: Series.constant(1, 2.5), OrderMismatchError, "2.5"),
+    ("coefficient-float", lambda: Series((1, 2, 3)).coefficient(1.5), OrderMismatchError, "1.5"),
+    ("coefficient-bool", lambda: Series((1, 2, 3)).coefficient(True), OrderMismatchError, "True"),
+    ("marked-set-decreasing", lambda: MarkedSet((3, 1), 1), InputError, "(3, 1)"),
+    ("marked-set-repeated", lambda: MarkedSet((1, 1), 1), InputError, "(1, 1)"),
+    ("identity-names-str", lambda: check_identities(3, "parking-gf"), InputError, "'parking-gf'"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, bad", [case[1:] for case in REPRODUCTIONS], ids=[case[0] for case in REPRODUCTIONS]
+)
+def test_bad_input_raises_a_named_error(call, error, bad):
+    with pytest.raises(InputError, match=re.escape(bad)) as caught:
+        call()
+    assert type(caught.value) is error
+
+
+# ---------------------------------------------------------------------------
+# Junk over every export
+# ---------------------------------------------------------------------------
+
+def pick(values):
+    """``st.sampled_from`` by index: hypothesis hashes the values it samples,
+    and a junk tree may refuse to be hashed."""
+    return st.sampled_from(range(len(values))).map(values.__getitem__)
+
+
+# Valid sizes stay small, so that a junk call that happens to be valid is quick.
+SMALL = st.integers(-2, 4)
+SCALAR_JUNK = pick(
+    [None, 1.0, 2.5, float("nan"), True, False, "3", "", b"1", [], (), [1], object()]
+)
+INT = st.one_of(SMALL, SCALAR_JUNK)
+
+
+def sequences(entry):
+    return st.one_of(st.lists(entry, max_size=5).map(tuple), st.lists(entry, max_size=5))
+
+
+SEQ = st.one_of(
+    sequences(INT), SCALAR_JUNK, pick(["12", ((1,),), ((), ()), ((1, 2),)])
+)
+PARENTS = st.one_of(
+    sequences(INT),
+    pick(
+        [(2, 1), (0, 0), (1, 0), (3, 0), (2.0, 0), (True, 0), [2, 0], None, (), (0,), (2, 0), (3, 3, 0)]
+    ),
+)
+TREE = st.one_of(
+    PARENTS.map(RootedTree),
+    pick([None, (2, 0), "2 0", path_tree(1), path_tree(2), path_tree(3)]),
+)
+LABEL = st.one_of(st.none(), INT)
+LABELED_TREES = st.recursive(
+    st.builds(LabeledPlaneTree, LABEL),
+    lambda below: st.builds(LabeledPlaneTree, LABEL, st.lists(below, max_size=3).map(tuple)),
+    max_leaves=5,
+)
+PLANE = st.one_of(
+    LABELED_TREES,
+    pick(
+        [
+            LabeledPlaneTree(None, (5,)),
+            LabeledPlaneTree(1, None),
+            LabeledPlaneTree(None, [LabeledPlaneTree(1)]),
+            LabeledPlaneTree(None, "ab"),
+            None,
+            "*[1]",
+            parse_plane_tree("*[1]"),
+            parse_plane_tree("*[2[1]]"),
+        ]
+    ),
+)
+SHAPE = st.one_of(
+    st.recursive(st.just(()), lambda below: st.lists(below, max_size=3).map(tuple), max_leaves=5),
+    pick(["ab", ((), 1), None, [()], 5]),
+)
+PAIR = st.one_of(
+    st.builds(StandardPrime, SHAPE, SEQ),
+    pick([None, "sp", StandardPrime(((),), (1, 1)), StandardPrime((((),), ()), (1, 1, 1))]),
+)
+TEXT = st.one_of(st.text(alphabet="0123 *[]x-.", max_size=8), SCALAR_JUNK)
+NAME = st.one_of(pick(IDENTITY_NAMES[:2] + ("nope", "")), SCALAR_JUNK)
+NAMES = st.one_of(
+    st.none(), pick([[], (), "parking-gf", ["parking-gf"], ("nope",), 5, [None], [["x"]]])
+)
+FLAG = st.one_of(st.booleans(), SCALAR_JUNK)
+ANY = st.one_of(INT, SEQ, TREE, PLANE, PAIR, TEXT)
+
+# One strategy per positional argument of every exported callable.
+JUNK = {
+    # bijections
+    "Component": (ANY, ANY, ANY, ANY),
+    "MarkedSet": (SEQ, INT),
+    "StandardPrime": (SHAPE, SEQ),
+    "borie_map": (SEQ,),
+    "check_standard_prime": (PAIR,),
+    "decode_prime": (PLANE,),
+    "decompose": (PAIR,),
+    "destandardize": (SEQ, PAIR),
+    "encode_prime": (PAIR,),
+    "is_132_avoiding": (SEQ,),
+    "labeled_path": (SEQ,),
+    "pair_to_prime": (SEQ, PLANE),
+    "path_preimage_seq": (SEQ,),
+    "prime_to_pair": (TREE, SEQ),
+    "standard_path_prime": (SEQ,),
+    "standardize": (TREE, SEQ),
+    # census
+    "CensusReport": (ANY, ANY, ANY),
+    "SuiteReport": (ANY, ANY, ANY, ANY, ANY),
+    "census": (INT, FLAG),
+    "census_counts": (INT, SEQ, FLAG),
+    "path_image_suite": (INT,),
+    "roundtrip_suite": (INT,),
+    "theorem53_suite": (INT,),
+    # parking
+    "ParkingOutcome": (ANY, ANY),
+    "is_parking_distribution": (TREE, SEQ),
+    "is_parking_function": (TREE, SEQ),
+    "is_prime": (TREE, SEQ),
+    "park": (TREE, SEQ),
+    "used_edges": (TREE, SEQ),
+    # series
+    "CountRow": (INT,) * 9,
+    "CountTable": (ANY,),
+    "DistributionSeries": (ANY, ANY, ANY, ANY),
+    "IdentityResult": (ANY, ANY, ANY, ANY),
+    "Series": (SEQ,),
+    "catalan_number": (INT,),
+    "catalan_series": (INT,),
+    "check_identities": (INT, NAMES),
+    "check_identity": (NAME, INT),
+    "closed_counts": (INT,),
+    "distribution_series": (INT,),
+    "parking_count": (INT,),
+    "parking_series": (INT,),
+    "prime_count": (INT,),
+    "prime_distribution_count": (INT,),
+    "prime_distribution_series": (INT,),
+    "prime_series": (INT,),
+    "schroder_number": (INT,),
+    "schroder_series": (INT,),
+    "tree_function": (INT,),
+    # trees
+    "LabeledPlaneTree": (LABEL, ANY),
+    "RootedTree": (ANY,),
+    "enumerate_labeled_plane_trees": (INT,),
+    "enumerate_plane_trees": (INT,),
+    "enumerate_rooted_trees": (INT,),
+    "format_plane_tree": (PLANE,),
+    "format_rooted_tree": (TREE,),
+    "format_word": (SEQ,),
+    "parse_permutation": (TEXT,),
+    "parse_plane_tree": (TEXT,),
+    "parse_preferences": (TEXT,),
+    "parse_rooted_tree": (TEXT,),
+    "path_tree": (INT,),
+    "post_order_relabel": (PLANE,),
+    "subtree_size": (TREE, INT),
+    "validate_rooted_tree": (PARENTS,),
+}
+
+
+def exported_callables() -> set[str]:
+    """Every public callable of the package, less the exception classes (they
+    are what the gate raises) and aliases of builtins such as ``PlaneShape``."""
+    return {
+        name
+        for name, value in inspect.getmembers(treepark, callable)
+        if not name.startswith("_")
+        and getattr(value, "__module__", "").startswith("treepark")
+        and not (inspect.isclass(value) and issubclass(value, BaseException))
+    }
+
+
+def test_every_export_has_a_junk_case():
+    # a new public function must be added to JUNK, so that it meets the gate
+    assert exported_callables() == set(JUNK)
+
+
+@pytest.mark.parametrize("name", sorted(JUNK))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_junk_returns_or_raises_an_input_error(name, data):
+    args = data.draw(st.tuples(*JUNK[name]))
+    try:
+        result = getattr(treepark, name)(*args)
+        if inspect.isgenerator(result):
+            list(itertools.islice(result, 3))
+    except InputError:
+        pass  # every other exception, InvariantError included, fails the test
+
+
+# ---------------------------------------------------------------------------
+# Junk through the command line
+# ---------------------------------------------------------------------------
+
+BAD_TREES = ["2 1", "0 0", "1 0", "3 0", "2.0 0", "x 0", "", "-1 0", "@missing.txt", "@binary.txt"]
+GOOD_TREES = ["0", "2 0", "2 3 0"]
+BAD_SEQS = ["", "1 2 3 4 5", "0 1 1", "9 9 9", "1.5", "a b", "@missing.txt", "@binary.txt"]
+PAIR_ARGS = st.one_of(
+    st.tuples(st.sampled_from(BAD_TREES), st.sampled_from(BAD_SEQS + ["1", "1 1", "1 1 1"])),
+    st.tuples(st.sampled_from(GOOD_TREES), st.sampled_from(BAD_SEQS)),
+).map(lambda pair: ["--tree", pair[0], "--seq", pair[1]])
+BAD_PERMS = ["1 1", "0", "2", "1.0", "x", "1 3", "@missing.txt", "@binary.txt"]
+PLANE_TEXTS = ["*", "*[1]", "*[2[1]]", "*[1 *]", "2[1]", "*[", "*[]", "*[2]", "x", "*[1[2[3]]]", "@binary.txt"]
+
+CLI_JUNK = {
+    "park": PAIR_ARGS,
+    "check": PAIR_ARGS,
+    "prime": PAIR_ARGS,
+    "used-edges": PAIR_ARGS,
+    "psi": PAIR_ARGS,
+    "psi-inv": st.one_of(
+        st.tuples(st.sampled_from(BAD_PERMS), st.sampled_from(PLANE_TEXTS)),
+        st.tuples(st.sampled_from(["1", "1 2", "2 1"]), st.sampled_from(PLANE_TEXTS[3:])),
+    ).map(lambda pair: ["--perm", pair[0], "--ptree", pair[1]]),
+    "borie": st.sampled_from(BAD_PERMS + ["1 3 2"]).map(lambda perm: ["--perm", perm]),
+    "series": st.sampled_from(
+        [["--order", "0"], ["--order", "-1"], ["--order", "x"], ["--order", "1.5"], ["--identity", "nope"]]
+    ),
+    "counts": st.sampled_from([["--max", "0"], ["--max", "-3"], ["--max", "x"], ["--format", "xml"]]),
+    "verify": st.sampled_from(
+        [
+            ["--suite", "nope"],
+            ["--max-n", "0"],
+            ["--max-n", "x"],
+            ["--suite", "census", "--max-n", "6"],
+            ["--suite", "roundtrip", "--max-n", "5"],
+            ["--suite", "thm53", "--max-n", "8"],
+        ]
+    ),
+}
+
+
+def test_every_subcommand_has_a_junk_case():
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(CLI_JUNK)
+
+
+@pytest.fixture(scope="module")
+def payload_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("payloads")
+    (folder / "binary.txt").write_bytes(b"\xff\xfe\x00\x81 0\n")
+    return folder
+
+
+@pytest.mark.parametrize("command", sorted(CLI_JUNK))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cli_junk_exits_two(command, data, payload_dir):
+    argv = [command] + [
+        f"@{payload_dir / arg[1:]}" if arg.startswith("@") else arg
+        for arg in data.draw(CLI_JUNK[command])
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an uncaught exception fails the test
+    assert code == 2, (argv, out.getvalue(), err.getvalue())
+    assert err.getvalue() and "Traceback" not in err.getvalue()

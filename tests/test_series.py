@@ -263,6 +263,12 @@ class TestIdentities:
         results = check_identities(12)
         assert all(r.ok for r in results)
 
+    def test_names_are_a_list_or_tuple(self):
+        assert check_identities(3, []) == []
+        assert [r.name for r in check_identities(3, ("parking-gf",))] == ["parking-gf"]
+        with pytest.raises(InputError, match="got 'parking-gf'$"):
+            check_identities(3, "parking-gf")  # not 10 unknown one-letter names
+
     def test_all_at_order_forty(self):
         for result in check_identities(40):
             assert result.order >= 40
@@ -409,6 +415,9 @@ class TestOrders:
             pytest.param(lambda: check_identity("parking-gf", -1), "order", id="check_identity"),
             pytest.param(lambda: check_identities(-1), "order", id="check_identities"),
             pytest.param(lambda: check_identity("parking-gf", 2.5), "order", id="check_identity-float"),
+            pytest.param(lambda: check_identity("parking-gf", True), "order", id="check_identity-bool"),
+            pytest.param(lambda: x_series(3).truncate(-1), "order", id="truncate-1"),
+            pytest.param(lambda: x_series(3).truncate(-2), "order", id="truncate-2"),
             pytest.param(lambda: closed_counts(0), "max_n", id="closed_counts-0"),
             pytest.param(lambda: closed_counts(-3), "max_n", id="closed_counts-negative"),
             pytest.param(lambda: distribution_series(-1), "order", id="distribution_series"),
