@@ -54,7 +54,6 @@ from .parking import (
     Edge,
     _preferences,
     _prime_outcome,
-    _subtree_sums,
     check_preferences,
     is_parking_function,
     is_prime,
@@ -70,6 +69,7 @@ from .trees import (
     _parents_shape,
     _shape_parents,
     _shape_repr,
+    _subtree_sums,
     check_permutation,
     inverse_permutation,
     path_shape,

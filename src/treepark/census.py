@@ -4,10 +4,11 @@ Every count here is obtained by enumerating objects one by one (parking and
 primality depend on a sequence only through its count vector, so one subtree
 pass decides a whole bucket of sequences); the closed forms appear only on
 the *expected* side of each report.  The census still walks every labeled
-tree, but decides the buckets only once per isomorphism class met in a
-call: relabeling a tree permutes its buckets and keeps each bucket's size
-and slack, so a tree's parking and prime totals depend only on its
-unlabeled shape.  The tree space can be sharded: ``shard=(k, m)`` keeps the
+tree, but keeps only its isomorphism class and decides the buckets once per
+class met in a call, on the class's own code read as a plane shape:
+relabeling a tree permutes its buckets and keeps each bucket's size and
+slack, so a tree's parking and prime totals depend only on its unlabeled
+shape.  The tree space can be sharded: ``shard=(k, m)`` keeps the
 trees (or shapes) whose enumeration index is congruent to k mod m, and the
 per-shard counts sum to the full run.
 """
@@ -15,6 +16,7 @@ per-shard counts sum to the full run.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import permutations, product
 from math import factorial
@@ -32,13 +34,14 @@ from .bijections import (
     standard_path_prime,
 )
 from .errors import InputError, InvalidShardError, LimitExceededError, _at_least, _ints
-from .parking import _subtree_sums, run_parking
+from .parking import run_parking
 from .series import catalan_number, closed_counts
 from .trees import (
     PlaneShape,
     RootedTree,
     _flatten,
     _shape_parents,
+    _subtree_sums,
     enumerate_labeled_plane_trees,
     enumerate_plane_trees,
     enumerate_rooted_trees,
@@ -56,6 +59,9 @@ CENSUS_COLUMNS = (
     "marked_distribution",
     "standard_prime",
 )
+
+# The largest n of each exhaustive run; the census needs allow_large at its cap.
+CAPS = {"census": 6, "roundtrip": 4, "thm53": 7, "paths": 6}
 
 Buckets = dict[tuple[int, ...], list[tuple[int, ...]]]
 
@@ -103,10 +109,11 @@ def _shape_code(tree: RootedTree) -> tuple:
 
 def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = False) -> dict[str, int]:
     """Raw enumeration counts for one shard of the tree space at size n."""
-    guard = f"census is guarded to 1 <= n <= 6, got {n}"
-    if _at_least(n, 1, "n", LimitExceededError, guard) > 6:
+    cap = CAPS["census"]
+    guard = f"census is guarded to 1 <= n <= {cap}, got {n}"
+    if _at_least(n, 1, "n", LimitExceededError, guard) > cap:
         raise LimitExceededError(guard)
-    if n == 6 and not allow_large:
+    if n == cap and not allow_large:
         raise LimitExceededError(
             "the n=6 census walks 7776 trees and decides 462 buckets on each of"
             " their 20 isomorphism classes; pass allow_large"
@@ -117,25 +124,24 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     which, mod = which_mod
     buckets = _buckets(n)
 
-    counts = dict.fromkeys(CENSUS_COLUMNS, 0)
-    rows: dict[tuple, tuple[int, int, int, int]] = {}  # shape code -> per-tree row
+    classes: Counter[tuple] = Counter()  # shape code -> trees of that class
     for index, tree in enumerate(enumerate_rooted_trees(n)):
-        if index % mod != which:
-            continue
-        code = _shape_code(tree)
-        if code not in rows:
-            slacks = [(len(seqs), slack) for seqs, slack in _slacks(tree, buckets)]
-            parking = [weight for weight, slack in slacks if slack >= 0]
-            prime = [weight for weight, slack in slacks if slack >= 1]
-            rows[code] = (sum(parking), sum(prime), len(parking), len(prime))
-        parking_weight, prime_weight, parking_buckets, prime_buckets = rows[code]
+        if index % mod == which:
+            classes[_shape_code(tree)] += 1
+
+    counts = dict.fromkeys(CENSUS_COLUMNS, 0)
+    for code, trees in classes.items():
+        tree = RootedTree(tuple(_shape_parents(code)[1:]))  # a code is also a plane shape
+        slacks = [(len(seqs), slack) for seqs, slack in _slacks(tree, buckets)]
+        parking = [weight for weight, slack in slacks if slack >= 0]
+        prime = [weight for weight, slack in slacks if slack >= 1]
         leaves = len(tree.leaves())
-        counts["parking"] += parking_weight
-        counts["prime"] += prime_weight
-        counts["distribution"] += parking_buckets
-        counts["prime_distribution"] += prime_buckets
-        counts["marked_distribution"] += leaves * parking_buckets
-        counts["marked_prime"] += leaves * prime_buckets
+        row = (
+            sum(parking), sum(prime), len(parking), len(prime),
+            leaves * len(prime), leaves * len(parking),
+        )
+        for name, value in zip(CENSUS_COLUMNS, row):
+            counts[name] += trees * value
 
     for index, shape in enumerate(enumerate_plane_trees(n)):
         if index % mod == which:
@@ -208,8 +214,8 @@ def _iter_primes(n: int):
 def roundtrip_suite(n: int) -> SuiteReport:
     """Both composites of the prime <-> (permutation, plane tree) maps are
     identities, and the forward image has no duplicates."""
-    if _at_least(n, 1, "n", InputError, f"the round-trip suite needs n >= 1, got n={n}") > 4:
-        raise LimitExceededError("the round-trip suite is guarded to n <= 4")
+    if _at_least(n, 1, "n", InputError, f"the round-trip suite needs n >= 1, got n={n}") > CAPS["roundtrip"]:
+        raise LimitExceededError(f"the round-trip suite is guarded to n <= {CAPS['roundtrip']}")
     start = time.perf_counter()
     failures: list[str] = []
     images: set = set()
@@ -247,8 +253,8 @@ def roundtrip_suite(n: int) -> SuiteReport:
 def theorem53_suite(n: int) -> SuiteReport:
     """For every 132-avoiding permutation, the statistic map agrees with the
     decoded labeled path after dropping its leading 1."""
-    if _at_least(n, 0, "n", InputError, f"the pattern suite needs n >= 0, got n={n}") > 7:
-        raise LimitExceededError("the pattern suite is guarded to n <= 7")
+    if _at_least(n, 0, "n", InputError, f"the pattern suite needs n >= 0, got n={n}") > CAPS["thm53"]:
+        raise LimitExceededError(f"the pattern suite is guarded to n <= {CAPS['thm53']}")
     start = time.perf_counter()
     failures: list[str] = []
     cases = 0
@@ -272,8 +278,8 @@ def theorem53_suite(n: int) -> SuiteReport:
 def path_image_suite(n: int) -> SuiteReport:
     """Encoding restricted to growth sequences (s_1 = 1, s_i <= i-1) on the
     (n+1)-spot path is a bijection onto all n! labeled paths."""
-    if _at_least(n, 0, "n", InputError, f"the path-image suite needs n >= 0, got n={n}") > 6:
-        raise LimitExceededError("the path-image suite is guarded to n <= 6")
+    if _at_least(n, 0, "n", InputError, f"the path-image suite needs n >= 0, got n={n}") > CAPS["paths"]:
+        raise LimitExceededError(f"the path-image suite is guarded to n <= {CAPS['paths']}")
     start = time.perf_counter()
     failures: list[str] = []
     seen: set[tuple[int, ...]] = set()

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .bijections import borie_map, pair_to_prime, prime_to_pair
+from .census import CAPS, roundtrip_suite, theorem53_suite
 from .census import census as run_census
-from .census import roundtrip_suite, theorem53_suite
 from .errors import TreeParkError, UsageError
 from .parking import is_parking_function, is_prime, park, used_edges
 from .series import (
@@ -80,18 +80,21 @@ def _cmd_used_edges(args: argparse.Namespace) -> int:
     return 0
 
 
+def _roundtrip(same: bool) -> int:
+    """The ``--check`` verdict: "roundtrip: ok" and 0, or the mismatch on stderr and 1."""
+    if not same:
+        print("roundtrip: mismatch", file=sys.stderr)
+        return 1
+    print("roundtrip: ok")
+    return 0
+
+
 def _cmd_psi(args: argparse.Namespace) -> int:
     tree, prefs = _pair(args)
     word, plt = prime_to_pair(tree, prefs)
     print("sigma: " + format_word(word))
     print(format_plane_tree(plt))
-    if args.check:
-        back_tree, back_prefs = pair_to_prime(word, plt)
-        if back_tree != tree or back_prefs != prefs:
-            print("roundtrip: mismatch", file=sys.stderr)
-            return 1
-        print("roundtrip: ok")
-    return 0
+    return _roundtrip(pair_to_prime(word, plt) == (tree, prefs)) if args.check else 0
 
 
 def _cmd_psi_inv(args: argparse.Namespace) -> int:
@@ -100,13 +103,7 @@ def _cmd_psi_inv(args: argparse.Namespace) -> int:
     tree, prefs = pair_to_prime(word, plt)
     print("tree: " + format_rooted_tree(tree))
     print("seq: " + format_word(prefs))
-    if args.check:
-        word2, plt2 = prime_to_pair(tree, prefs)
-        if word2 != word or plt2 != plt:
-            print("roundtrip: mismatch", file=sys.stderr)
-            return 1
-        print("roundtrip: ok")
-    return 0
+    return _roundtrip(prime_to_pair(tree, prefs) == (word, plt)) if args.check else 0
 
 
 def _cmd_borie(args: argparse.Namespace) -> int:
@@ -156,27 +153,28 @@ def _verify_rows(args: argparse.Namespace) -> list[dict]:
     suites = ["census", "roundtrip", "thm53"] if args.suite == "all" else [args.suite]
 
     if "census" in suites:
-        cap = 6 if args.allow_large else 5
+        cap = CAPS["census"] if args.allow_large else CAPS["census"] - 1
         top = cap if args.max_n is None else args.max_n
         if top > cap:
-            unlock = "" if args.allow_large else "; --allow-large unlocks n=6"
+            unlock = "" if args.allow_large else f"; --allow-large unlocks n={CAPS['census']}"
             raise UsageError(f"--max-n {top} is above the census cap of {cap}{unlock}")
         for n in range(1, top + 1):
             report = run_census(n, allow_large=args.allow_large)
             for col in report.columns:
                 rows.append(_verify_row("census", n, col.name, col.counted, col.expected, col.passed))
     if "roundtrip" in suites:
-        for n in _suite_sizes(args, "roundtrip", default=4, cap=4):
+        for n in _suite_sizes(args, "roundtrip", default=CAPS["roundtrip"]):
             rows.append(_suite_row(roundtrip_suite(n)))
     if "thm53" in suites:
-        for n in _suite_sizes(args, "thm53", default=6, cap=7):
+        for n in _suite_sizes(args, "thm53", default=CAPS["thm53"] - 1):
             rows.append(_suite_row(theorem53_suite(n)))
     return rows
 
 
-def _suite_sizes(args: argparse.Namespace, suite: str, default: int, cap: int) -> range:
+def _suite_sizes(args: argparse.Namespace, suite: str, default: int) -> range:
     """Sizes 1..top for a bijection suite.  A named suite refuses a --max-n
     above its guard; ``--suite all`` clamps to it."""
+    cap = CAPS[suite]
     if args.max_n is None:
         return range(1, default + 1)
     if args.max_n > cap and args.suite == suite:

@@ -19,7 +19,7 @@ from .errors import (
     NotAParkingFunctionError,
     _ints,
 )
-from .trees import RootedTree, _check_tree
+from .trees import RootedTree, _check_tree, _subtree_sums
 
 Edge = tuple[int, int]  # (child, parent) with the edge oriented child -> parent
 
@@ -105,16 +105,6 @@ def run_parking(tree: RootedTree, prefs: Sequence[int]) -> ParkingOutcome:
 def park(tree: RootedTree, prefs: Sequence[int]) -> ParkingOutcome:
     """Run the full parking procedure for all n drivers."""
     return run_parking(tree, check_preferences(tree, prefs))
-
-
-def _subtree_sums(order: Sequence[int], parents: Sequence[int], weights: Sequence[int]) -> list[int]:
-    """The sum of ``weights`` over each subtree.  ``order`` lists children
-    before their parents, ``parents[v]`` is 0 at the root; slot 0 is unused."""
-    sums = list(weights)
-    for v in order:
-        if parents[v]:
-            sums[parents[v]] += sums[v]
-    return sums
 
 
 def _subtree_excess(tree: RootedTree, prefs: Sequence[int]) -> list[int]:

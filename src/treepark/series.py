@@ -38,7 +38,13 @@ Q = Fraction
 
 
 def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """``x`` as a Fraction, from anything ``Fraction()`` takes, or an ``InputError``."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):  # what Fraction() raises on junk
+        raise InputError(f"{x!r} is not a rational number") from None
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class Series:
     def __post_init__(self) -> None:
         try:
             coeffs = tuple(_as_fraction(c) for c in self.coeffs)
-        except (TypeError, ValueError, ArithmeticError):  # what Fraction() raises on junk
+        except (TypeError, InputError):  # not iterable, or a coefficient is junk
             raise InputError(f"coefficients {self.coeffs!r} are not rational numbers") from None
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -203,6 +209,8 @@ class Series:
         Truncated Horner: the accumulator for a_k is later multiplied by
         inner^k, of valuation >= k, so it needs order n - k only.
         """
+        if not isinstance(inner, Series):
+            raise InputError(f"cannot compose with {inner!r}: not a Series")
         if inner.coeffs[0] != 0:
             raise BranchUndefinedError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)

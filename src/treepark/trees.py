@@ -55,7 +55,10 @@ class RootedTree:
 
     @property
     def root(self) -> int:
-        return self.parents.index(0) + 1
+        try:
+            return self.parents.index(0) + 1
+        except ValueError:
+            raise NoRootError(f"parent list {self.parents!r} marks no root") from None
 
     def parent(self, v: int) -> int:
         return self.parents[v - 1]
@@ -120,17 +123,20 @@ def _check_tree(tree: RootedTree) -> RootedTree:
     return tree
 
 
+def _subtree_sums(order: Sequence[int], parents: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """The sum of ``weights`` over each subtree.  ``order`` lists children
+    before their parents, ``parents[v]`` is 0 at the root; slot 0 is unused."""
+    sums = list(weights)
+    for v in order:
+        if parents[v]:
+            sums[parents[v]] += sums[v]
+    return sums
+
+
 def subtree_size(tree: RootedTree, v: int) -> int:
     """Number of vertices whose path to the root passes through v, v included."""
     _ints((v,), VertexOutOfRangeError, "vertex", 1, _check_tree(tree).n)
-    kids = tree.children()
-    total = 0
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        total += 1
-        stack.extend(kids[u])
-    return total
+    return _subtree_sums(tree.bottom_up(), (0,) + tree.parents, [1] * (tree.n + 1))[v]
 
 
 def path_tree(n: int) -> RootedTree:
@@ -144,53 +150,36 @@ def path_tree(n: int) -> RootedTree:
 # ---------------------------------------------------------------------------
 
 
-def _prufer_to_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    degree = [1] * (n + 1)
-    for a in seq:
-        degree[a] += 1
-    heap = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for a in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, a))
-        degree[leaf] -= 1
-        degree[a] -= 1
-        if degree[a] == 1:
-            heapq.heappush(heap, a)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    edges.append((u, v))
-    return edges
-
-
-def _orient(edges: list[tuple[int, int]], n: int, root: int) -> RootedTree:
-    adjacent: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adjacent[u].append(v)
-        adjacent[v].append(u)
-    parents = [0] * n
-    stack = [root]
-    seen = {root}
-    while stack:
-        u = stack.pop()
-        for w in adjacent[u]:
-            if w not in seen:
-                seen.add(w)
-                parents[w - 1] = u
-                stack.append(w)
-    return RootedTree(tuple(parents))
-
-
 def enumerate_rooted_trees(n: int) -> Iterator[RootedTree]:
-    """All n^(n-1) labeled rooted trees: every Pruefer word crossed with every root."""
+    """All n^(n-1) labeled rooted trees: every Pruefer word crossed with every root.
+
+    The decode removes the smallest leaf at each letter, and that letter is
+    the leaf's one neighbour left, so it is the leaf's parent towards n,
+    which is never removed; the last other survivor hangs below n.  Rooting
+    at r then reverses the path from r up to n.
+    """
     if _at_least(n, 1, "n", VertexOutOfRangeError, "need n >= 1") == 1:
         yield RootedTree((0,))
         return
     for seq in product(range(1, n + 1), repeat=n - 2):
-        edges = _prufer_to_edges(seq, n)
+        degree = [1] * (n + 1)
+        for a in seq:
+            degree[a] += 1
+        leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+        heapq.heapify(leaves)
+        up = [0] * n  # the parents towards n
+        for a in seq:
+            up[heapq.heappop(leaves) - 1] = a
+            degree[a] -= 1
+            if degree[a] == 1:
+                heapq.heappush(leaves, a)
+        up[leaves[0] - 1] = n  # the heap holds that survivor and n
         for root in range(1, n + 1):
-            yield _orient(edges, n, root)
+            parents = up[:]
+            below, v = 0, root
+            while v:
+                parents[v - 1], below, v = below, v, up[v - 1]
+            yield RootedTree(tuple(parents))
 
 
 def _compositions(total: int) -> Iterator[tuple[int, ...]]:

@@ -6,6 +6,7 @@ from treepark import (
     InputError,
     InvalidShardError,
     LimitExceededError,
+    RootedTree,
     census,
     census_counts,
     enumerate_plane_trees,
@@ -70,6 +71,14 @@ class TestCensus:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_every_tree_decided_afresh(self, n):
         assert census_counts(n) == unmemoized_counts(n)
+
+    @pytest.mark.parametrize("n, classes", [(4, 4), (5, 9)])
+    def test_leaves_are_counted_once_per_class(self, n, classes, monkeypatch):
+        calls = []
+        real = RootedTree.leaves
+        monkeypatch.setattr(RootedTree, "leaves", lambda tree: calls.append(tree) or real(tree))
+        census_counts(n)
+        assert len(calls) == classes
 
     def test_shape_code_names_isomorphism_classes(self):
         # unlabeled rooted trees on n vertices (OEIS A000081)

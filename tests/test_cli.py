@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import treepark
+from treepark import cli
 from treepark.cli import main
 
 SRC = str(Path(treepark.__file__).resolve().parents[1])
@@ -96,6 +97,19 @@ class TestMaps:
             capsys, "psi", "--tree", "0 3 4 1 4", "--seq", "2 5 3 5 2", "--check"
         )
         assert code == 0 and "roundtrip: ok" in out
+
+    @pytest.mark.parametrize(
+        "argv, inverse",
+        [
+            (("psi", "--tree", "0 3 4 1 4", "--seq", "2 5 3 5 2"), "pair_to_prime"),
+            (("psi-inv", "--perm", "1 2", "--ptree", "*[1]"), "prime_to_pair"),
+        ],
+    )
+    def test_roundtrip_mismatch_exits_one(self, capsys, monkeypatch, argv, inverse):
+        monkeypatch.setattr(cli, inverse, lambda *pair: (None, None))
+        code, out, err = run(capsys, *argv, "--check")
+        assert (code, err) == (1, "roundtrip: mismatch\n")
+        assert "roundtrip" not in out
 
     def test_psi_rejects_non_prime(self, capsys):
         code, _, err = run(capsys, "psi", "--tree", "3 3 5 5 0", "--seq", "2 2 1 4 2")

@@ -6,7 +6,9 @@ import contextlib
 import inspect
 import io
 import itertools
+import operator
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from treepark import (
     LengthMismatchError,
     LimitExceededError,
     MarkedSet,
+    NoRootError,
     NotStandardPrimeError,
     OrderMismatchError,
     RootedTree,
@@ -101,6 +104,16 @@ REPRODUCTIONS = [
     ("marked-set-decreasing", lambda: MarkedSet((3, 1), 1), InputError, "(3, 1)"),
     ("marked-set-repeated", lambda: MarkedSet((1, 1), 1), InputError, "(1, 1)"),
     ("identity-names-str", lambda: check_identities(3, "parking-gf"), InputError, "'parking-gf'"),
+    ("series-add-str", lambda: Series((1, 2)) + "a", InputError, "'a'"),
+    ("series-radd-str", lambda: "a" + Series((1, 2)), InputError, "'a'"),
+    ("series-sub-none", lambda: Series((1, 2)) - None, InputError, "None"),
+    ("series-rsub-none", lambda: None - Series((1, 2)), InputError, "None"),
+    ("series-mul-list", lambda: Series((1, 2)) * [1], InputError, "[1]"),
+    ("scale-argument-none", lambda: Series((1, 2)).scale_argument(None), InputError, "None"),
+    ("integral-str", lambda: Series((1, 2)).integral("x"), InputError, "'x'"),
+    ("constant-str", lambda: Series.constant("x", 2), InputError, "'x'"),
+    ("compose-int", lambda: Series((1, 2)).compose(3), InputError, "3"),
+    ("root-without-zero", lambda: RootedTree((1,)).root, NoRootError, "(1,)"),
 ]
 
 
@@ -288,6 +301,73 @@ def test_junk_returns_or_raises_an_input_error(name, data):
             list(itertools.islice(result, 3))
     except InputError:
         pass  # every other exception, InvariantError included, fails the test
+
+
+# ---------------------------------------------------------------------------
+# Junk through the methods of Series
+# ---------------------------------------------------------------------------
+
+# Receivers of every order and kind of constant term: zero, one, a square,
+# a non-square.
+SERIES = pick(
+    [Series((0,)), Series((1,)), Series((0, 1, 2)), Series((1, -4, 0, 0)), Series((4, 1, 0)),
+     Series((Fraction(1, 4), 3)), Series((2, 0, 1))]
+)
+NUMBER = st.one_of(SMALL, SCALAR_JUNK, pick(["1/2", "x", Fraction(1, 3), float("inf")]), SERIES)
+
+# One strategy per positional argument of every method and operator.
+SERIES_JUNK = {
+    "__add__": (NUMBER,),
+    "__eq__": (NUMBER,),
+    "__mul__": (NUMBER,),
+    "__neg__": (),
+    "__radd__": (NUMBER,),
+    "__rmul__": (NUMBER,),
+    "__rsub__": (NUMBER,),
+    "__sub__": (NUMBER,),
+    "coefficient": (INT,),
+    "compose": (NUMBER,),
+    "constant": (NUMBER, INT),
+    "derivative": (),
+    "exp": (),
+    "first_nonzero": (),
+    "integral": (NUMBER,),
+    "inverse": (),
+    "log": (),
+    "scale_argument": (NUMBER,),
+    "shift_down": (),
+    "shift_up": (),
+    "sqrt": (),
+    "truncate": (INT,),
+    "x_derivative": (),
+}
+
+
+def series_methods() -> set[str]:
+    """The public methods of ``Series`` and the operators it defines, as the
+    :mod:`operator` module names them (a reflected one less its ``r``)."""
+    return {
+        name
+        for name, value in vars(Series).items()
+        if callable(value) and (not name.startswith("_") or name.replace("__r", "__", 1) in vars(operator))
+    }
+
+
+def test_every_series_method_has_a_junk_case():
+    # a new method or operator must be added to SERIES_JUNK, so that it meets the gate
+    assert series_methods() == set(SERIES_JUNK)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_JUNK))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_series_junk_returns_or_raises_an_input_error(name, data):
+    series = data.draw(SERIES)
+    args = data.draw(st.tuples(*SERIES_JUNK[name]))
+    try:
+        getattr(series, name)(*args)
+    except InputError:
+        pass  # every other exception fails the test
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tree representations, validation, traversal, and enumeration."""
 
-from itertools import permutations
+import heapq
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +45,44 @@ def brute_subtree_size(tree: RootedTree, v: int) -> int:
             if w == 0:
                 break
     return hits
+
+
+def reference_rooted_trees(n: int):
+    """The former enumeration, kept as the oracle: each Pruefer word decoded
+    to an edge list, then oriented towards every root by a depth-first search."""
+    if n == 1:
+        yield RootedTree((0,))
+        return
+    for word in product(range(1, n + 1), repeat=n - 2):
+        degree = [1] * (n + 1)
+        for a in word:
+            degree[a] += 1
+        heap = [v for v in range(1, n + 1) if degree[v] == 1]
+        heapq.heapify(heap)
+        edges = []
+        for a in word:
+            leaf = heapq.heappop(heap)
+            edges.append((leaf, a))
+            degree[leaf] -= 1
+            degree[a] -= 1
+            if degree[a] == 1:
+                heapq.heappush(heap, a)
+        edges.append((heapq.heappop(heap), heapq.heappop(heap)))
+        adjacent = [[] for _ in range(n + 1)]
+        for u, v in edges:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        for root in range(1, n + 1):
+            parents = [0] * n
+            stack, seen = [root], {root}
+            while stack:
+                u = stack.pop()
+                for w in adjacent[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        parents[w - 1] = u
+                        stack.append(w)
+            yield RootedTree(tuple(parents))
 
 
 def catalan_by_recursion(k: int) -> int:
@@ -124,6 +163,10 @@ class TestEnumeration:
         assert len(set(t.parents for t in trees)) == len(trees)
         for t in trees:
             validate_rooted_tree(list(t.parents))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rooted_trees_match_the_edge_list_reference(self, n):
+        assert list(enumerate_rooted_trees(n)) == list(reference_rooted_trees(n))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_plane_tree_count(self, n):
