@@ -1,9 +1,17 @@
 """Exact truncated power series and the count identities built on them.
 
-All coefficients are :class:`fractions.Fraction`; nothing in this module is
-allowed to round.  A series of order N stores c_0..c_N.  Binary operations
-truncate to the smaller order of their operands, so precision loss is
-explicit in the result's order.
+Every ``Series`` holds its coefficients as normalized
+:class:`fractions.Fraction`; nothing in this module is allowed to round.
+Inside, the product and recurrence loops (``*``, ``exp``, ``log``, ``sqrt``,
+``inverse`` and the ODE step) work on integer numerators over one common
+denominator and build each result coefficient once, as one ``Fraction``; a
+recurrence keeps its finished coefficients over the lcm of their own
+denominators and never scales step k by d^k, which on the distribution
+series' denominators would grow far faster than the coefficients.  A
+series of order N stores c_0..c_N; order -1 has no coefficients, and an
+operation that needs a constant term refuses it with ``OrderMismatchError``.
+Binary operations truncate to the smaller order of their operands, so
+precision loss is explicit in the result's order.
 
 Normalizations: the parking and prime series divide count n by (n!)^2,
 covering relabelings of the tree and reorderings of the sequence; the
@@ -22,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, gcd, isqrt, lcm
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
@@ -45,6 +54,29 @@ def _as_fraction(x) -> Fraction:
         return Fraction(x)
     except (TypeError, ValueError, ArithmeticError):  # what Fraction() raises on junk
         raise InputError(f"{x!r} is not a rational number") from None
+
+
+def _over_one_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators of ``coeffs``."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _append(nums: list[int], den: int, c: Fraction, weight: int = 1) -> int:
+    """Append ``weight * c`` to the numerators ``nums`` over ``den``, widening
+    ``den`` to the lcm with ``c``'s denominator; return the new ``den``.
+
+    The online recurrences keep their finished coefficients this way: the
+    common denominator is the lcm of normalized denominators, never a power
+    of an input's denominator.
+    """
+    q = c.denominator
+    if den % q:
+        grow = q // gcd(den, q)
+        nums[:] = [x * grow for x in nums]
+        den *= grow
+    nums.append(weight * c.numerator * (den // q))
+    return den
 
 
 @dataclass(frozen=True)
@@ -85,13 +117,19 @@ class Series:
                 return k, c
         return None
 
+    def _constant_term(self, what: str) -> Fraction:
+        """c_0, or an ``OrderMismatchError``: a series of order -1 has none."""
+        if not self.coeffs:
+            raise OrderMismatchError(f"{what} needs a constant term, and a series of order -1 has none")
+        return self.coeffs[0]
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Series":
         if isinstance(other, Series):
             return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
         other = _as_fraction(other)
-        return Series((self.coeffs[0] + other,) + self.coeffs[1:])
+        return Series((self._constant_term("adding a number") + other,) + self.coeffs[1:])
 
     __radd__ = __add__
 
@@ -109,15 +147,10 @@ class Series:
             other = _as_fraction(other)
             return Series(tuple(c * other for c in self.coeffs))
         n = min(self.order, other.order)
-        out = [Q(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(tuple(out))
+        a, da = _over_one_denominator(self.coeffs[: n + 1])
+        b, db = _over_one_denominator(other.coeffs[: n + 1])
+        den = da * db
+        return Series(tuple(Q(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(n + 1)))
 
     __rmul__ = __mul__
 
@@ -127,7 +160,7 @@ class Series:
 
     def shift_down(self) -> "Series":
         """Divide by x; requires a vanishing constant term."""
-        if self.coeffs[0] != 0:
+        if self._constant_term("dividing by x") != 0:
             raise BranchUndefinedError("cannot divide by x: constant term is nonzero")
         return Series(self.coeffs[1:])
 
@@ -147,60 +180,62 @@ class Series:
     # -- transcendental operations -------------------------------------------
 
     def exp(self) -> "Series":
-        if self.coeffs[0] != 0:
+        if self._constant_term("exp") != 0:
             raise BranchUndefinedError("exp needs a vanishing constant term")
-        n = self.order
-        out = [Q(1)] + [Q(0)] * n
-        for k in range(1, n + 1):
-            acc = Q(0)
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += j * self.coeffs[j] * out[k - j]
-            out[k] = acc / k
+        a, d = _over_one_denominator(self.coeffs)
+        ja = [j * x for j, x in enumerate(a)]
+        out, o, den = [Q(1)], [1], 1  # o: numerators of out over den
+        for k in range(1, self.order + 1):
+            # out_k = sum over j = 1..k of j a_j out_{k-j}, over k
+            c = Q(sum(map(mul, ja[1 : k + 1], o[k - 1 :: -1])), d * den * k)
+            out.append(c)
+            den = _append(o, den, c)
         return Series(tuple(out))
 
     def log(self) -> "Series":
-        if self.coeffs[0] != 1:
+        if self._constant_term("log") != 1:
             raise BranchUndefinedError("log needs constant term 1")
-        n = self.order
-        out = [Q(0)] * (n + 1)
-        for k in range(1, n + 1):
-            acc = k * self.coeffs[k]
-            for j in range(1, k):
-                acc -= j * out[j] * self.coeffs[k - j]
-            out[k] = acc / k
+        a, d = _over_one_denominator(self.coeffs)
+        out, jo, den = [Q(0)], [0], 1  # jo: j out_j over den
+        for k in range(1, self.order + 1):
+            # out_k = k a_k - sum over j = 1..k-1 of j out_j a_{k-j}, over k
+            acc = k * a[k] * den - sum(map(mul, jo[1:k], a[k - 1 : 0 : -1]))
+            c = Q(acc, d * den * k)
+            out.append(c)
+            den = _append(jo, den, c, k)
         return Series(tuple(out))
 
     def sqrt(self) -> "Series":
         """Principal branch: the constant term of the result is the positive
         exact square root of c_0, which must be a perfect square rational."""
-        c0 = self.coeffs[0]
-        root_num, root_den = isqrt(c0.numerator), isqrt(c0.denominator)
+        c0 = self._constant_term("sqrt")
+        root_num, root_den = isqrt(abs(c0.numerator)), isqrt(c0.denominator)
         if c0 < 0 or root_num * root_num != c0.numerator or root_den * root_den != c0.denominator:
             raise BranchUndefinedError(f"constant term {c0} is not a perfect square")
-        s0 = Q(root_num, root_den)
-        if s0 == 0:
+        if root_num == 0:
             raise BranchUndefinedError("sqrt with vanishing constant term is not a power series")
-        n = self.order
-        out = [s0] + [Q(0)] * n
-        for k in range(1, n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k):
-                acc -= out[j] * out[k - j]
-            out[k] = acc / (2 * s0)
+        a, d = _over_one_denominator(self.coeffs)
+        out, o = [Q(root_num, root_den)], []  # o: numerators of out over den
+        den = _append(o, 1, out[0])
+        for k in range(1, self.order + 1):
+            # out_k = a_k - sum over j = 1..k-1 of out_j out_{k-j}, over 2 out_0
+            acc = a[k] * den * den - d * sum(map(mul, o[1:k], o[k - 1 : 0 : -1]))
+            c = Q(acc * root_den, 2 * root_num * d * den * den)
+            out.append(c)
+            den = _append(o, den, c)
         return Series(tuple(out))
 
     def inverse(self) -> "Series":
-        if self.coeffs[0] == 0:
+        if self._constant_term("inverse") == 0:
             raise BranchUndefinedError("cannot invert a series with zero constant term")
-        n = self.order
-        out = [1 / self.coeffs[0]] + [Q(0)] * n
-        for k in range(1, n + 1):
-            acc = Q(0)
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -acc / self.coeffs[0]
+        a, d = _over_one_denominator(self.coeffs)
+        out, o = [Q(d, a[0])], []  # o: numerators of out over den
+        den = _append(o, 1, out[0])
+        for k in range(1, self.order + 1):
+            # out_k = -(sum over j = 1..k of a_j out_{k-j}) / a_0
+            c = Q(-sum(map(mul, a[1 : k + 1], o[k - 1 :: -1])), den * a[0])
+            out.append(c)
+            den = _append(o, den, c)
         return Series(tuple(out))
 
     def compose(self, inner: "Series") -> "Series":
@@ -211,9 +246,11 @@ class Series:
         """
         if not isinstance(inner, Series):
             raise InputError(f"cannot compose with {inner!r}: not a Series")
+        n = min(self.order, inner.order)
+        if n < 0:
+            raise OrderMismatchError(f"cannot compose series of orders {self.order} and {inner.order}")
         if inner.coeffs[0] != 0:
             raise BranchUndefinedError("composition needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
         a = self.coeffs
         acc = Series((a[n],))
         b = inner.truncate(n).shift_down()
@@ -315,18 +352,19 @@ def _distribution_series(order: int) -> Series:
     With e = x f', g = exp(f) and h = (1 + e)(1 + 2e) = 1 + 3e + 2e^2, step k
     knows f_0..f_k: it extends e by e_k = k f_k, g by the recurrence of
     :meth:`Series.exp` and h by h_k, and sets f_{k+1} = [x^k](g h) / (k + 1).
-    That is O(order^2) coefficient products in all.  One evaluation of the
-    right-hand side then confirms the equation, or raises
+    That is O(order^2) integer products in all: e, g and h are kept as
+    numerators over de, dg and dh, as in :meth:`Series.exp`.  One evaluation
+    of the right-hand side then confirms the equation, or raises
     ``IdentityViolatedError``.
     """
     f = [Q(0)] * (_at_least(order, 0, "order") + 1)
-    e, g, h = [Q(0)], [Q(1)], [Q(1)]
+    (e, de), (g, dg), (h, dh) = ([0], 1), ([1], 1), ([1], 1)
     for k in range(order):
         if k:
-            e.append(k * f[k])
-            g.append(sum(e[j] * g[k - j] for j in range(1, k + 1)) / k)
-            h.append(3 * e[k] + 2 * sum(e[i] * e[k - i] for i in range(1, k)))
-        f[k + 1] = sum(g[i] * h[k - i] for i in range(k + 1)) / (k + 1)
+            de = _append(e, de, f[k], k)
+            dg = _append(g, dg, Q(sum(map(mul, e[1 : k + 1], g[k - 1 :: -1])), de * dg * k))
+            dh = _append(h, dh, Q(3 * e[k] * de + 2 * sum(map(mul, e[1:k], e[k - 1 : 0 : -1])), de * de))
+        f[k + 1] = Q(sum(map(mul, g, h[::-1])), dg * dh * (k + 1))
     solved = Series(tuple(f))
     bad = (solved.derivative() - _distribution_rhs(solved)).first_nonzero()
     if bad is not None:

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import treepark
 from treepark import (
+    BranchUndefinedError,
     CycleDetectedError,
     IDENTITY_NAMES,
     InputError,
@@ -114,6 +115,16 @@ REPRODUCTIONS = [
     ("constant-str", lambda: Series.constant("x", 2), InputError, "'x'"),
     ("compose-int", lambda: Series((1, 2)).compose(3), InputError, "3"),
     ("root-without-zero", lambda: RootedTree((1,)).root, NoRootError, "(1,)"),
+    # order -1: what derivative() of a constant and shift_down() of (0,) return
+    ("exp-order-minus-one", lambda: Series((5,)).derivative().exp(), OrderMismatchError, "order -1"),
+    ("log-order-minus-one", lambda: Series((5,)).derivative().log(), OrderMismatchError, "order -1"),
+    ("sqrt-order-minus-one", lambda: Series((0,)).shift_down().sqrt(), OrderMismatchError, "order -1"),
+    ("inverse-order-minus-one", lambda: Series(()).inverse(), OrderMismatchError, "order -1"),
+    ("shift-down-order-minus-one", lambda: Series((0,)).shift_down().shift_down(), OrderMismatchError, "order -1"),
+    ("compose-order-minus-one", lambda: Series((0, 1)).compose(Series(())), OrderMismatchError, "and -1"),
+    ("compose-onto-order-minus-one", lambda: Series(()).compose(Series((0, 1))), OrderMismatchError, "orders -1"),
+    ("add-to-order-minus-one", lambda: Series(()) + 1, OrderMismatchError, "order -1"),
+    ("sqrt-negative", lambda: Series((-4, 1)).sqrt(), BranchUndefinedError, "-4"),
 ]
 
 
@@ -307,11 +318,11 @@ def test_junk_returns_or_raises_an_input_error(name, data):
 # Junk through the methods of Series
 # ---------------------------------------------------------------------------
 
-# Receivers of every order and kind of constant term: zero, one, a square,
-# a non-square.
+# Receivers of every order, -1 (no coefficients) included, and every kind of
+# constant term: zero, one, a square, a non-square, a negative square.
 SERIES = pick(
-    [Series((0,)), Series((1,)), Series((0, 1, 2)), Series((1, -4, 0, 0)), Series((4, 1, 0)),
-     Series((Fraction(1, 4), 3)), Series((2, 0, 1))]
+    [Series(()), Series((0,)), Series((1,)), Series((0, 1, 2)), Series((1, -4, 0, 0)), Series((4, 1, 0)),
+     Series((Fraction(1, 4), 3)), Series((2, 0, 1)), Series((-4, 1))]
 )
 NUMBER = st.one_of(SMALL, SCALAR_JUNK, pick(["1/2", "x", Fraction(1, 3), float("inf")]), SERIES)
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from functools import partial
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -175,42 +175,78 @@ def sympy_ring():
 
 
 class TestKernelAgainstSympy:
-    """exp / log / sqrt / inverse / compose against sympy's ring series on
-    random rational series; no code is shared with the kernel."""
+    """mul / exp / log / sqrt / inverse / compose against sympy's ring series
+    on random rational series, at order 0, and at order 40 on the distribution
+    series, whose common denominator runs past 150 bits; no code is shared
+    with the kernel."""
 
     ORDER = 9
+    LARGE = 40
+    OPS = ["exp", "log", "sqrt", "inverse", "mul", "compose"]
+    # A constant term each operation accepts; mul and compose take any.
+    CONSTANT = {"exp": 0, "log": 1, "sqrt": Q(9, 4), "inverse": Q(-3, 7), "mul": Q(-5, 3), "compose": Q(-5, 3)}
 
     @staticmethod
-    def to_sympy(series, x, qq):
-        return sum((qq(c.numerator, c.denominator) * x**k for k, c in enumerate(series.coeffs)), x.ring.zero)
+    def kernel(op, a, b=None):
+        if op == "mul":
+            return a * b
+        return a.compose(b) if op == "compose" else getattr(a, op)()
 
-    def from_sympy(self, poly, x):
-        coeffs = [poly.coeff(x**k) for k in range(self.ORDER + 1)]
-        return Series(tuple(Q(int(c.numerator), int(c.denominator)) for c in coeffs))
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("op", ["exp", "log", "sqrt", "inverse"])
-    def test_unary(self, op, seed):
+    @staticmethod
+    def oracle(op, a, b=None):
+        """``op`` of ``a`` (and ``b``) by sympy, to the order of ``a``."""
         x, qq, rs = sympy_ring()
-        rng = random.Random(seed)
-        constant = {"exp": 0, "log": 1, "sqrt": Q(rng.randint(1, 5), rng.randint(1, 5)) ** 2, "inverse": None}[op]
-        a = random_series(rng, self.ORDER, constant)
-        p, n = self.to_sympy(a, x, qq), self.ORDER + 1
+
+        def to_sympy(series):
+            return sum((qq(c.numerator, c.denominator) * x**k for k, c in enumerate(series.coeffs)), x.ring.zero)
+
+        p, n = to_sympy(a), a.order + 1
         want = {
             "exp": lambda: rs.rs_exp(p, x, n),
             "log": lambda: rs.rs_log(p, x, n),
             "sqrt": lambda: rs.rs_nth_root(p, 2, x, n),
             "inverse": lambda: rs.rs_series_inversion(p, x, n),
+            "mul": lambda: rs.rs_mul(p, to_sympy(b), x, n),
+            "compose": lambda: rs.rs_subs(p, {x: to_sympy(b)}, x, n),
         }[op]()
-        assert getattr(a, op)() == self.from_sympy(want, x)
+        coeffs = [want.coeff(x**k) for k in range(n)]
+        return Series(tuple(Q(int(c.numerator), int(c.denominator)) for c in coeffs))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("op", ["exp", "log", "sqrt", "inverse"])
+    def test_unary(self, op, seed):
+        rng = random.Random(seed)
+        constant = {"exp": 0, "log": 1, "sqrt": Q(rng.randint(1, 5), rng.randint(1, 5)) ** 2, "inverse": None}[op]
+        a = random_series(rng, self.ORDER, constant)
+        assert getattr(a, op)() == self.oracle(op, a)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_compose(self, seed):
-        x, qq, rs = sympy_ring()
         rng = random.Random(seed)
         a, b = random_series(rng, self.ORDER), random_series(rng, self.ORDER, constant=0)
-        want = rs.rs_subs(self.to_sympy(a, x, qq), {x: self.to_sympy(b, x, qq)}, x, self.ORDER + 1)
-        assert a.compose(b) == self.from_sympy(want, x)
+        assert a.compose(b) == self.oracle("compose", a, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mul(self, seed):
+        rng = random.Random(seed)
+        a, b = random_series(rng, self.ORDER), random_series(rng, self.ORDER)
+        assert a * b == self.oracle("mul", a, b)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_order_zero(self, op):
+        a = Series((self.CONSTANT[op],))
+        b = Series((Q(0) if op == "compose" else Q(7, 2),))
+        assert self.kernel(op, a, b) == self.oracle(op, a, b)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_large_denominators(self, op):
+        f = distribution_series(self.LARGE).distribution
+        assert lcm(*(c.denominator for c in f.coeffs)).bit_length() > 150
+        a = f + self.CONSTANT[op]
+        b = f if op == "compose" else parking_series(self.LARGE)
+        got = self.kernel(op, a, b)
+        assert got.order == self.LARGE
+        assert got == self.oracle(op, a, b)
 
 
 class TestNamedSeries:
