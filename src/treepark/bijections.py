@@ -100,7 +100,10 @@ class StandardPrime:
         )
 
     def __hash__(self) -> int:
-        return hash((tuple(_shape_parents(self.shape)), self.prefs))
+        try:  # a bad shape raises InputError, so only the prefs can be unhashable
+            return hash((tuple(_shape_parents(self.shape)), self.prefs))
+        except TypeError:
+            raise InputError(f"preferences {self.prefs!r} are not hashable") from None
 
     def __repr__(self) -> str:
         return f"StandardPrime(shape={_shape_repr(self.shape)}, prefs={self.prefs!r})"

@@ -18,9 +18,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .bijections import (
     _avoids_132,
@@ -39,6 +39,7 @@ from .series import catalan_number, closed_counts
 from .trees import (
     PlaneShape,
     RootedTree,
+    _bottom_up,
     _flatten,
     _shape_parents,
     _subtree_sums,
@@ -76,14 +77,15 @@ def _buckets(n: int) -> Buckets:
     return buckets
 
 
-def _slacks(tree: RootedTree, buckets: Buckets) -> Iterator[tuple[list[tuple[int, ...]], int]]:
-    """Each bucket's sequences with their slack on the tree: the least, over
-    non-root v, of the drivers preferring the subtree of v less its size.
-    They park when the slack is >= 0 and are prime when it is >= 1."""
-    order, parents = tree.bottom_up(), (0,) + tree.parents
+def _slacks(up: Sequence[int], buckets: Buckets) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+    """Each bucket's sequences with their slack on the tree whose parent list
+    is ``up``, slot 0 unused: the least, over non-root v, of the drivers
+    preferring the subtree of v less its size.  They park when the slack is
+    >= 0 and are prime when it is >= 1."""
+    order = _bottom_up(up)
     below_root = order[:-1]
     for weights, seqs in buckets.items():
-        excess = _subtree_sums(order, parents, weights)
+        excess = _subtree_sums(order, up, weights)
         yield seqs, min((excess[v] for v in below_root), default=1)
 
 
@@ -91,7 +93,7 @@ def _standard_primes(shape: PlaneShape, buckets: Buckets) -> Iterator[tuple[int,
     """The sequences that form a standard pair with the post-order labeled shape."""
     parents = _shape_parents(shape)
     tree = RootedTree(tuple(parents[1:]))
-    for seqs, slack in _slacks(tree, buckets):
+    for seqs, slack in _slacks(parents, buckets):
         if slack >= 1:
             for seq in seqs:
                 if _out_of_crossing_order(parents, run_parking(tree, seq).crossings) is None:
@@ -101,10 +103,17 @@ def _standard_primes(shape: PlaneShape, buckets: Buckets) -> Iterator[tuple[int,
 def _shape_code(tree: RootedTree) -> tuple:
     """The tree's isomorphism class as a canonical nested tuple (the AHU
     encoding): each vertex's code is the sorted tuple of its children's."""
-    below: list[list[tuple]] = [[] for _ in range(tree.n + 1)]
-    for v in tree.bottom_up():  # children first; slot 0 collects the root's code
-        below[tree.parent(v)].append(tuple(sorted(below[v])))
+    up = (0,) + tree.parents
+    below: list[list[tuple]] = [[] for _ in up]
+    for v in _bottom_up(up):  # slot 0 collects the root's code
+        below[up[v]].append(tuple(sorted(below[v])))
     return below[0][0]
+
+
+def _leaf_count(parents: Sequence[int]) -> int:
+    """How many vertices of a parent list with slot 0 unused are no one's parent:
+    its n + 1 entries less its distinct ones, the inner vertices and 0."""
+    return len(parents) - len(set(parents))
 
 
 def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = False) -> dict[str, int]:
@@ -124,18 +133,16 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     which, mod = which_mod
     buckets = _buckets(n)
 
-    classes: Counter[tuple] = Counter()  # shape code -> trees of that class
-    for index, tree in enumerate(enumerate_rooted_trees(n)):
-        if index % mod == which:
-            classes[_shape_code(tree)] += 1
+    walk = islice(enumerate_rooted_trees(n), which, None, mod)
+    classes = Counter(_shape_code(tree) for tree in walk)  # shape code -> trees of that class
 
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
     for code, trees in classes.items():
-        tree = RootedTree(tuple(_shape_parents(code)[1:]))  # a code is also a plane shape
-        slacks = [(len(seqs), slack) for seqs, slack in _slacks(tree, buckets)]
+        parents = _shape_parents(code)  # a code is also a plane shape
+        slacks = [(len(seqs), slack) for seqs, slack in _slacks(parents, buckets)]
         parking = [weight for weight, slack in slacks if slack >= 0]
         prime = [weight for weight, slack in slacks if slack >= 1]
-        leaves = len(tree.leaves())
+        leaves = _leaf_count(parents)
         row = (
             sum(parking), sum(prime), len(parking), len(prime),
             leaves * len(prime), leaves * len(parking),
@@ -143,9 +150,8 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
         for name, value in zip(CENSUS_COLUMNS, row):
             counts[name] += trees * value
 
-    for index, shape in enumerate(enumerate_plane_trees(n)):
-        if index % mod == which:
-            counts["standard_prime"] += sum(1 for _ in _standard_primes(shape, buckets))
+    for shape in islice(enumerate_plane_trees(n), which, None, mod):
+        counts["standard_prime"] += sum(1 for _ in _standard_primes(shape, buckets))
     return counts
 
 
@@ -205,7 +211,7 @@ def _iter_primes(n: int):
     """All prime pairs on n vertices, by enumeration and the strict criterion."""
     buckets = _buckets(n)
     for tree in enumerate_rooted_trees(n):
-        for seqs, slack in _slacks(tree, buckets):
+        for seqs, slack in _slacks((0,) + tree.parents, buckets):
             if slack >= 1:
                 for seq in seqs:
                     yield tree, seq

@@ -19,7 +19,7 @@ from .errors import (
     NotAParkingFunctionError,
     _ints,
 )
-from .trees import RootedTree, _check_tree, _subtree_sums
+from .trees import RootedTree, _bottom_up, _check_tree, _subtree_sums
 
 Edge = tuple[int, int]  # (child, parent) with the edge oriented child -> parent
 
@@ -109,10 +109,11 @@ def park(tree: RootedTree, prefs: Sequence[int]) -> ParkingOutcome:
 
 def _subtree_excess(tree: RootedTree, prefs: Sequence[int]) -> list[int]:
     """For each vertex v: how many drivers prefer the subtree of v, less its size."""
-    weights = [-1] * (tree.n + 1)
+    up = (0,) + tree.parents
+    weights = [-1] * len(up)
     for s in prefs:
         weights[s] += 1
-    return _subtree_sums(tree.bottom_up(), (0,) + tree.parents, weights)
+    return _subtree_sums(_bottom_up(up), up, weights)
 
 
 def is_parking_function(tree: RootedTree, prefs: Sequence[int]) -> bool:
@@ -133,11 +134,7 @@ def used_edges(tree: RootedTree, prefs: Sequence[int]) -> tuple[Edge, ...]:
     excess = _subtree_excess(tree, prefs)
     if any(excess[v] < 0 for v in range(1, tree.n + 1)):
         raise NotAParkingFunctionError("used edges are only defined for parking functions")
-    criterion = {
-        (v, tree.parent(v))
-        for v in range(1, tree.n + 1)
-        if tree.parent(v) and excess[v] > 0
-    }
+    criterion = {(v, p) for v, p in enumerate(tree.parents, start=1) if p and excess[v] > 0}
     outcome = run_parking(tree, prefs)
     if criterion != set(outcome.crossings):
         raise InvariantError("edge criterion disagrees with simulation", tree, prefs)
@@ -151,8 +148,7 @@ def _prime_outcome(tree: RootedTree, prefs: Sequence[int]) -> tuple[bool, Parkin
     returns the verdict with the one simulation's outcome.  The pair has
     passed :func:`check_preferences`."""
     excess = _subtree_excess(tree, prefs)
-    root = tree.root
-    by_criterion = all(excess[v] > 0 for v in range(1, tree.n + 1) if v != root)
+    by_criterion = all(excess[v] > 0 for v, p in enumerate(tree.parents, start=1) if p)
     outcome = run_parking(tree, prefs)
     by_simulation = outcome.all_parked and len(outcome.crossings) == tree.n - 1
     if by_criterion != by_simulation:

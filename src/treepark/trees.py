@@ -16,8 +16,9 @@ The two nested types are walked in one place each, into a flat form that
 every other reader takes: :func:`_shape_parents` turns a plane shape into
 its post-order parent array, and :func:`_flatten` turns a labeled plane tree
 into pre-order label and child arrays; both refuse a vertex of the wrong
-type.  Only ``repr`` of a shape walks a nested value itself.  A public
-function checks a rooted tree it is given with :func:`_check_tree`.
+type.  Only ``repr`` of a shape walks a nested value itself.  A rooted tree
+is walked in one place, :func:`_bottom_up`, over its parent list with slot 0
+unused, and a public function checks one it is given with :func:`_check_tree`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ class RootedTree:
 
     @property
     def n(self) -> int:
-        return len(self.parents)
+        try:
+            return len(self.parents)
+        except TypeError:
+            raise InputError(f"parent list {self.parents!r} is not a tuple of integers") from None
 
     @property
     def root(self) -> int:
@@ -59,31 +63,8 @@ class RootedTree:
             return self.parents.index(0) + 1
         except ValueError:
             raise NoRootError(f"parent list {self.parents!r} marks no root") from None
-
-    def parent(self, v: int) -> int:
-        return self.parents[v - 1]
-
-    def children(self) -> list[list[int]]:
-        """Child lists indexed by vertex label; slot 0 is unused."""
-        kids: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for v, p in enumerate(self.parents, start=1):
-            if p:
-                kids[p].append(v)
-        return kids
-
-    def leaves(self) -> list[int]:
-        """Vertices with no children (the root counts when it is bare)."""
-        inner = set(p for p in self.parents if p)
-        return [v for v in range(1, self.n + 1) if v not in inner]
-
-    def bottom_up(self) -> list[int]:
-        """Vertices ordered so that every child precedes its parent."""
-        kids = self.children()
-        order = [self.root]
-        for v in order:  # grows while iterating: breadth-first sweep
-            order.extend(kids[v])
-        order.reverse()
-        return order
+        except (AttributeError, TypeError):
+            raise InputError(f"parent list {self.parents!r} is not a tuple of integers") from None
 
 
 def validate_rooted_tree(entries: Sequence[int]) -> RootedTree:
@@ -123,20 +104,32 @@ def _check_tree(tree: RootedTree) -> RootedTree:
     return tree
 
 
+def _bottom_up(up: Sequence[int]) -> list[int]:
+    """The vertices of a parent list with slot 0 unused (``up[v]`` is the
+    parent of v, 0 at the root), every child before its parent."""
+    kids: list[list[int]] = [[] for _ in up]
+    for v in range(1, len(up)):
+        kids[up[v]].append(v)
+    order = kids[0]  # the root
+    for v in order:  # grows while iterating: breadth-first sweep
+        order.extend(kids[v])
+    return order[::-1]
+
+
 def _subtree_sums(order: Sequence[int], parents: Sequence[int], weights: Sequence[int]) -> list[int]:
-    """The sum of ``weights`` over each subtree.  ``order`` lists children
-    before their parents, ``parents[v]`` is 0 at the root; slot 0 is unused."""
+    """The sum of ``weights`` over each subtree.  ``order`` lists children before
+    their parents, and ``parents[v]`` is 0 at a root (unused slot 0 takes its sum)."""
     sums = list(weights)
     for v in order:
-        if parents[v]:
-            sums[parents[v]] += sums[v]
+        sums[parents[v]] += sums[v]
     return sums
 
 
 def subtree_size(tree: RootedTree, v: int) -> int:
     """Number of vertices whose path to the root passes through v, v included."""
     _ints((v,), VertexOutOfRangeError, "vertex", 1, _check_tree(tree).n)
-    return _subtree_sums(tree.bottom_up(), (0,) + tree.parents, [1] * (tree.n + 1))[v]
+    up = (0,) + tree.parents
+    return _subtree_sums(_bottom_up(up), up, [1] * len(up))[v]
 
 
 def path_tree(n: int) -> RootedTree:
@@ -245,7 +238,9 @@ def _shape_parents(shape: PlaneShape) -> list[int]:
 
 
 def _shape_repr(shape: PlaneShape) -> str:
-    """``repr(shape)``, written out with an explicit stack."""
+    """``repr(shape)``, written out with an explicit stack once
+    :func:`_shape_parents` has refused any vertex that is not a tuple."""
+    _shape_parents(shape)
     out: list[str] = []
     stack: list[PlaneShape | str] = [shape]
     while stack:
@@ -299,7 +294,10 @@ class LabeledPlaneTree:
 
     def __hash__(self) -> int:
         labels, kids = _flatten(self)
-        return hash((tuple(labels), tuple(map(len, kids))))
+        try:
+            return hash((tuple(labels), tuple(map(len, kids))))
+        except TypeError:
+            raise InputError(f"plane tree: labels {labels!r} are not all hashable") from None
 
     def __repr__(self) -> str:
         return f"parse_plane_tree({format_plane_tree(self)!r})"
@@ -382,17 +380,12 @@ def enumerate_labeled_plane_trees(n: int) -> Iterator[LabeledPlaneTree]:
     """All Catalan(n-1) * (n-1)! plane trees with non-root labels from [n-1]:
     each shape in turn, with every word of [n-1] written on it in pre-order."""
     for shape in enumerate_plane_trees(n):
-        # The shape's flat form, its post-order vertices renumbered in pre-order.
+        # The shape unlabeled, built in post-order (slot 0 collects the root), then flattened.
         parents = _shape_parents(shape)
-        below: list[list[int]] = [[] for _ in parents]
-        for v in range(1, n):  # siblings carry increasing labels, left to right
-            below[parents[v]].append(v)
-        order, stack = [], [n]
-        while stack:
-            order.append(stack.pop())
-            stack.extend(reversed(below[order[-1]]))
-        number = {v: i for i, v in enumerate(order)}
-        kids = [[number[c] for c in below[v]] for v in order]
+        below: list[list[LabeledPlaneTree]] = [[] for _ in parents]
+        for v in range(1, n + 1):
+            below[parents[v]].append(LabeledPlaneTree(None, tuple(below[v])))
+        _, kids = _flatten(below[0][0])
         for word in permutations(range(1, n)):
             yield _labeled_tree((None, *word), kids)
 

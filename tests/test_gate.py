@@ -115,6 +115,11 @@ REPRODUCTIONS = [
     ("constant-str", lambda: Series.constant("x", 2), InputError, "'x'"),
     ("compose-int", lambda: Series((1, 2)).compose(3), InputError, "3"),
     ("root-without-zero", lambda: RootedTree((1,)).root, NoRootError, "(1,)"),
+    ("size-of-none", lambda: RootedTree(None).n, InputError, "None"),
+    ("root-of-none", lambda: RootedTree(None).root, InputError, "None"),
+    ("root-of-str", lambda: RootedTree("a0").root, InputError, "'a0'"),
+    ("standard-prime-repr-int-shape", lambda: repr(StandardPrime(5, (1,))), InputError, "vertex 5"),
+    ("standard-prime-hash-list", lambda: hash(StandardPrime(((),), [1, 1])), InputError, "[1, 1]"),
     # order -1: what derivative() of a constant and shift_down() of (0,) return
     ("exp-order-minus-one", lambda: Series((5,)).derivative().exp(), OrderMismatchError, "order -1"),
     ("log-order-minus-one", lambda: Series((5,)).derivative().log(), OrderMismatchError, "order -1"),
@@ -377,6 +382,70 @@ def test_series_junk_returns_or_raises_an_input_error(name, data):
     args = data.draw(st.tuples(*SERIES_JUNK[name]))
     try:
         getattr(series, name)(*args)
+    except InputError:
+        pass  # every other exception fails the test
+
+
+# ---------------------------------------------------------------------------
+# Junk through the methods of the input types
+# ---------------------------------------------------------------------------
+
+# Junk field values of each input type; building a receiver from them may
+# itself refuse them.
+FIELDS = {
+    RootedTree: (st.one_of(PARENTS, ANY),),
+    LabeledPlaneTree: (LABEL, st.one_of(ANY, st.lists(PLANE, max_size=3).map(tuple))),
+    StandardPrime: (st.one_of(SHAPE, ANY), SEQ),
+    MarkedSet: (SEQ, INT),
+}
+
+# One strategy per positional argument of every method and property that
+# these classes write out; a property takes none.
+METHOD_JUNK = {
+    (RootedTree, "n"): (),
+    (RootedTree, "root"): (),
+    (LabeledPlaneTree, "__eq__"): (ANY,),
+    (LabeledPlaneTree, "__hash__"): (),
+    (LabeledPlaneTree, "__repr__"): (),
+    (StandardPrime, "__eq__"): (ANY,),
+    (StandardPrime, "__hash__"): (),
+    (StandardPrime, "__repr__"): (),
+    (MarkedSet, "unmarked"): (),
+}
+
+
+def written_methods() -> set[tuple[type, str]]:
+    """The methods and properties written in the bodies of the input types
+    (dataclass generates the rest), less ``__post_init__``, the constructor's
+    own gate, which every receiver passes through."""
+    return {
+        (cls, name)
+        for cls in FIELDS
+        for name, value in vars(cls).items()
+        if name != "__post_init__"
+        and inspect.isfunction(fn := value.fget if isinstance(value, property) else value)
+        and fn.__code__.co_filename == inspect.getfile(cls)
+    }
+
+
+def test_every_method_has_a_junk_case():
+    # a new method or property must be added to METHOD_JUNK, so that it meets the gate
+    assert written_methods() == set(METHOD_JUNK)
+
+
+@pytest.mark.parametrize(
+    "cls, name", sorted(METHOD_JUNK, key=lambda case: (case[0].__name__, case[1])),
+    ids=lambda value: getattr(value, "__name__", value),
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_method_junk_returns_or_raises_an_input_error(cls, name, data):
+    fields = data.draw(st.tuples(*FIELDS[cls]))
+    args = data.draw(st.tuples(*METHOD_JUNK[cls, name]))
+    try:
+        value = getattr(cls(*fields), name)  # a property is read here
+        if callable(value):
+            value(*args)
     except InputError:
         pass  # every other exception fails the test
 

@@ -145,7 +145,7 @@ class TestParkingFunction:
         buckets = _buckets(5)
         assert sum(len(seqs) for seqs in buckets.values()) == 5**5
         for tree in enumerate_rooted_trees(5):
-            for seqs, slack in _slacks(tree, buckets):
+            for seqs, slack in _slacks((0,) + tree.parents, buckets):
                 for seq in seqs:
                     outcome = run_parking(tree, seq)
                     assert (outcome.spots, outcome.crossings) == walk_to_root(tree.parents, seq)

@@ -41,7 +41,7 @@ def brute_subtree_size(tree: RootedTree, v: int) -> int:
             if w == v:
                 hits += 1
                 break
-            w = tree.parent(w)
+            w = tree.parents[w - 1]
             if w == 0:
                 break
     return hits
@@ -97,7 +97,7 @@ class TestValidation:
     def test_figure_tree(self):
         tree = validate_rooted_tree([3, 3, 5, 5, 0])
         assert tree.root == 5
-        assert tree.parent(1) == 3 and tree.parent(4) == 5
+        assert tree.parents[0] == 3 and tree.parents[3] == 5
 
     def test_singleton(self):
         assert validate_rooted_tree([0]).n == 1
