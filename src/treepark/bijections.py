@@ -16,18 +16,16 @@ The pipeline factors a prime pair through a *standard form*:
 Validation sits at the public boundaries, behind the input gate
 ``parking.check_preferences``.  :func:`check_standard_prime`,
 :func:`encode_prime`, :func:`decode_prime`, :func:`decompose` and
-:func:`destandardize` check their standard pair with one simulation;
+:func:`destandardize` check their standard pair with one simulation, and
 :func:`standardize` checks primality with one simulation and confirms the
-sibling order of its result from the same crossing log.  Below that boundary each level of the decomposition parks
-its piece once, all drivers but the final one, and checks every piece it
-cuts against that one log (primality by the subtree criterion, sibling order
-by the crossing ticks), raising :class:`InvariantError` on a disagreement.
+sibling order of its result from the same crossing log.  The encoding and
+the decomposition read every level off that one run; O(n) checks on the
+reading raise :class:`InvariantError` with the pair as witness.
 
 Inside the maps a standard pair is flat: the parent array of its post-order
-labels (slot 0 unused, the root last), so that a piece is at most two
-relabeled runs of its parent's labels.  Nothing recurses; the nested plane
-shapes and labeled plane trees of the public types are converted once, at
-the boundary.
+labels (slot 0 unused, the root last), where a subtree is the run of labels
+ending at its root.  Nothing recurses: the nested plane shapes and labeled
+plane trees of the public types are converted once, at the boundary.
 
 The module also covers the path specializations: preference sequences whose
 image is a labeled path, and Borie's statistic map on 132-avoiding
@@ -52,12 +50,12 @@ from .errors import (
 )
 from .parking import (
     Edge,
+    ParkingOutcome,
     _preferences,
     _prime_outcome,
     check_preferences,
     is_parking_function,
     is_prime,
-    run_parking,
 )
 from .trees import (
     LabeledPlaneTree,
@@ -69,7 +67,6 @@ from .trees import (
     _parents_shape,
     _shape_parents,
     _shape_repr,
-    _subtree_sums,
     check_permutation,
     inverse_permutation,
     path_shape,
@@ -167,8 +164,9 @@ def _standard_parents(sp: StandardPrime) -> list[int]:
     return _shape_parents(sp.shape)
 
 
-def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[int, ...]:
-    """Validate a flat standard pair with one simulation; returns its prefs."""
+def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[tuple[int, ...], ParkingOutcome]:
+    """Validate a flat standard pair with one simulation; returns its prefs
+    and the simulation's outcome."""
     try:  # the tree comes from a shape, so only the preferences pass the gate
         prefs = _preferences(len(parents) - 1, prefs)
     except LabelOutOfRangeError as exc:  # a preference outside 1..n, or not an int
@@ -179,7 +177,12 @@ def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[int, ...]
     v = _out_of_crossing_order(parents, outcome.crossings)
     if v is not None:
         raise NotStandardPrimeError(f"children of vertex {v} are out of crossing order")
-    return prefs
+    return prefs, outcome
+
+
+def _broken(parents: list[int], prefs: Sequence[int], invariant: str) -> InvariantError:
+    """The error for a flat pair that breaks ``invariant``, naming the pair."""
+    return InvariantError(invariant, RootedTree(tuple(parents[1:])), prefs)
 
 
 def check_standard_prime(sp: StandardPrime) -> int:
@@ -260,112 +263,54 @@ def destandardize(
     """
     std_parents = _standard_parents(sp)
     inv = _inverse_relabeling(word, std_parents)
-    return _destandardize(inv, std_parents, _check_standard(std_parents, sp.prefs))
+    return _destandardize(inv, std_parents, _check_standard(std_parents, sp.prefs)[0])
 
 
 # ---------------------------------------------------------------------------
 # The final-driver decomposition and the plane-tree encoding
 # ---------------------------------------------------------------------------
 
-# One piece of a flat decomposition: its root, the vertex its cut edge (or the
-# last preference) points at, the drivers preferring it, the marked one among
-# them, and the piece itself as a flat standard pair.
-_Part = tuple[int, int, tuple[int, ...], int, list[int], list[int]]
 
+def _image(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome):
+    """The image's shape, read off a checked flat standard pair's one run:
+    each vertex's image children (ascending), parked driver and marked
+    vertex, the image pre-order, and each vertex's place in it and subtree size.
 
-def _split(parents: list[int], prefs: Sequence[int]) -> tuple[list[int], list[_Part]]:
-    """The final-driver decomposition of a flat standard pair on m >= 2
-    vertices, from one simulation of all drivers but the last.
-
-    The head run crosses every edge except those on the final walk, so
-    every head driver parks inside her own piece and the log, restricted to
-    a piece, is the piece's own run: every driver parks and every piece edge
-    is crossed.  Each piece is checked against that one log.  Returns each
-    vertex's piece root (0 at the root) and the pieces along the final walk.
+    Vertex v < n stands for the piece it roots at some level, n for the root.
+    The edge above v is cut at the level whose final driver first crosses it,
+    and she parks at the root of the piece v hangs below.  A piece's vertices
+    are its image subtree, its drivers those parked there.  A driver's new
+    crossings are the next log entries on her walk, the edges above v with
+    start[v] <= pref <= v < spot, as no later driver newly crosses an edge
+    of an earlier walk.  A piece's first child is marked at the preference of
+    its final driver, each later child at the parent of the child before it.
     """
-    m = len(parents) - 1
-    tree = RootedTree(tuple(parents[1:]))
-
-    def check(holds: bool, invariant: str) -> None:
-        if not holds:
-            raise InvariantError(invariant, tree, prefs)
-
-    head_prefs = prefs[:-1]
-    head = run_parking(tree, head_prefs)
-    check(head.all_parked, "all but the final driver must park in a prime pair")
-    crossed = [False] * (m + 1)
-    for c, _ in head.crossings:
-        crossed[c] = True
-
-    cut_roots = []
-    v = prefs[-1]
-    while parents[v]:
-        if not crossed[v]:
-            cut_roots.append(v)
-        v = parents[v]
-    check(
-        len(cut_roots) + len(head.crossings) == m - 1,
-        "every unused edge lies on the final walk",
-    )
-    check(
-        bool(cut_roots) and parents[cut_roots[-1]] == m,
-        "the final walk leaves through an unused root edge",
-    )
-
-    # In post-order a subtree is the run of labels that ends at its root, and
-    # each cut root's run holds the runs of the cut roots below it on the
-    # walk.  So a piece is its root's run less the run below: labels
-    # s..lo-1 and hi+1..rho, ranked in that order.
-    home = [0] * (m + 1)
-    rank = [0] * (m + 1)
-    forest = parents[:]  # the pieces: no parent above a cut root
-    runs = []
-    s = cut_roots[0]
-    lo, hi = s, s - 1
-    for rho in cut_roots:
-        while s > 1 and parents[s - 1] <= rho:
-            s -= 1
-        first = lo - s
-        home[s:lo] = [rho] * first
-        home[hi + 1 : rho + 1] = [rho] * (rho - hi)
-        rank[s:lo] = range(1, first + 1)
-        rank[hi + 1 : rho + 1] = range(first + 1, first + rho - hi + 1)
-        forest[rho] = 0
-        runs.append((s, lo, hi))
-        lo, hi = s, rho
-    check(s == 1, "the pieces cover every vertex but the root")
-
-    weights = [-1] * (m + 1)
-    for q in head_prefs:
-        weights[q] += 1
-    excess = _subtree_sums(range(1, m), forest, weights)
-    check(
-        all(excess[rho] == 0 for rho in cut_roots),
-        "each piece is preferred exactly its size many times",
-    )
-    check(
-        all(excess[v] > 0 for v in range(1, m) if forest[v]),
-        "every piece is prime by the subtree criterion, as the head run shows",
-    )
-    check(
-        _out_of_crossing_order(forest, head.crossings) is None,
-        "every piece keeps its siblings in crossing order",
-    )
-
-    drivers: dict[int, list[int]] = {rho: [] for rho in cut_roots}
-    piece_prefs: dict[int, list[int]] = {rho: [] for rho in cut_roots}
-    for j, q in enumerate(head_prefs, start=1):
-        drivers[home[q]].append(j)
-        piece_prefs[home[q]].append(rank[q])
-
-    parts: list[_Part] = []
-    marked_vertex = prefs[-1]
-    for rho, (s, lo, hi) in zip(cut_roots, runs):
-        ds = tuple(drivers[rho])
-        piece_parents = [0] + [rank[p] for p in parents[s:lo] + parents[hi + 1 : rho]] + [0]
-        parts.append((rho, marked_vertex, ds, ds[rank[marked_vertex] - 1], piece_parents, piece_prefs[rho]))
-        marked_vertex = parents[rho]
-    return home, parts
+    n = len(prefs)
+    start = list(range(n + 1))  # the first post-order label of each subtree
+    for v in range(1, n):
+        start[parents[v]] = min(start[parents[v]], start[v])
+    up, log, k = [0] * n, outcome.crossings, 0  # up: the image parent of each vertex below n
+    for q, spot in zip(prefs, outcome.spots):
+        while k < len(log) and start[log[k][0]] <= q <= log[k][0] < spot:
+            up[log[k][0]] = spot
+            k += 1
+    if not all(start[up[v]] <= v < up[v] for v in range(1, n)):
+        raise _broken(parents, prefs, "the first crosser of each edge parks above it")
+    drivers, kids, size = [0] * (n + 1), [[] for _ in start], [1] * (n + 1)
+    for i, spot in enumerate(outcome.spots, start=1):
+        drivers[spot] = i
+    for v in range(1, n):
+        kids[up[v]].append(v)
+        size[up[v]] += size[v]
+    marked, at, order = [n] * (n + 1), [0] * (n + 1), [n] * n
+    for v in range(n, 0, -1):
+        t, w = at[v] + 1, prefs[drivers[v] - 1]
+        for c in kids[v]:
+            at[c], order[t], marked[c] = t, c, w
+            t, w = t + size[c], parents[c]
+    if not all(at[s] <= at[q] < at[s] + size[s] for q, s in zip(prefs, outcome.spots)):
+        raise _broken(parents, prefs, "every driver prefers the image subtree of her spot")
+    return kids, drivers, marked, order, at, size
 
 
 def decompose(sp: StandardPrime) -> list[Component]:
@@ -373,59 +318,112 @@ def decompose(sp: StandardPrime) -> list[Component]:
 
     Parking all but the last driver uses every edge except those on her
     walk to the root; deleting them (and the root, which stays isolated)
-    leaves plane pieces that are standard pairs once relabeled by rank.
-    The pieces come back ordered along the final walk, each carrying the
-    driver indices that prefer it, with one index marked to remember where
-    the walk re-entered.
+    leaves plane pieces that are standard pairs once relabeled by rank: the
+    root's image children in :func:`_image`, in walk order, each with the
+    drivers that prefer it, one marked where the walk re-entered.
     """
     parents = _standard_parents(sp)
     n = len(parents) - 1
     if n < 2:
         raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
-    home, parts = _split(parents, _check_standard(parents, sp.prefs))
-    members: dict[int, list[int]] = {part[0]: [] for part in parts}
-    for u in range(1, n):
-        members[home[u]].append(u)
-    return [
-        Component(
-            tuple(members[rho]),
-            marked_vertex,
-            MarkedSet(drivers, marked),
-            StandardPrime(_parents_shape(piece_parents), tuple(piece_prefs)),
-        )
-        for rho, marked_vertex, drivers, marked, piece_parents, piece_prefs in parts
-    ]
+    prefs, outcome = _check_standard(parents, sp.prefs)
+    kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
+    components = []
+    for c in kids[n]:
+        vertices = sorted(order[at[c] : at[c] + size[c]])
+        ds = sorted(drivers[v] for v in vertices)
+        rank = {v: r for r, v in enumerate(vertices, start=1)}
+        shape = _parents_shape([0] + [rank[parents[v]] for v in vertices[:-1]] + [0])
+        piece = StandardPrime(shape, tuple(rank[prefs[d - 1]] for d in ds))
+        marks = MarkedSet(tuple(ds), ds[rank[marked[c]] - 1])
+        components.append(Component(tuple(vertices), marked[c], marks, piece))
+    return components
 
 
-def _encode(parents: list[int], prefs: Sequence[int]) -> LabeledPlaneTree:
-    """The plane-tree image of a valid flat standard pair.
+# Fenwick trees (Fenwick 1994) of present positions 1..m: entry i counts those
+# in (i - (i & -i), i], so [i & -i for i in range(m + 1)] has all present.
+def _rank(fen: list[int], i: int) -> int:
+    """How many present positions are at most i."""
+    r = 0
+    while i:
+        r += fen[i]
+        i &= i - 1
+    return r
 
-    Each piece's image hangs below its frame's root in walk order: its root
-    takes the marked driver's label, and its vertices below take the labels
-    of the unmarked drivers, in order.  ``names[l - 1]`` is the label in the
-    final tree of a frame's local driver l.
+
+def _remove(fen: list[int], i: int) -> None:
+    end = len(fen)
+    while i < end:
+        fen[i] -= 1
+        i += i & -i
+
+
+def _take(fen: list[int], k: int) -> int:
+    """Remove the k-th smallest present position and return it."""
+    i, end = 0, len(fen)
+    step = 1 << (end - 1).bit_length() >> 1
+    while step:
+        if i + step < end and fen[i + step] < k:
+            i += step
+            k -= fen[i]
+        step >>= 1
+    _remove(fen, i + 1)
+    return i + 1
+
+
+def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -> LabeledPlaneTree:
+    """The plane-tree image of a checked flat standard pair, on the shape
+    that :func:`_image` reads off its one run.
+
+    Let piece P's image subtree carry the labels L; the root's carries 1..n,
+    n on the root itself.  A child piece Q of P takes its label and those
+    below it from L less P's label, at the ranks of Q's drivers among P's
+    (P's final driver, the largest, hands none down), and Q's own label is
+    the k-th smallest of them, k the rank in Q of its marked vertex.
+
+    A piece keeps a Fenwick tree each over its vertices, drivers and labels,
+    by rank; its largest child inherits them less the other children's
+    entries, which go to fresh ones, so an entry moves O(log n) times.  Its
+    root and final driver, the largest, stay in and change no rank below.
     """
-    labels: list[int | None] = [None]
-    kids: list[list[int]] = [[]]
-    work = [(parents, prefs, 0, range(1, len(prefs)))]
+    n = len(prefs)
+    kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
+    labels: list[int | None] = [0] * (n + 1)
+    vertex_at, driver_at = list(range(n + 1)), list(range(n + 1))  # ranks in the current piece
+    full = [i & -i for i in range(n + 1)]  # every position present; sliced, never changed
+    work = [(n, full[:], full[:], full[:], range(1, n + 1))]
     while work:
-        parents, prefs, node, names = work.pop()
-        if len(prefs) == 1:
-            continue
-        for _, _, drivers, marked, piece_parents, piece_prefs in _split(parents, prefs)[1]:
-            child = len(labels)
-            labels.append(names[marked - 1])
-            kids.append([])
-            kids[node].append(child)
-            sub_names = [names[d - 1] for d in drivers if d != marked]
-            work.append((piece_parents, piece_prefs, child, sub_names))
-    return _labeled_tree(labels, kids)
+        v, vertex_fen, driver_fen, label_fen, names = work.pop()
+        while True:
+            labels[v] = names[_take(label_fen, _rank(vertex_fen, vertex_at[marked[v]])) - 1]
+            if not kids[v]:
+                break
+            heavy = max(kids[v], key=size.__getitem__)
+            for c in kids[v]:
+                if c == heavy:
+                    continue
+                vertices = sorted(order[at[c] : at[c] + size[c]])
+                for u in vertices:
+                    _remove(vertex_fen, vertex_at[u])
+                sub_names = []
+                for r, (u, d) in enumerate(zip(vertices, sorted(drivers[u] for u in vertices)), start=1):
+                    rank = _rank(driver_fen, driver_at[d])
+                    _remove(driver_fen, driver_at[d])
+                    sub_names.append(names[_take(label_fen, rank) - 1])
+                    vertex_at[u] = driver_at[d] = r
+                fresh = full[: size[c] + 1]
+                work.append((c, fresh, fresh[:], fresh[:], sub_names))
+            v = heavy
+    if sorted(labels[1:n]) != list(range(1, n)):
+        raise _broken(parents, prefs, "the image carries each label 1..n-1 once")
+    labels[n] = None
+    return _labeled_tree([labels[v] for v in order], [[at[c] for c in kids[v]] for v in order])
 
 
 def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
     """Map a standard pair to a plane tree with non-root labels in [n-1]."""
     parents = _standard_parents(sp)
-    return _encode(parents, _check_standard(parents, sp.prefs))
+    return _encode(parents, *_check_standard(parents, sp.prefs))
 
 
 def _decode(labels: list[int | None], kids: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -503,11 +501,7 @@ def _assemble(
             total = lower
     prefs[n - 1] = g[bisect_left(pieces[0][2], marks[0]) + 1]
     if 0 in parents[1:n] or 0 in prefs:
-        raise InvariantError(
-            "the pieces' post-order labels must cover the joined tree once",
-            RootedTree(tuple(parents[1:])),
-            prefs,
-        )
+        raise _broken(parents, prefs, "the pieces' post-order labels must cover the joined tree once")
     return parents, prefs, below
 
 

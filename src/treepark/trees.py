@@ -66,6 +66,12 @@ class RootedTree:
         except (AttributeError, TypeError):
             raise InputError(f"parent list {self.parents!r} is not a tuple of integers") from None
 
+    def __hash__(self) -> int:  # the generated hash, naming an unhashable parent list
+        try:
+            return hash((self.parents,))
+        except TypeError:
+            raise InputError(f"parent list {self.parents!r} is not hashable") from None
+
 
 def validate_rooted_tree(entries: Sequence[int]) -> RootedTree:
     """Check a parent list and wrap it as a :class:`RootedTree`.

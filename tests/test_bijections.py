@@ -1,6 +1,7 @@
 """Standard form, the plane-tree encoding, and the path specializations."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -47,8 +48,9 @@ from treepark import (
     standardize,
     validate_rooted_tree,
 )
-from treepark.bijections import check_standard_prime
-from treepark.trees import _flatten
+from treepark.bijections import Component, check_standard_prime
+from treepark.parking import ParkingOutcome, run_parking
+from treepark.trees import RootedTree, _flatten, _labeled_tree, _parents_shape, _shape_parents
 
 # the standard form of the figure pair (tree 0 3 4 1 4, preferences 2 5 3 5 2)
 FIG_SP = StandardPrime(((((),), ()),), (1, 3, 2, 3, 1))
@@ -66,6 +68,105 @@ def has_132_brute(word) -> bool:
     return any(
         word[i] < word[k] < word[j] for i, j, k in combinations(range(len(word)), 3)
     )
+
+
+# ---------------------------------------------------------------------------
+# The level-by-level encoder, kept as the reference for the one-run encoding
+# ---------------------------------------------------------------------------
+
+
+def reference_split(parents, prefs):
+    """The final-driver decomposition of a flat standard pair on m >= 2
+    vertices, by parking all drivers but the last: each vertex's piece root
+    (0 at the root) and, along the final walk, each piece as (root, marked
+    vertex, drivers, marked driver, flat parents, prefs)."""
+    m = len(parents) - 1
+    tree = RootedTree(tuple(parents[1:]))
+    head_prefs = prefs[:-1]
+    head = run_parking(tree, head_prefs)
+    assert head.all_parked
+    crossed = [False] * (m + 1)
+    for c, _ in head.crossings:
+        crossed[c] = True
+    cut_roots = []
+    v = prefs[-1]
+    while parents[v]:
+        if not crossed[v]:
+            cut_roots.append(v)
+        v = parents[v]
+    assert len(cut_roots) + len(head.crossings) == m - 1 and parents[cut_roots[-1]] == m
+
+    # A piece is its root's post-order run less the run below: labels
+    # s..lo-1 and hi+1..rho, ranked in that order.
+    home = [0] * (m + 1)
+    rank = [0] * (m + 1)
+    runs = []
+    s = cut_roots[0]
+    lo, hi = s, s - 1
+    for rho in cut_roots:
+        while s > 1 and parents[s - 1] <= rho:
+            s -= 1
+        first = lo - s
+        home[s:lo] = [rho] * first
+        home[hi + 1 : rho + 1] = [rho] * (rho - hi)
+        rank[s:lo] = range(1, first + 1)
+        rank[hi + 1 : rho + 1] = range(first + 1, first + rho - hi + 1)
+        runs.append((s, lo, hi))
+        lo, hi = s, rho
+    assert s == 1
+
+    drivers = {rho: [] for rho in cut_roots}
+    piece_prefs = {rho: [] for rho in cut_roots}
+    for j, q in enumerate(head_prefs, start=1):
+        drivers[home[q]].append(j)
+        piece_prefs[home[q]].append(rank[q])
+    parts = []
+    marked_vertex = prefs[-1]
+    for rho, (s, lo, hi) in zip(cut_roots, runs):
+        ds = tuple(drivers[rho])
+        piece_parents = [0] + [rank[p] for p in parents[s:lo] + parents[hi + 1 : rho]] + [0]
+        parts.append((rho, marked_vertex, ds, ds[rank[marked_vertex] - 1], piece_parents, piece_prefs[rho]))
+        marked_vertex = parents[rho]
+    return home, parts
+
+
+def reference_decompose(sp):
+    check_standard_prime(sp)
+    parents = _shape_parents(sp.shape)
+    home, parts = reference_split(parents, sp.prefs)
+    members = {part[0]: [] for part in parts}
+    for u in range(1, len(parents) - 1):
+        members[home[u]].append(u)
+    return [
+        Component(
+            tuple(members[rho]),
+            marked_vertex,
+            MarkedSet(drivers, marked),
+            StandardPrime(_parents_shape(piece_parents), tuple(piece_prefs)),
+        )
+        for rho, marked_vertex, drivers, marked, piece_parents, piece_prefs in parts
+    ]
+
+
+def reference_encode(sp):
+    """The image of a standard pair, one decomposition level at a time: each
+    piece hangs below its frame's root in walk order, takes the name of its
+    marked driver, and hands the names of its unmarked drivers down in order.
+    ``names[l - 1]`` is the final label of a frame's local driver l."""
+    check_standard_prime(sp)
+    labels, kids = [None], [[]]
+    work = [(_shape_parents(sp.shape), sp.prefs, 0, range(1, len(sp.prefs)))]
+    while work:
+        parents, prefs, node, names = work.pop()
+        if len(prefs) == 1:
+            continue
+        for _, _, drivers, marked, piece_parents, piece_prefs in reference_split(parents, prefs)[1]:
+            child = len(labels)
+            labels.append(names[marked - 1])
+            kids.append([])
+            kids[node].append(child)
+            work.append((piece_parents, piece_prefs, child, [names[d - 1] for d in drivers if d != marked]))
+    return _labeled_tree(labels, kids)
 
 
 class TestMarkedSet:
@@ -115,7 +216,7 @@ class TestMarkedSet:
 
 class TestOneSimulation:
     """Each standard-pair check parks the drivers once and reuses the outcome,
-    and each level of the decomposition parks its piece once."""
+    and the encoding and the decomposition read everything off that run."""
 
     @pytest.fixture
     def simulations(self, monkeypatch):
@@ -126,8 +227,9 @@ class TestOneSimulation:
             calls.append(tuple(prefs))
             return real(tree, prefs)
 
-        monkeypatch.setattr(treepark.parking, "run_parking", counting)
-        monkeypatch.setattr(treepark.bijections, "run_parking", counting)
+        for name, module in list(sys.modules.items()):  # every module that holds the kernel
+            if name.split(".")[0] == "treepark" and getattr(module, "run_parking", None) is real:
+                monkeypatch.setattr(module, "run_parking", counting)
         return calls
 
     def test_check_standard_prime(self, simulations):
@@ -144,9 +246,7 @@ class TestOneSimulation:
         assert (word, format_plane_tree(plt)) == ((5, 1, 2, 4, 3), "*[1 3 4[2]]")
         assert simulations == [
             (2, 5, 3, 5, 2),  # standardize
-            (1, 3, 2, 3, 1),  # encode_prime's check of the standard pair
-            (1, 3, 2, 3),  # the first level: all but the final driver
-            (1,),  # the one piece with two vertices
+            (1, 3, 2, 3, 1),  # encode_prime's check of the standard pair, which it then reads
         ]
 
     def test_pair_to_prime(self, simulations):
@@ -154,28 +254,68 @@ class TestOneSimulation:
         assert (tree.parents, prefs) == ((0, 3, 4, 1, 4), (2, 5, 3, 5, 2))
         assert simulations == [(1, 3, 2, 3, 1)]  # decode_prime's check
 
+    def test_decompose(self, simulations):
+        decompose(FIG_SP)
+        assert simulations == [(1, 3, 2, 3, 1)]
+
+
+def with_spots(spots):
+    """The package's simulation with its log kept and its spots replaced."""
+    real = treepark.bijections._prime_outcome
+
+    def doctored(tree, prefs):
+        prime, outcome = real(tree, prefs)
+        return prime, ParkingOutcome(spots, outcome.crossings)
+
+    return doctored
+
 
 class TestDecomposeInvariants:
+    """Each O(n) check on the reading of the one run raises with the standard
+    pair as witness.  The figure pair's run parks drivers 1..5 at 1, 3, 2, 4, 5
+    and logs the edges above 3, 1, 2 and 4, in that order."""
+
+    WITNESS = ((2, 4, 4, 5, 0), FIG_SP.prefs)
+
     def test_broken_invariant_names_the_pair(self, monkeypatch):
-        monkeypatch.setattr(
-            treepark.bijections,
-            "run_parking",
-            lambda tree, prefs: treepark.ParkingOutcome((None,) * len(prefs), ()),
-        )
-        with pytest.raises(InvariantError, match="final driver") as caught:
+        # with every driver parked at 1, no log entry lies on a walk
+        monkeypatch.setattr(treepark.bijections, "_prime_outcome", with_spots((1,) * 5))
+        with pytest.raises(InvariantError, match="first crosser of each edge parks above it") as caught:
             decompose(FIG_SP)
-        assert caught.value.tree.parents == (2, 4, 4, 5, 0)
-        assert caught.value.prefs == FIG_SP.prefs
+        assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
+
+    def test_drivers_prefer_the_image_subtree_of_their_spot(self, monkeypatch):
+        # drivers 1 and 3 swap spots: the walks are the same, but driver 1
+        # now parks at 2, a sibling of her preference 1 in the image
+        monkeypatch.setattr(treepark.bijections, "_prime_outcome", with_spots((2, 3, 1, 4, 5)))
+        with pytest.raises(InvariantError, match="prefers the image subtree of her spot") as caught:
+            encode_prime(FIG_SP)
+        assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
+
+    def test_image_carries_each_label_once(self, monkeypatch):
+        monkeypatch.setattr(treepark.bijections, "_take", lambda fen, k: 1)
+        with pytest.raises(InvariantError, match="each label 1..n-1 once") as caught:
+            encode_prime(FIG_SP)
+        assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
 
     def test_checked_under_optimize(self):
-        # python -O strips asserts; the piece invariants must still raise
+        # python -O strips asserts; the checks must still raise
         probe = (
             "import treepark\n"
-            "from treepark import InvariantError, StandardPrime, decompose\n"
-            "treepark.bijections.run_parking = lambda tree, prefs: "
-            "treepark.ParkingOutcome((None,) * len(prefs), ())\n"
+            "from treepark import InvariantError, ParkingOutcome, StandardPrime, decode_prime, decompose\n"
+            "real = treepark.bijections._prime_outcome\n"
+            "def doctored(tree, prefs):\n"
+            "    prime, outcome = real(tree, prefs)\n"
+            "    return prime, ParkingOutcome((1,) * len(prefs), outcome.crossings)\n"
+            "treepark.bijections._prime_outcome = doctored\n"
             "try:\n"
             "    decompose(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+            "treepark.bijections._prime_outcome = real\n"
+            "treepark.bijections._take = lambda fen, k: 1\n"
+            "try:\n"
+            "    treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
             "except InvariantError:\n"
             "    print('raised')\n"
         )
@@ -187,7 +327,7 @@ class TestDecomposeInvariants:
             text=True,
             check=True,
         )
-        assert done.stdout == "raised\n"
+        assert done.stdout == "raised\nraised\n"
 
     def test_needs_two_vertices(self):
         with pytest.raises(InputError, match="at least 2 vertices"):
@@ -417,6 +557,90 @@ class TestEncode:
             decode_prime(parse_plane_tree(text))
 
 
+def standard_pairs(n):
+    """Every standard pair on n vertices, shape by shape."""
+    from treepark.census import _buckets, _standard_primes
+
+    buckets = _buckets(n)
+    for shape in enumerate_plane_trees(n):
+        for seq in _standard_primes(shape, buckets):
+            yield StandardPrime(shape, seq)
+
+
+def random_plane_tree(rng, n):
+    """A plane tree on n vertices with non-root labels a random bijection
+    onto [n-1].  Each vertex hangs below a uniform earlier vertex, or below
+    one of the last three for a deep tree."""
+    deep = rng.random() < 0.5
+    kids = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[max(0, v - 1 - rng.randrange(3)) if deep else rng.randrange(v)].append(v)
+    names = list(range(1, n))
+    rng.shuffle(names)
+    return _labeled_tree([None] + names, kids)
+
+
+class TestAgainstTheLevelEncoder:
+    """The one-run encoding and decomposition give what the level-by-level
+    reference gives, bit for bit."""
+
+    def test_every_standard_pair_to_six(self):
+        total = 0
+        for n in range(1, 7):
+            for sp in standard_pairs(n):
+                assert encode_prime(sp) == reference_encode(sp), sp
+                total += 1
+        assert total == sum(factorial(n - 1) * catalan_number(n - 1) for n in range(1, 7)) == 5412
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_decomposition_to_five(self, n):
+        for sp in standard_pairs(n):
+            assert decompose(sp) == reference_decompose(sp), sp
+
+    def test_random_pairs(self):
+        rng = random.Random(20180917)
+        for _ in range(100):
+            plt = random_plane_tree(rng, rng.randint(2, 300))
+            sp = decode_prime(plt)
+            assert encode_prime(sp) == reference_encode(sp) == plt
+
+    @pytest.mark.parametrize("n", [1200, 3000])
+    def test_deep_paths(self, n):
+        # The reference takes about 10 s on the two 3000-vertex paths, so
+        # there the images are the ones it gives (checked once when the
+        # one-run encoder was written): the identity path for the all-ones
+        # prime, and the labeled path itself for its decoded pair.
+        word = list(range(1, n))
+        random.Random(n).shuffle(word)
+        ones, labeled = standard_path_prime((1,) * n), decode_prime(labeled_path(word))
+        images = [encode_prime(ones), encode_prime(labeled)]
+        assert images == [labeled_path(range(1, n)), labeled_path(word)]
+        if n < 2000:
+            assert images == [reference_encode(ones), reference_encode(labeled)]
+
+
+class TestGrowth:
+    """10^4-vertex paths through both maps (no timing: the bench measures)."""
+
+    N = 10**4
+
+    def test_all_ones_path(self):
+        tree, prefs = path_tree(self.N), (1,) * self.N
+        word, plt = prime_to_pair(tree, prefs)
+        assert plt == labeled_path(range(1, self.N))
+        assert pair_to_prime(word, plt) == (tree, prefs)
+
+    def test_labeled_path(self):
+        rng = random.Random(self.N)
+        labels, word = list(range(1, self.N)), list(range(1, self.N + 1))
+        rng.shuffle(labels)
+        rng.shuffle(word)
+        plt = labeled_path(labels)
+        tree, prefs = pair_to_prime(word, plt)
+        assert len(set(tree.parents)) == self.N  # no vertex has two children: a path
+        assert prime_to_pair(tree, prefs) == (tuple(word), plt)
+
+
 class TestComposedMap:
     def test_singleton(self):
         word, plt = prime_to_pair(path_tree(1), (1,))
@@ -457,15 +681,10 @@ class TestComposedMap:
 
     def test_encode_decode_exhaustive_n6(self):
         # all 5! * Catalan(5) standard pairs, including every non-run case
-        from treepark.census import _buckets, _standard_primes
-
-        buckets = _buckets(6)
         total = 0
-        for shape in enumerate_plane_trees(6):
-            for seq in _standard_primes(shape, buckets):
-                sp = StandardPrime(shape, seq)
-                total += 1
-                assert decode_prime(encode_prime(sp)) == sp
+        for sp in standard_pairs(6):
+            total += 1
+            assert decode_prime(encode_prime(sp)) == sp
         assert total == factorial(5) * catalan_number(5)
 
     def test_roundtrip_random_larger(self):

@@ -116,6 +116,8 @@ REPRODUCTIONS = [
     ("compose-int", lambda: Series((1, 2)).compose(3), InputError, "3"),
     ("root-without-zero", lambda: RootedTree((1,)).root, NoRootError, "(1,)"),
     ("size-of-none", lambda: RootedTree(None).n, InputError, "None"),
+    ("hash-list-parents", lambda: hash(RootedTree([2, 0])), InputError, "[2, 0]"),
+    ("hash-list-entry", lambda: hash(RootedTree((2, [0]))), InputError, "(2, [0])"),
     ("root-of-none", lambda: RootedTree(None).root, InputError, "None"),
     ("root-of-str", lambda: RootedTree("a0").root, InputError, "'a0'"),
     ("standard-prime-repr-int-shape", lambda: repr(StandardPrime(5, (1,))), InputError, "vertex 5"),
@@ -404,6 +406,7 @@ FIELDS = {
 METHOD_JUNK = {
     (RootedTree, "n"): (),
     (RootedTree, "root"): (),
+    (RootedTree, "__hash__"): (),
     (LabeledPlaneTree, "__eq__"): (ANY,),
     (LabeledPlaneTree, "__hash__"): (),
     (LabeledPlaneTree, "__repr__"): (),

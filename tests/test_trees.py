@@ -125,6 +125,12 @@ class TestValidation:
         text = "3 3 5 5 0"
         assert format_rooted_tree(parse_rooted_tree(text)) == text
 
+    def test_hash_is_the_field_tuple_hash(self):
+        # the hash the dataclass would generate, for every tree on 4 vertices
+        for tree in enumerate_rooted_trees(4):
+            assert hash(tree) == hash((tree.parents,))
+        assert len({RootedTree((2, 0)), RootedTree((2, 0)), RootedTree((0, 1))}) == 2
+
 
 class TestSubtreeSize:
     def test_figure_value(self):
