@@ -1,16 +1,19 @@
 """Exhaustive brute-force censuses and theorem-level verification suites.
 
-Every count here is obtained by enumerating objects one by one (parking and
-primality depend on a sequence only through its count vector, so one subtree
-pass decides a whole bucket of sequences); the closed forms appear only on
-the *expected* side of each report.  The census still walks every labeled
-tree, but keeps only its isomorphism class and decides the buckets once per
-class met in a call, on the class's own code read as a plane shape:
-relabeling a tree permutes its buckets and keeps each bucket's size and
-slack, so a tree's parking and prime totals depend only on its unlabeled
-shape.  The tree space can be sharded: ``shard=(k, m)`` keeps the
-trees (or shapes) whose enumeration index is congruent to k mod m, and the
-per-shard counts sum to the full run.
+Every count here is obtained by enumerating objects one by one; the closed
+forms appear only on the *expected* side of each report.  Parking and
+primality depend on a sequence only through its count vector, so the census
+enumerates only the count vectors that park on a tree (a depth-first pass
+over its vertices) and weights each by its n!/prod(c_v!) sequences; only
+the standard-pair column and the round-trip suite spell a vector's
+sequences out.  The census still walks every labeled tree, but keeps only
+its isomorphism class and decides the vectors once per class met in a
+call, on the class's own code read as a plane shape: relabeling a tree
+permutes its vectors and keeps each vector's weight and slack, so a tree's
+parking and prime totals depend only on its unlabeled shape.  The tree
+space can be sharded: ``shard=(k, m)`` keeps the trees (or shapes) whose
+enumeration index is congruent to k mod m, and the per-shard counts sum to
+the full run.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice, permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .bijections import (
@@ -37,12 +40,10 @@ from .errors import InputError, InvalidShardError, LimitExceededError, _at_least
 from .parking import run_parking
 from .series import catalan_number, closed_counts
 from .trees import (
-    PlaneShape,
     RootedTree,
     _bottom_up,
     _flatten,
     _shape_parents,
-    _subtree_sums,
     enumerate_labeled_plane_trees,
     enumerate_plane_trees,
     enumerate_rooted_trees,
@@ -64,40 +65,60 @@ CENSUS_COLUMNS = (
 # The largest n of each exhaustive run; the census needs allow_large at its cap.
 CAPS = {"census": 6, "roundtrip": 4, "thm53": 7, "paths": 6}
 
-Buckets = dict[tuple[int, ...], list[tuple[int, ...]]]
+
+def _parking_vectors(up: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The count vectors that park on the tree whose parent list is ``up``
+    (slot 0 unused), each with its slack.  Slot v of a vector is how many of
+    the n drivers prefer v (slot 0 holds 0); the vector parks when every
+    subtree gets at least as many preferences as it has vertices.  The slack
+    is the least, over non-root v, of the drivers preferring the subtree of v
+    less its size (1 when n = 1); the vector's sequences are prime when it is
+    >= 1.  A depth-first pass places the vertices children first and carries
+    each vertex's surplus over the children placed so far."""
+    *below_root, root = _bottom_up(up)
+    counts = [0] * len(up)
+    surplus = [0] * len(up)
+
+    def place(i: int, left: int, slack: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if i == len(below_root):
+            counts[root] = left  # the root's subtree is the whole tree: surplus 0
+            yield tuple(counts), slack
+            return
+        v = below_root[i]
+        for count in range(max(0, 1 - surplus[v]), left + 1):
+            excess = surplus[v] + count - 1
+            counts[v] = count
+            surplus[up[v]] += excess
+            yield from place(i + 1, left - count, min(slack, excess))
+            surplus[up[v]] -= excess
+
+    # slacks never exceed 1: the root's children's excesses sum to 1 less its count
+    yield from place(0, len(up) - 1, 1)
 
 
-def _buckets(n: int) -> Buckets:
-    """The n^n preference sequences grouped by count vector.  Slot v of a key
-    is the number of drivers preferring v, less one (slot 0 is unused); the
-    keys stand for the C(2n-1, n) multisets."""
-    buckets: Buckets = {}
-    for seq in product(range(1, n + 1), repeat=n):
-        buckets.setdefault(tuple(seq.count(v) - 1 for v in range(n + 1)), []).append(seq)
-    return buckets
+def _orderings(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct sequences in which ``counts[v]`` drivers prefer v, in
+    lexicographic order (the next-permutation step, Knuth's Algorithm L)."""
+    seq = [v for v, count in enumerate(counts) for _ in range(count)]
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]
 
 
-def _slacks(up: Sequence[int], buckets: Buckets) -> Iterator[tuple[list[tuple[int, ...]], int]]:
-    """Each bucket's sequences with their slack on the tree whose parent list
-    is ``up``, slot 0 unused: the least, over non-root v, of the drivers
-    preferring the subtree of v less its size.  They park when the slack is
-    >= 0 and are prime when it is >= 1."""
-    order = _bottom_up(up)
-    below_root = order[:-1]
-    for weights, seqs in buckets.items():
-        excess = _subtree_sums(order, up, weights)
-        yield seqs, min((excess[v] for v in below_root), default=1)
-
-
-def _standard_primes(shape: PlaneShape, buckets: Buckets) -> Iterator[tuple[int, ...]]:
-    """The sequences that form a standard pair with the post-order labeled shape."""
-    parents = _shape_parents(shape)
-    tree = RootedTree(tuple(parents[1:]))
-    for seqs, slack in _slacks(parents, buckets):
+def _prime_sequences(up: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every prime preference sequence on the tree whose parent list is ``up``."""
+    for counts, slack in _parking_vectors(up):
         if slack >= 1:
-            for seq in seqs:
-                if _out_of_crossing_order(parents, run_parking(tree, seq).crossings) is None:
-                    yield seq
+            yield from _orderings(counts)
 
 
 def _shape_code(tree: RootedTree) -> tuple:
@@ -124,14 +145,16 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
         raise LimitExceededError(guard)
     if n == cap and not allow_large:
         raise LimitExceededError(
-            "the n=6 census walks 7776 trees and decides 462 buckets on each of"
-            " their 20 isomorphism classes; pass allow_large"
+            "the n=6 census walks 7776 trees, weighs the 853 count vectors that park"
+            " on their 20 isomorphism classes and simulates 7105 prime sequences on"
+            " 42 plane trees; pass allow_large"
         )
     which_mod = _ints(shard, InvalidShardError, "shard entry {}:")
     if len(which_mod) != 2 or which_mod[1] < 1 or not 0 <= which_mod[0] < which_mod[1]:
         raise InvalidShardError(f"shard {shard}: need m >= 1 and 0 <= k < m")
-    which, mod = which_mod
-    buckets = _buckets(n)
+    # k or m past the n^(n-1) trees (no fewer than the plane shapes) changes no
+    # shard, and keeps islice's index arithmetic inside sys.maxsize
+    which, mod = (min(entry, n ** (n - 1)) for entry in which_mod)
 
     walk = islice(enumerate_rooted_trees(n), which, None, mod)
     classes = Counter(_shape_code(tree) for tree in walk)  # shape code -> trees of that class
@@ -139,19 +162,29 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
     for code, trees in classes.items():
         parents = _shape_parents(code)  # a code is also a plane shape
-        slacks = [(len(seqs), slack) for seqs, slack in _slacks(parents, buckets)]
-        parking = [weight for weight, slack in slacks if slack >= 0]
-        prime = [weight for weight, slack in slacks if slack >= 1]
+        parking = prime = distribution = prime_distribution = 0
+        for vector, slack in _parking_vectors(parents):
+            sequences = factorial(n) // prod(map(factorial, vector))
+            parking += sequences
+            distribution += 1
+            if slack >= 1:
+                prime += sequences
+                prime_distribution += 1
         leaves = _leaf_count(parents)
         row = (
-            sum(parking), sum(prime), len(parking), len(prime),
-            leaves * len(prime), leaves * len(parking),
+            parking, prime, distribution, prime_distribution,
+            leaves * prime_distribution, leaves * distribution,
         )
         for name, value in zip(CENSUS_COLUMNS, row):
             counts[name] += trees * value
 
     for shape in islice(enumerate_plane_trees(n), which, None, mod):
-        counts["standard_prime"] += sum(1 for _ in _standard_primes(shape, buckets))
+        parents = _shape_parents(shape)
+        tree = RootedTree(tuple(parents[1:]))
+        counts["standard_prime"] += sum(
+            _out_of_crossing_order(parents, run_parking(tree, seq).crossings) is None
+            for seq in _prime_sequences(parents)
+        )
     return counts
 
 
@@ -209,12 +242,9 @@ class SuiteReport:
 
 def _iter_primes(n: int):
     """All prime pairs on n vertices, by enumeration and the strict criterion."""
-    buckets = _buckets(n)
     for tree in enumerate_rooted_trees(n):
-        for seqs, slack in _slacks((0,) + tree.parents, buckets):
-            if slack >= 1:
-                for seq in seqs:
-                    yield tree, seq
+        for seq in _prime_sequences((0,) + tree.parents):
+            yield tree, seq
 
 
 def roundtrip_suite(n: int) -> SuiteReport:

@@ -559,11 +559,11 @@ class TestEncode:
 
 def standard_pairs(n):
     """Every standard pair on n vertices, shape by shape."""
-    from treepark.census import _buckets, _standard_primes
+    from reference_census import reference_buckets, reference_standard_primes
 
-    buckets = _buckets(n)
+    buckets = reference_buckets(n)
     for shape in enumerate_plane_trees(n):
-        for seq in _standard_primes(shape, buckets):
+        for seq in reference_standard_primes(shape, buckets):
             yield StandardPrime(shape, seq)
 
 

@@ -1,6 +1,9 @@
 """Brute-force censuses, sharding, and the theorem suites."""
 
 import importlib
+import sys
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -13,10 +16,17 @@ from treepark import (
     enumerate_plane_trees,
     enumerate_rooted_trees,
     path_image_suite,
+    path_tree,
     roundtrip_suite,
     theorem53_suite,
 )
-from treepark.census import CENSUS_COLUMNS, _buckets, _shape_code, _slacks, _standard_primes
+from reference_census import (
+    reference_buckets,
+    reference_counts,
+    reference_slacks,
+    reference_standard_primes,
+)
+from treepark.census import CENSUS_COLUMNS, _orderings, _parking_vectors, _shape_code
 
 census_module = importlib.import_module("treepark.census")  # the package exports a census function
 
@@ -24,11 +34,11 @@ census_module = importlib.import_module("treepark.census")  # the package export
 def unmemoized_counts(n):
     """The census columns summed over every labeled tree straight from the
     bucket pass, deciding each tree's buckets afresh."""
-    buckets = _buckets(n)
+    buckets = reference_buckets(n)
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
     for tree in enumerate_rooted_trees(n):
         leaves = sum(1 for v in range(1, n + 1) if v not in tree.parents)
-        for seqs, slack in _slacks((0,) + tree.parents, buckets):
+        for seqs, slack in reference_slacks((0,) + tree.parents, buckets):
             if slack >= 0:
                 counts["parking"] += len(seqs)
                 counts["distribution"] += 1
@@ -38,7 +48,7 @@ def unmemoized_counts(n):
                 counts["prime_distribution"] += 1
                 counts["marked_prime"] += leaves
     for shape in enumerate_plane_trees(n):
-        counts["standard_prime"] += sum(1 for _ in _standard_primes(shape, buckets))
+        counts["standard_prime"] += sum(1 for _ in reference_standard_primes(shape, buckets))
     return counts
 
 
@@ -75,6 +85,22 @@ class TestCensus:
     def test_matches_every_tree_decided_afresh(self, n):
         assert census_counts(n) == unmemoized_counts(n)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_bucket_census(self, n):
+        assert census_counts(n, allow_large=True) == reference_counts(n)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (4, 5) for k in range(3)])
+    def test_shards_match_the_bucket_census(self, n, k):
+        assert census_counts(n, shard=(k, 3)) == reference_counts(n, shard=(k, 3))
+
+    def test_huge_modulus_holds_one_tree(self):
+        # 9 rooted trees and 2 plane shapes at n = 3.  islice refuses a step
+        # above sys.maxsize, and at sys.maxsize its next index overflows.
+        assert census_counts(3, shard=(0, 10**30)) == census_counts(3, shard=(0, 9))
+        assert census_counts(3, shard=(5, 10**30)) == census_counts(3, shard=(5, 9))
+        assert census_counts(3, shard=(5, sys.maxsize)) == census_counts(3, shard=(5, 9))
+        assert census_counts(3, shard=(10**30, 10**30 + 1)) == dict.fromkeys(CENSUS_COLUMNS, 0)
+
     @pytest.mark.parametrize("n, classes", enumerate([1, 1, 2, 4, 9, 20], start=1))
     def test_leaves_are_counted_once_per_class(self, n, classes, monkeypatch):
         calls = []
@@ -95,6 +121,64 @@ class TestCensus:
     def test_bad_shard_is_named(self, shard):
         with pytest.raises(InvalidShardError, match=rf"shard \({shard[0]}, {shard[1]}\)"):
             census_counts(3, shard=shard)
+
+
+def filtered_vectors(up):
+    """The parking count vectors of a parent list (slot 0 unused) with their
+    slacks, by filtering all C(2n-1, n) count vectors; each subtree is found
+    by walking every vertex up to the root."""
+    n = len(up) - 1
+    subtrees = {v: set() for v in range(1, n + 1) if up[v]}  # non-root v -> its subtree
+    for u in range(1, n + 1):
+        v = u
+        while up[v]:
+            subtrees[v].add(u)
+            v = up[v]
+    found = []
+    for multiset in combinations_with_replacement(range(1, n + 1), n):
+        counts = tuple(multiset.count(v) for v in range(n + 1))
+        slack = min((sum(counts[u] for u in sub) - len(sub) for sub in subtrees.values()), default=1)
+        if slack >= 0:
+            found.append((counts, slack))
+    return sorted(found)
+
+
+def sequences_of(counts):
+    """n! / prod(c_v!), as a product of binomials."""
+    total, left = 1, sum(counts)
+    for count in counts:
+        total *= comb(left, count)
+        left -= count
+    return total
+
+
+class TestParkingVectors:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_path_counts(self, n):
+        vectors = list(_parking_vectors((0,) + path_tree(n).parents))
+        primes = [counts for counts, slack in vectors if slack >= 1]
+        assert len(vectors) == comb(2 * n, n) // (n + 1)
+        assert len(primes) == comb(2 * n - 2, n - 1) // n
+        assert sum(sequences_of(counts) for counts, _ in vectors) == (n + 1) ** (n - 1)
+        assert sum(sequences_of(counts) for counts in primes) == (n - 1) ** (n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_labeled_tree_matches_a_filter(self, n):
+        for tree in enumerate_rooted_trees(n):
+            up = (0,) + tree.parents
+            assert sorted(_parking_vectors(up)) == filtered_vectors(up), tree
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orderings_are_distinct_and_multinomial_many(self, n):
+        seen = []
+        for multiset in combinations_with_replacement(range(1, n + 1), n):
+            counts = tuple(multiset.count(v) for v in range(n + 1))
+            orderings = list(_orderings(counts))
+            assert orderings == sorted(set(orderings)), counts  # distinct, lexicographic
+            assert len(orderings) == sequences_of(counts), counts
+            assert all(sorted(seq) == list(multiset) for seq in orderings), counts
+            seen += orderings
+        assert sorted(seen) == list(product(range(1, n + 1), repeat=n))
 
 
 class TestRoundtripSuite:

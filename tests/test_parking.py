@@ -138,14 +138,14 @@ class TestParkingFunction:
 
     def test_criterion_matches_simulation_n5(self):
         # all 5^4 * 5^5 pairs; the criterion side is decided once per
-        # (tree, count-vector bucket), as the census does, and each
-        # simulation is also checked against the plain walk to the root
-        from treepark.census import _buckets, _slacks
+        # (tree, count-vector bucket) by the reference bucket census, and
+        # each simulation is also checked against the plain walk to the root
+        from reference_census import reference_buckets, reference_slacks
 
-        buckets = _buckets(5)
+        buckets = reference_buckets(5)
         assert sum(len(seqs) for seqs in buckets.values()) == 5**5
         for tree in enumerate_rooted_trees(5):
-            for seqs, slack in _slacks((0,) + tree.parents, buckets):
+            for seqs, slack in reference_slacks((0,) + tree.parents, buckets):
                 for seq in seqs:
                     outcome = run_parking(tree, seq)
                     assert (outcome.spots, outcome.crossings) == walk_to_root(tree.parents, seq)
