@@ -14,12 +14,13 @@ The pipeline factors a prime pair through a *standard form*:
   pairs, (2n-2)! of them in total.
 
 Validation sits at the public boundaries, behind the input gate
-``parking.check_preferences``.  :func:`check_standard_prime`,
-:func:`encode_prime`, :func:`decode_prime`, :func:`decompose` and
-:func:`destandardize` check their standard pair with one simulation, and
-:func:`standardize` checks primality with one simulation and confirms the
-sibling order of its result from the same crossing log.  The encoding and
-the decomposition read every level off that one run; O(n) checks on the
+``parking.check_preferences``, and each pair is checked by one simulation.
+:func:`standardize` checks primality and the sibling order of its result
+from one crossing log, and :func:`decode_prime` checks the pair it decodes;
+both attach that run, relabeled (parking is equivariant), to the standard
+pair they return.  The other readers of a standard pair use an attached run
+and check any other pair with one simulation.  The encoding and the
+decomposition read every level off that one run; O(n) checks on the
 reading raise :class:`InvariantError` with the pair as witness.
 
 Inside the maps a standard pair is flat: the parent array of its post-order
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     InputError,
@@ -81,7 +82,8 @@ class StandardPrime:
     The tree is a plane shape whose vertices are implicitly labeled by
     post-order; siblings sit left to right in order of *decreasing* first
     crossing time of their parent edge, and ``prefs`` is the preference
-    sequence under those labels.
+    sequence under those labels.  A pair the package builds also carries the
+    run that checked it, outside the fields (see :func:`_standard_prime`).
     """
 
     shape: PlaneShape
@@ -157,13 +159,6 @@ def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) ->
     return bad
 
 
-def _standard_parents(sp: StandardPrime) -> list[int]:
-    """The flat parent array of a standard pair's shape."""
-    if not isinstance(sp, StandardPrime):
-        raise NotStandardPrimeError(f"{sp!r} is not a StandardPrime")
-    return _shape_parents(sp.shape)
-
-
 def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[tuple[int, ...], ParkingOutcome]:
     """Validate a flat standard pair with one simulation; returns its prefs
     and the simulation's outcome."""
@@ -185,6 +180,31 @@ def _broken(parents: list[int], prefs: Sequence[int], invariant: str) -> Invaria
     return InvariantError(invariant, RootedTree(tuple(parents[1:])), prefs)
 
 
+_Run = tuple[list[int], tuple[int, ...], ParkingOutcome]  # flat parents, prefs, the check's run
+
+
+def _standard_prime(parents: list[int], prefs: tuple[int, ...], outcome: ParkingOutcome) -> StandardPrime:
+    """The standard pair of a checked flat pair, carrying that check's run as
+    an instance attribute: not a field, so ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` ignore it.  Nothing mutates the run."""
+    sp = StandardPrime(_parents_shape(parents), prefs)
+    object.__setattr__(sp, "_run", (parents, prefs, outcome))
+    return sp
+
+
+def _checked(sp: StandardPrime, first: Callable[[int], object] | None = None) -> _Run:
+    """The flat pair and run of a valid standard pair: the run attached by
+    :func:`_standard_prime`, or else one simulation checks the pair.
+    ``first(n)`` runs ahead of that check, for an argument reported first."""
+    if not isinstance(sp, StandardPrime):
+        raise NotStandardPrimeError(f"{sp!r} is not a StandardPrime")
+    run = sp.__dict__.get("_run")
+    parents = _shape_parents(sp.shape) if run is None else run[0]
+    if first is not None:
+        first(len(parents) - 1)
+    return run or (parents, *_check_standard(parents, sp.prefs))
+
+
 def check_standard_prime(sp: StandardPrime) -> int:
     """Validate a standard pair; returns n.
 
@@ -192,9 +212,7 @@ def check_standard_prime(sp: StandardPrime) -> int:
     each child list is ordered by decreasing first-crossing time of the
     child's parent edge.
     """
-    parents = _standard_parents(sp)
-    _check_standard(parents, sp.prefs)
-    return len(parents) - 1
+    return len(_checked(sp)[1])
 
 
 def standardize(
@@ -226,16 +244,16 @@ def standardize(
     for v, p in enumerate(tree.parents, start=1):
         if p:
             parents[sigma[v]] = sigma[p]
-    relabeled = [(sigma[c], sigma[p]) for c, p in outcome.crossings]
+    relabeled = tuple((sigma[c], sigma[p]) for c, p in outcome.crossings)
     if _out_of_crossing_order(parents, relabeled) is not None:
         raise InvariantError("the standard form breaks the crossing order", tree, prefs)
-    return tuple(sigma[1:]), StandardPrime(_parents_shape(parents), tuple(sigma[p] for p in prefs))
+    run = ParkingOutcome(tuple(sigma[s] for s in outcome.spots), relabeled)
+    return tuple(sigma[1:]), _standard_prime(parents, tuple(sigma[p] for p in prefs), run)
 
 
-def _inverse_relabeling(word: Sequence[int], std_parents: list[int]) -> tuple[int, ...]:
-    """The inverse of ``word``, checked as a relabeling of the pair's vertices."""
+def _inverse_relabeling(word: Sequence[int], n: int) -> tuple[int, ...]:
+    """The inverse of ``word``, checked as a relabeling of n vertices."""
     word = check_permutation(word)
-    n = len(std_parents) - 1
     if len(word) != n:
         raise LengthMismatchError(f"permutation of length {len(word)} for {n} vertices")
     return inverse_permutation(word)
@@ -258,12 +276,12 @@ def destandardize(
 ) -> tuple[RootedTree, tuple[int, ...]]:
     """Apply the inverse relabeling and forget the plane order.
 
-    The permutation is checked first, then the standard pair, with the one
-    simulation of :func:`check_standard_prime`.
+    The permutation is checked first, then the standard pair, as in
+    :func:`check_standard_prime`.
     """
-    std_parents = _standard_parents(sp)
-    inv = _inverse_relabeling(word, std_parents)
-    return _destandardize(inv, std_parents, _check_standard(std_parents, sp.prefs)[0])
+    inv: list[int] = []
+    std_parents, prefs, _ = _checked(sp, lambda n: inv.extend(_inverse_relabeling(word, n)))
+    return _destandardize(inv, std_parents, prefs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +340,8 @@ def decompose(sp: StandardPrime) -> list[Component]:
     root's image children in :func:`_image`, in walk order, each with the
     drivers that prefer it, one marked where the walk re-entered.
     """
-    parents = _standard_parents(sp)
-    n = len(parents) - 1
-    if n < 2:
-        raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
-    prefs, outcome = _check_standard(parents, sp.prefs)
+    parents, prefs, outcome = _checked(sp, _decomposable)
+    n = len(prefs)
     kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
     components = []
     for c in kids[n]:
@@ -338,6 +353,11 @@ def decompose(sp: StandardPrime) -> list[Component]:
         marks = MarkedSet(tuple(ds), ds[rank[marked[c]] - 1])
         components.append(Component(tuple(vertices), marked[c], marks, piece))
     return components
+
+
+def _decomposable(n: int) -> None:
+    if n < 2:
+        raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
 
 
 # Fenwick trees (Fenwick 1994) of present positions 1..m: entry i counts those
@@ -422,8 +442,7 @@ def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -
 
 def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
     """Map a standard pair to a plane tree with non-root labels in [n-1]."""
-    parents = _standard_parents(sp)
-    return _encode(parents, *_check_standard(parents, sp.prefs))
+    return _encode(*_checked(sp))
 
 
 def _decode(labels: list[int | None], kids: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -510,8 +529,7 @@ def decode_prime(plt: LabeledPlaneTree) -> StandardPrime:
     labels, kids = _flatten(plt)
     _check_labels(labels, root_labeled=False)
     parents, prefs = _decode(labels, kids)
-    _check_standard(parents, prefs)
-    return StandardPrime(_parents_shape(parents), tuple(prefs))
+    return _standard_prime(parents, *_check_standard(parents, prefs))
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +549,8 @@ def pair_to_prime(
     word: Sequence[int], plt: LabeledPlaneTree
 ) -> tuple[RootedTree, tuple[int, ...]]:
     """(permutation, labeled plane tree) -> prime pair."""
-    sp = decode_prime(plt)  # a valid standard pair: only the word is left to check
-    std_parents = _shape_parents(sp.shape)
-    return _destandardize(_inverse_relabeling(word, std_parents), std_parents, sp.prefs)
+    std_parents, prefs, _ = _checked(decode_prime(plt))  # only the word is left to check
+    return _destandardize(_inverse_relabeling(word, len(prefs)), std_parents, prefs)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ class Series:
 
     @staticmethod
     def constant(value, order: int) -> "Series":
-        return Series((_as_fraction(value),) + (Q(0),) * _at_least(order, 0, "order"))
+        return _series((_as_fraction(value),) + (Q(0),) * _at_least(order, 0, "order"))
 
     @property
     def order(self) -> int:
@@ -109,7 +109,7 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if _at_least(order, 0, "order") > self.order:
             raise OrderMismatchError(f"cannot extend order {self.order} to {order}")
-        return Series(self.coeffs[: order + 1])
+        return _series(self.coeffs[: order + 1])
 
     def first_nonzero(self) -> tuple[int, Fraction] | None:
         for k, c in enumerate(self.coeffs):
@@ -127,14 +127,14 @@ class Series:
 
     def __add__(self, other) -> "Series":
         if isinstance(other, Series):
-            return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+            return _series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
         other = _as_fraction(other)
-        return Series((self._constant_term("adding a number") + other,) + self.coeffs[1:])
+        return _series((self._constant_term("adding a number") + other,) + self.coeffs[1:])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series(tuple(-c for c in self.coeffs))
+        return _series(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "Series":
         return self + (-other if isinstance(other, Series) else -_as_fraction(other))
@@ -145,34 +145,34 @@ class Series:
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
             other = _as_fraction(other)
-            return Series(tuple(c * other for c in self.coeffs))
+            return _series(tuple(c * other for c in self.coeffs))
         n = min(self.order, other.order)
         a, da = _over_one_denominator(self.coeffs[: n + 1])
         b, db = _over_one_denominator(other.coeffs[: n + 1])
         den = da * db
-        return Series(tuple(Q(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(n + 1)))
+        return _series(tuple(Q(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(n + 1)))
 
     __rmul__ = __mul__
 
     def shift_up(self) -> "Series":
         """Multiply by x; the order grows by one."""
-        return Series((Q(0),) + self.coeffs)
+        return _series((Q(0),) + self.coeffs)
 
     def shift_down(self) -> "Series":
         """Divide by x; requires a vanishing constant term."""
         if self._constant_term("dividing by x") != 0:
             raise BranchUndefinedError("cannot divide by x: constant term is nonzero")
-        return Series(self.coeffs[1:])
+        return _series(self.coeffs[1:])
 
     def x_derivative(self) -> "Series":
         """x * d/dx, which keeps the order."""
-        return Series(tuple(k * c for k, c in enumerate(self.coeffs)))
+        return _series(tuple(k * c for k, c in enumerate(self.coeffs)))
 
     def derivative(self) -> "Series":
-        return Series(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+        return _series(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
     def integral(self, constant=0) -> "Series":
-        return Series(
+        return _series(
             (_as_fraction(constant),)
             + tuple(c / (k + 1) for k, c in enumerate(self.coeffs))
         )
@@ -190,7 +190,7 @@ class Series:
             c = Q(sum(map(mul, ja[1 : k + 1], o[k - 1 :: -1])), d * den * k)
             out.append(c)
             den = _append(o, den, c)
-        return Series(tuple(out))
+        return _series(tuple(out))
 
     def log(self) -> "Series":
         if self._constant_term("log") != 1:
@@ -203,7 +203,7 @@ class Series:
             c = Q(acc, d * den * k)
             out.append(c)
             den = _append(jo, den, c, k)
-        return Series(tuple(out))
+        return _series(tuple(out))
 
     def sqrt(self) -> "Series":
         """Principal branch: the constant term of the result is the positive
@@ -223,7 +223,7 @@ class Series:
             c = Q(acc * root_den, 2 * root_num * d * den * den)
             out.append(c)
             den = _append(o, den, c)
-        return Series(tuple(out))
+        return _series(tuple(out))
 
     def inverse(self) -> "Series":
         if self._constant_term("inverse") == 0:
@@ -236,7 +236,7 @@ class Series:
             c = Q(-sum(map(mul, a[1 : k + 1], o[k - 1 :: -1])), den * a[0])
             out.append(c)
             den = _append(o, den, c)
-        return Series(tuple(out))
+        return _series(tuple(out))
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute ``inner`` (which must have no constant term) into self.
@@ -252,7 +252,7 @@ class Series:
         if inner.coeffs[0] != 0:
             raise BranchUndefinedError("composition needs an inner series with zero constant term")
         a = self.coeffs
-        acc = Series((a[n],))
+        acc = _series((a[n],))
         b = inner.truncate(n).shift_down()
         for k in range(n - 1, -1, -1):
             acc = (acc * b).shift_up() + a[k]
@@ -261,12 +261,20 @@ class Series:
     def scale_argument(self, factor) -> "Series":
         """f(x) -> f(factor * x)."""
         factor = _as_fraction(factor)
-        return Series(tuple(c * factor**k for k, c in enumerate(self.coeffs)))
+        return _series(tuple(c * factor**k for k, c in enumerate(self.coeffs)))
+
+
+def _series(coeffs: tuple[Fraction, ...]) -> Series:
+    """A series the package built, its coefficients all ``Fraction`` already:
+    ``Series.__post_init__`` would pass each through unchanged, so it is skipped."""
+    made = object.__new__(Series)
+    object.__setattr__(made, "coeffs", coeffs)
+    return made
 
 
 def x_series(order: int) -> Series:
     _at_least(order, 0, "order")
-    return Series(((Q(0), Q(1)) + (Q(0),) * (order - 1))[: order + 1])
+    return _series(((Q(0), Q(1)) + (Q(0),) * (order - 1))[: order + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +285,21 @@ def x_series(order: int) -> Series:
 def tree_function(order: int) -> Series:
     """Exponential series of labeled rooted trees: sum n^(n-1) x^n / n!."""
     _at_least(order, 0, "order")
-    return Series((Q(0),) + tuple(Q(n ** (n - 1), factorial(n)) for n in range(1, order + 1)))
+    return _series((Q(0),) + tuple(Q(n ** (n - 1), factorial(n)) for n in range(1, order + 1)))
 
 
 def catalan_series(order: int) -> Series:
     """(1 - sqrt(1 - 4x)) / (2x); coefficients are the Catalan numbers."""
     _at_least(order, 0, "order")
-    radicand = Series((Q(1), Q(-4)) + (Q(0),) * order)  # order + 1
+    radicand = _series((Q(1), Q(-4)) + (Q(0),) * order)  # order + 1
     return ((1 - radicand.sqrt()).shift_down()) * Q(1, 2)
 
 
 def schroder_series(order: int) -> Series:
     """(1 - x - sqrt(x^2 - 6x + 1)) / (2x); the large Schroeder numbers."""
     _at_least(order, 0, "order")
-    radicand = Series((Q(1), Q(-6), Q(1)) + (Q(0),) * max(order - 1, 0))  # order + 1
-    numerator = Series((Q(1), Q(-1)) + (Q(0),) * order) - radicand.sqrt()
+    radicand = _series((Q(1), Q(-6), Q(1)) + (Q(0),) * max(order - 1, 0))  # order + 1
+    numerator = _series((Q(1), Q(-1)) + (Q(0),) * order) - radicand.sqrt()
     return numerator.shift_down() * Q(1, 2)
 
 
@@ -335,7 +343,7 @@ def parking_series(order: int) -> Series:
 def prime_series(order: int) -> Series:
     """Prime-pair series sum (2n-2)! x^n / (n!)^2, read off :func:`prime_count`."""
     _at_least(order, 0, "order")
-    return Series(
+    return _series(
         (Q(0),)
         + tuple(Q(prime_count(n), factorial(n) ** 2) for n in range(1, order + 1))
     )
@@ -365,7 +373,7 @@ def _distribution_series(order: int) -> Series:
             dg = _append(g, dg, Q(sum(map(mul, e[1 : k + 1], g[k - 1 :: -1])), de * dg * k))
             dh = _append(h, dh, Q(3 * e[k] * de + 2 * sum(map(mul, e[1:k], e[k - 1 : 0 : -1])), de * de))
         f[k + 1] = Q(sum(map(mul, g, h[::-1])), dg * dh * (k + 1))
-    solved = Series(tuple(f))
+    solved = _series(tuple(f))
     bad = (solved.derivative() - _distribution_rhs(solved)).first_nonzero()
     if bad is not None:
         raise IdentityViolatedError(f"distribution ODE: residual {bad[1]} at x^{bad[0]}")
@@ -374,7 +382,7 @@ def _distribution_series(order: int) -> Series:
 
 def prime_distribution_series(order: int) -> Series:
     _at_least(order, 0, "order")
-    return Series((Q(0),) + tuple(Q(schroder_number(n - 1), n) for n in range(1, order + 1)))
+    return _series((Q(0),) + tuple(Q(schroder_number(n - 1), n) for n in range(1, order + 1)))
 
 
 class DistributionSeries(NamedTuple):
@@ -412,7 +420,7 @@ def marked_distribution_series(order: int) -> Series:
 
 
 def _closed_parking_series(order: int) -> Series:
-    return Series(
+    return _series(
         (Q(0),)
         + tuple(Q(parking_count(n), factorial(n) ** 2) for n in range(1, order + 1))
     )
@@ -463,7 +471,7 @@ def _leaf_marked(order: int, counts: Sequence[int], factor: int) -> Series:
     """x + sum over n >= 2 of factor n (n - 1) counts[n - 1] x^n / n!: a marked
     leaf, counted from the unmarked structures one size down."""
     terms = (Q(factor * n * (n - 1) * counts[n - 1], factorial(n)) for n in range(2, order + 1))
-    return Series((Q(0), Q(1))[: order + 1] + tuple(terms))
+    return _series((Q(0), Q(1))[: order + 1] + tuple(terms))
 
 
 def _residual_marked_prime_sum(order: int) -> Series:

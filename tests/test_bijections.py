@@ -1,6 +1,9 @@
 """Standard form, the plane-tree encoding, and the path specializations."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -44,11 +47,13 @@ from treepark import (
     path_preimage_seq,
     path_tree,
     prime_to_pair,
+    roundtrip_suite,
     standard_path_prime,
     standardize,
     validate_rooted_tree,
 )
 from treepark.bijections import Component, check_standard_prime
+from treepark.census import _iter_primes
 from treepark.parking import ParkingOutcome, run_parking
 from treepark.trees import RootedTree, _flatten, _labeled_tree, _parents_shape, _shape_parents
 
@@ -216,7 +221,8 @@ class TestMarkedSet:
 
 class TestOneSimulation:
     """Each standard-pair check parks the drivers once and reuses the outcome,
-    and the encoding and the decomposition read everything off that run."""
+    and the encoding and the decomposition read everything off that run.  A
+    standard pair the package builds carries its run, so it is not checked again."""
 
     @pytest.fixture
     def simulations(self, monkeypatch):
@@ -244,10 +250,19 @@ class TestOneSimulation:
     def test_prime_to_pair(self, simulations):
         word, plt = prime_to_pair(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
         assert (word, format_plane_tree(plt)) == ((5, 1, 2, 4, 3), "*[1 3 4[2]]")
-        assert simulations == [
-            (2, 5, 3, 5, 2),  # standardize
-            (1, 3, 2, 3, 1),  # encode_prime's check of the standard pair, which it then reads
-        ]
+        assert simulations == [(2, 5, 3, 5, 2)]  # standardize's; encode_prime reads its run
+
+    def test_encode_prime_of_a_standardized_pair(self, simulations):
+        _, sp = standardize(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
+        simulations.clear()
+        assert format_plane_tree(encode_prime(sp)) == "*[1 3 4[2]]"
+        assert simulations == []
+
+    def test_roundtrip_suite(self, simulations):
+        # 24 prime pairs and 24 (permutation, plane tree) pairs at n = 3,
+        # each through both maps: one run per map
+        assert roundtrip_suite(3).failures == ()
+        assert len(simulations) == 96
 
     def test_pair_to_prime(self, simulations):
         tree, prefs = pair_to_prime((5, 1, 2, 4, 3), parse_plane_tree("*[1 3 4[2]]"))
@@ -639,6 +654,103 @@ class TestGrowth:
         tree, prefs = pair_to_prime(word, plt)
         assert len(set(tree.parents)) == self.N  # no vertex has two children: a path
         assert prime_to_pair(tree, prefs) == (tuple(word), plt)
+
+
+def post_order_parents(shape):
+    """Oracle: the parent tuple of a plane shape under post-order labels, by
+    recursion on the nested tuples."""
+    parents = []
+
+    def label(node):
+        below = [label(child) for child in node]
+        parents.append(0)
+        for child in below:
+            parents[child - 1] = len(parents)
+        return len(parents)
+
+    label(shape)
+    return tuple(parents)
+
+
+def without_run(sp):
+    """A fresh copy of a standard pair, with no run attached."""
+    return StandardPrime(sp.shape, sp.prefs)
+
+
+def random_pairs(seed):
+    """100 (permutation, plane tree) pairs on 2..300 vertices."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        plt = random_plane_tree(rng, rng.randint(2, 300))
+        word = list(range(1, len(_flatten(plt)[0]) + 1))
+        rng.shuffle(word)
+        yield tuple(word), plt
+
+
+class TestAttachedRun:
+    """The run a built standard pair carries is the pair's own: the oracle
+    parks the tree its shape spells under a recursive post-order labeling."""
+
+    @staticmethod
+    def assert_own_run(sp):
+        parents, prefs, outcome = sp._run
+        tree = RootedTree(post_order_parents(sp.shape))
+        assert (tuple(parents[1:]), prefs) == (tree.parents, sp.prefs)
+        assert outcome == run_parking(tree, sp.prefs)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_standardize_on_every_prime_pair_to_five(self, n):
+        for tree, prefs in _iter_primes(n):
+            word, sp = standardize(tree, prefs)
+            self.assert_own_run(sp)
+            if n < 5:  # two encodings of 40 320 pairs take seconds; the random pairs go larger
+                assert prime_to_pair(tree, prefs) == (word, encode_prime(without_run(sp)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_decode_prime_on_every_plane_tree_to_five(self, n):
+        rng = random.Random(n)
+        for plt in enumerate_labeled_plane_trees(n):
+            sp = decode_prime(plt)
+            self.assert_own_run(sp)
+            word = rng.sample(range(1, n + 1), n)
+            assert pair_to_prime(word, plt) == destandardize(word, without_run(sp))
+
+    def test_random_pairs(self):
+        for word, plt in random_pairs(20180917):
+            sp = decode_prime(plt)
+            self.assert_own_run(sp)
+            tree, prefs = pair_to_prime(word, plt)
+            assert (tree, prefs) == destandardize(word, without_run(sp))
+            again, sp = standardize(tree, prefs)
+            self.assert_own_run(sp)
+            assert prime_to_pair(tree, prefs) == (again, encode_prime(without_run(sp))) == (word, plt)
+
+    @pytest.mark.parametrize("built", ["standardize", "decode_prime"])
+    def test_value_semantics_ignore_the_run(self, built):
+        if built == "standardize":
+            sp = standardize(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))[1]
+        else:
+            sp = decode_prime(parse_plane_tree("*[1 3 4[2]]"))
+        plain = without_run(sp)
+        assert "_run" in vars(sp) and "_run" not in vars(plain)
+        assert dataclasses.fields(sp) == dataclasses.fields(plain)
+        assert (repr(sp), hash(sp)) == (repr(plain), hash(plain))
+        assert sp == plain == FIG_SP
+        assert "_run" not in vars(dataclasses.replace(sp))
+        for copied in (copy.copy(sp), pickle.loads(pickle.dumps(sp))):
+            assert copied == sp
+            assert encode_prime(copied) == encode_prime(plain) == parse_plane_tree("*[1 3 4[2]]")
+
+    def test_readers_leave_the_run_alone(self):
+        word, plt = next(random_pairs(5))
+        for sp in (decode_prime(plt), standardize(*pair_to_prime(word, plt))[1]):
+            run = sp._run
+            kept = (list(run[0]), run[1], run[2])
+            encode_prime(sp)
+            decompose(sp)
+            destandardize(word, sp)
+            check_standard_prime(sp)
+            assert sp._run is run and (run[0], run[1], run[2]) == kept
 
 
 class TestComposedMap:

@@ -36,7 +36,12 @@ from treepark import (
     schroder_series,
     tree_function,
 )
-from treepark.series import marked_distribution_series, marked_prime_series, x_series
+from treepark.series import (
+    DistributionSeries,
+    marked_distribution_series,
+    marked_prime_series,
+    x_series,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -432,6 +437,41 @@ NAMED_SERIES = [
     marked_distribution_series,
     x_series,
 ]
+
+
+def kernel_results(order: int):
+    """Every kernel operation, by name, on random series of the given order."""
+    rng = random.Random(order)
+    a, b = random_series(rng, order), random_series(rng, order)
+    zero_start, one_start = random_series(rng, order, constant=0), random_series(rng, order, constant=1)
+    yield from {
+        "add": a + b, "add number": a + 2, "radd": 2 + a, "sub": a - b, "sub number": a - 3,
+        "rsub": 3 - a, "neg": -a, "mul": a * b, "mul number": a * Q(2, 3), "rmul": 2 * a,
+        "shift_up": a.shift_up(), "shift_down": zero_start.shift_down(),
+        "x_derivative": a.x_derivative(), "derivative": a.derivative(),
+        "integral": a.integral(), "integral from": a.integral(Q(1, 2)),
+        "exp": zero_start.exp(), "log": one_start.log(), "sqrt": (one_start * one_start).sqrt(),
+        "inverse": one_start.inverse(), "compose": a.compose(zero_start),
+        "scale_argument": a.scale_argument(Q(-2, 3)), "truncate": a.truncate(order),
+        "constant": Series.constant(5, order),
+    }.items()
+
+
+class TestExactCoefficients:
+    """Every series the package builds holds exact ``Fraction`` coefficients,
+    though only the public constructor converts them."""
+
+    @pytest.mark.parametrize("order", range(31))
+    def test_named_series_and_kernel_operations(self, order):
+        made = [(make.__name__, make(order)) for make in NAMED_SERIES]
+        made += zip(DistributionSeries._fields, distribution_series(order))
+        for name, series in made + list(kernel_results(order)):
+            assert type(series) is Series, name
+            assert all(type(c) is Q for c in series.coeffs), name
+
+    def test_public_constructor_still_converts(self):
+        converted = Series((1, 2.5, "1/3")).coeffs
+        assert converted == (Q(1), Q(5, 2), Q(1, 3)) and all(type(c) is Q for c in converted)
 
 
 class TestOrders:

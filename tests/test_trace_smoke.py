@@ -1,6 +1,7 @@
 """The benchmark's tracer still wraps the package: a small traced run records
 calls and spans under every name that ``perfbench/run.py`` reads or divides
-by, and uninstalling restores every function it rebound."""
+by, each composed bijection map runs its traced half under its own span, and
+uninstalling restores every function it rebound."""
 
 import importlib.util
 from pathlib import Path
@@ -47,3 +48,28 @@ def test_traced_run_sees_every_name_the_bench_reads():
         assert tracer.calls[name] > 0, name
         assert name in tracer.names, name
     assert (treepark.pair_to_prime, treepark.series.check_identity, treepark.Series.__mul__) == originals
+
+
+# The composed maps must reach these through their module-level names: the
+# bench's path exponents divide by the time spent under the child spans.
+CHILD_SPANS = {
+    "bijections.prime_to_pair": "bijections.encode_prime",
+    "bijections.pair_to_prime": "bijections.decode_prime",
+}
+
+
+def test_composed_maps_call_the_traced_halves():
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        word, plane = treepark.prime_to_pair(treepark.path_tree(3), (1, 1, 1))
+        treepark.pair_to_prime(word, plane)
+        treepark.roundtrip_suite(2)
+    finally:
+        tracer.uninstall()
+    for outer, inner in CHILD_SPANS.items():
+        spans = [i for i, name in enumerate(tracer.names) if name == outer]
+        assert len(spans) == 5, outer  # one direct call and four from the suite
+        for span in spans:
+            children = {tracer.names[j] for j, parent in enumerate(tracer.parents) if parent == span}
+            assert inner in children, (outer, span)
