@@ -7,6 +7,7 @@ forms only ever sit on the expected side.
 
 import ast
 import random
+import re
 import time
 from itertools import permutations, product
 from math import factorial
@@ -206,3 +207,42 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_parses_at_the_oldest_supported_python():
+    """Every module parses with the grammar of the oldest Python that
+    pyproject.toml admits, whichever Python runs the tests."""
+    root = Path(treepark.__file__).resolve().parent
+    pyproject = (root.parents[1] / "pyproject.toml").read_text()
+    oldest = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    assert oldest == (3, 10)
+    for path in sorted(root.rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=oldest)
+
+
+def test_readme_library_block():
+    """The README's Library block runs in a fresh namespace, and each
+    expression gives the value its comment states."""
+    readme = (Path(treepark.__file__).resolve().parents[2] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    namespace: dict = {}
+    stated = []  # (value, comment) of each expression statement
+    for node in ast.parse(block).body:
+        code = compile(ast.Module([node], []), "README.md", "exec")
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            stated.append((eval(code, namespace), lines[node.lineno - 1].partition("#")[2].strip()))
+        else:
+            exec(code, namespace)
+    tp = namespace["tp"]
+    spots, edges, pair, prime, identities, passed = [value for value, _ in stated]
+    comments = [comment for _, comment in stated]
+    assert spots == (2, 3, 1, 4, 5) and comments[0].startswith(repr(spots))
+    assert edges == ((2, 3), (3, 5)) and comments[1].startswith(repr(edges))
+    assert pair == (tp.parse_rooted_tree("2 0"), (1, 1)) and "round-trips" in comments[2]
+    assert prime == 3628800 and comments[3].startswith("3628800")
+    held = [r.first_bad for r in identities if r.expected_zero]  # one identity is informational
+    assert held == [None] * 15
+    assert "residuals exactly zero" in comments[4]
+    assert passed is True

@@ -52,7 +52,7 @@ from treepark import (
     standardize,
     validate_rooted_tree,
 )
-from treepark.bijections import Component, check_standard_prime
+from treepark.bijections import Component, _avoids_132, check_standard_prime
 from treepark.census import _iter_primes
 from treepark.parking import ParkingOutcome, run_parking
 from treepark.trees import RootedTree, _flatten, _labeled_tree, _parents_shape, _shape_parents
@@ -285,6 +285,19 @@ def with_spots(spots):
     return doctored
 
 
+def with_image_entry(array, vertex, value):
+    """The image reader with one entry of its ``marked`` (2) or ``drivers``
+    (1) array replaced."""
+    real = treepark.bijections._image
+
+    def doctored(parents, prefs, outcome):
+        image = real(parents, prefs, outcome)
+        image[array][vertex] = value
+        return image
+
+    return doctored
+
+
 class TestDecomposeInvariants:
     """Each O(n) check on the reading of the one run raises with the standard
     pair as witness.  The figure pair's run parks drivers 1..5 at 1, 3, 2, 4, 5
@@ -308,10 +321,24 @@ class TestDecomposeInvariants:
         assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
 
     def test_image_carries_each_label_once(self, monkeypatch):
-        monkeypatch.setattr(treepark.bijections, "_take", lambda fen, k: 1)
-        with pytest.raises(InvariantError, match="each label 1..n-1 once") as caught:
-            encode_prime(FIG_SP)
-        assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
+        # The image pieces are {1}, {2} and {3, 4} below the root 5.  Popped
+        # label lists carry each label once by construction, so a fault can
+        # only show as a marked vertex outside its piece: 1 would take a wrong
+        # label silently, 5 would index past the piece's lists.
+        for outside in (1, 5):
+            monkeypatch.setattr(treepark.bijections, "_image", with_image_entry(2, 4, outside))
+            with pytest.raises(InvariantError, match="marked vertex lies in the piece") as caught:
+                encode_prime(FIG_SP)
+            assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
+
+    def test_pieces_draw_drivers_from_their_parent(self, monkeypatch):
+        # vertex 2's driver is 3; 5 is the root's final driver, popped before
+        # the pieces below it take theirs, and 0 is no driver at all
+        for driver in (5, 0):
+            monkeypatch.setattr(treepark.bijections, "_image", with_image_entry(1, 2, driver))
+            with pytest.raises(InvariantError, match="drivers are drivers of its parent") as caught:
+                encode_prime(FIG_SP)
+            assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
 
     def test_checked_under_optimize(self):
         # python -O strips asserts; the checks must still raise
@@ -328,11 +355,17 @@ class TestDecomposeInvariants:
             "except InvariantError:\n"
             "    print('raised')\n"
             "treepark.bijections._prime_outcome = real\n"
-            "treepark.bijections._take = lambda fen, k: 1\n"
-            "try:\n"
-            "    treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
-            "except InvariantError:\n"
-            "    print('raised')\n"
+            "image = treepark.bijections._image\n"
+            "for array, value in ((2, 1), (1, 5)):\n"
+            "    def doctored(parents, prefs, outcome):\n"
+            "        found = image(parents, prefs, outcome)\n"
+            "        found[array][4 if array == 2 else 2] = value\n"
+            "        return found\n"
+            "    treepark.bijections._image = doctored\n"
+            "    try:\n"
+            "        treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
+            "    except InvariantError:\n"
+            "        print('raised')\n"
         )
         src = Path(treepark.__file__).resolve().parents[1]
         done = subprocess.run(
@@ -342,7 +375,7 @@ class TestDecomposeInvariants:
             text=True,
             check=True,
         )
-        assert done.stdout == "raised\nraised\n"
+        assert done.stdout == "raised\nraised\nraised\n"
 
     def test_needs_two_vertices(self):
         with pytest.raises(InputError, match="at least 2 vertices"):
@@ -858,6 +891,12 @@ class TestPatternAvoidance:
     @given(st.permutations(list(range(1, 9))))
     def test_matches_brute_force(self, word):
         assert is_132_avoiding(tuple(word)) == (not has_132_brute(tuple(word)))
+
+    def test_scan_matches_every_triple_to_eight(self):
+        # the scan shared by is_132_avoiding, borie_map and theorem53_suite
+        for n in range(9):
+            for word in permutations(range(1, n + 1)):
+                assert _avoids_132(word) == (not has_132_brute(word)), word
 
 
 class TestBorieMap:

@@ -1,6 +1,7 @@
 """Brute-force censuses, sharding, and the theorem suites."""
 
 import importlib
+import re
 import sys
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -26,7 +27,8 @@ from reference_census import (
     reference_slacks,
     reference_standard_primes,
 )
-from treepark.census import CENSUS_COLUMNS, _orderings, _parking_vectors, _shape_code
+from treepark.census import CENSUS_COLUMNS, _orderings, _parking_vectors, _prime_sequences, _shape_code
+from treepark.trees import _shape_parents
 
 census_module = importlib.import_module("treepark.census")  # the package exports a census function
 
@@ -73,6 +75,26 @@ class TestCensus:
             census_counts(7)
         with pytest.raises(LimitExceededError):
             census_counts(6)  # needs allow_large
+
+    def test_guard_message_matches_the_walk(self):
+        with pytest.raises(LimitExceededError) as caught:
+            census_counts(6)
+        stated = re.search(
+            r"walks (\d+) trees, weighs the (\d+) count vectors that park on their"
+            r" (\d+) isomorphism classes and simulates (\d+) prime sequences on"
+            r" (\d+) plane trees",
+            str(caught.value),
+        )
+        classes = {_shape_code(tree) for tree in enumerate_rooted_trees(6)}
+        shapes = list(enumerate_plane_trees(6))
+        walked = (
+            sum(1 for _ in enumerate_rooted_trees(6)),
+            sum(1 for code in classes for _ in _parking_vectors(_shape_parents(code))),
+            len(classes),
+            sum(1 for shape in shapes for _ in _prime_sequences(_shape_parents(shape))),
+            len(shapes),
+        )
+        assert tuple(map(int, stated.groups())) == walked == (7776, 853, 20, 7105, 42)
 
     def test_shards_sum_to_full(self):
         for n in (4, 5):
