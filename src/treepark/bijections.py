@@ -360,6 +360,37 @@ def _decomposable(n: int) -> None:
         raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
 
 
+# Fenwick trees (Fenwick 1994) of present positions 1..m: entry i counts those
+# in (i - (i & -i), i], so [i & -i for i in range(m + 1)] has all present.
+def _rank(fen: list[int], i: int) -> int:
+    """How many present positions are at most i."""
+    r = 0
+    while i:
+        r += fen[i]
+        i &= i - 1
+    return r
+
+
+def _remove(fen: list[int], i: int) -> None:
+    end = len(fen)
+    while i < end:
+        fen[i] -= 1
+        i += i & -i
+
+
+def _take(fen: list[int], k: int) -> int:
+    """Remove the k-th smallest present position and return it."""
+    i, end = 0, len(fen)
+    step = 1 << (end - 1).bit_length() >> 1
+    while step:
+        if i + step < end and fen[i + step] < k:
+            i += step
+            k -= fen[i]
+        step >>= 1
+    _remove(fen, i + 1)
+    return i + 1
+
+
 def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -> LabeledPlaneTree:
     """The plane-tree image of a checked flat standard pair, on the shape
     that :func:`_image` reads off its one run.
@@ -370,44 +401,40 @@ def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -
     (P's final driver, the largest, hands none down), and Q's own label is
     the k-th smallest of them, k the rank in Q of its marked vertex.
 
-    A piece keeps its vertices, drivers and labels as sorted lists.  Once its
-    label and its root and final driver (its largest vertex and driver) are
-    popped, the drivers and labels align rank for rank; the other children's
-    entries move to fresh lists and the largest child keeps the rest, so an
-    entry moves O(log n) times.  Each pop shifts its list's tail, so a chain
-    of d nested pieces costs O(n d) word moves at memmove speed.
+    A piece keeps a Fenwick tree each over its vertices, drivers and labels,
+    by rank; its largest child inherits them less the other children's
+    entries, which go to fresh ones, so an entry moves O(log n) times.  Its
+    root and final driver, the largest, stay in and change no rank below.
     """
     n = len(prefs)
     kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
     labels: list[int | None] = [0] * (n + 1)
-    work = [(n, list(range(1, n + 1)), list(range(1, n + 1)), list(range(1, n + 1)))]
+    vertex_at, driver_at = list(range(n + 1)), list(range(n + 1))  # ranks in the current piece
+    full = [i & -i for i in range(n + 1)]  # every position present; sliced, never changed
+    work = [(n, full[:], full[:], full[:], range(1, n + 1))]
     while work:
-        v, vertices, ds, names = work.pop()
+        v, vertex_fen, driver_fen, label_fen, names = work.pop()
         while True:
-            i = bisect_left(vertices, marked[v])
-            if i == len(vertices) or vertices[i] != marked[v]:
+            if not at[v] <= at[marked[v]] < at[v] + size[v]:
                 raise _broken(parents, prefs, "each piece's marked vertex lies in the piece")
-            labels[v] = names.pop(i)
+            labels[v] = names[_take(label_fen, _rank(vertex_fen, vertex_at[marked[v]])) - 1]
             if not kids[v]:
                 break
-            vertices.pop()
-            ds.pop()
             heavy = max(kids[v], key=size.__getitem__)
             for c in kids[v]:
                 if c == heavy:
                     continue
-                sub_vertices = sorted(order[at[c] : at[c] + size[c]])
-                for u in sub_vertices:
-                    del vertices[bisect_left(vertices, u)]
-                sub_drivers = sorted(drivers[u] for u in sub_vertices)
+                vertices = sorted(order[at[c] : at[c] + size[c]])
+                for u in vertices:
+                    _remove(vertex_fen, vertex_at[u])
                 sub_names = []
-                for d in sub_drivers:
-                    i = bisect_left(ds, d)
-                    if i == len(ds) or ds[i] != d:
-                        raise _broken(parents, prefs, "each piece's drivers are drivers of its parent")
-                    del ds[i]
-                    sub_names.append(names.pop(i))
-                work.append((c, sub_vertices, sub_drivers, sub_names))
+                for r, (u, d) in enumerate(zip(vertices, sorted(drivers[u] for u in vertices)), start=1):
+                    rank = _rank(driver_fen, driver_at[d])
+                    _remove(driver_fen, driver_at[d])
+                    sub_names.append(names[_take(label_fen, rank) - 1])
+                    vertex_at[u] = driver_at[d] = r
+                fresh = full[: size[c] + 1]
+                work.append((c, fresh, fresh[:], fresh[:], sub_names))
             v = heavy
     if sorted(labels[1:n]) != list(range(1, n)):
         raise _broken(parents, prefs, "the image carries each label 1..n-1 once")
@@ -539,10 +566,9 @@ def is_132_avoiding(word: Sequence[int]) -> bool:
 
 
 def _avoids_132(word: Sequence[int]) -> bool:
-    """:func:`is_132_avoiding` of a checked permutation, in one right-to-left
-    scan.  ``middle`` is the largest letter read so far that has a larger
-    letter to its left (it left the stack when that letter came), so a
-    smaller letter further left completes a 132."""
+    """:func:`is_132_avoiding` of a checked permutation, scanned right to
+    left: ``middle`` is the largest letter read that has a larger one to its
+    left (it left the stack then), so a smaller letter further left is a 132."""
     middle, stack = 0, []
     for letter in reversed(word):
         if letter < middle:

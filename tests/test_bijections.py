@@ -285,15 +285,14 @@ def with_spots(spots):
     return doctored
 
 
-def with_image_entry(array, vertex, value):
-    """The image reader with one entry of its ``marked`` (2) or ``drivers``
-    (1) array replaced."""
+def with_marked(vertex, value):
+    """The image reader with the marked vertex of one piece replaced."""
     real = treepark.bijections._image
 
     def doctored(parents, prefs, outcome):
-        image = real(parents, prefs, outcome)
-        image[array][vertex] = value
-        return image
+        kids, drivers, marked, order, at, size = real(parents, prefs, outcome)
+        marked[vertex] = value
+        return kids, drivers, marked, order, at, size
 
     return doctored
 
@@ -321,22 +320,18 @@ class TestDecomposeInvariants:
         assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
 
     def test_image_carries_each_label_once(self, monkeypatch):
-        # The image pieces are {1}, {2} and {3, 4} below the root 5.  Popped
-        # label lists carry each label once by construction, so a fault can
-        # only show as a marked vertex outside its piece: 1 would take a wrong
-        # label silently, 5 would index past the piece's lists.
-        for outside in (1, 5):
-            monkeypatch.setattr(treepark.bijections, "_image", with_image_entry(2, 4, outside))
-            with pytest.raises(InvariantError, match="marked vertex lies in the piece") as caught:
-                encode_prime(FIG_SP)
-            assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
+        monkeypatch.setattr(treepark.bijections, "_take", lambda fen, k: 1)
+        with pytest.raises(InvariantError, match="each label 1..n-1 once") as caught:
+            encode_prime(FIG_SP)
+        assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
 
-    def test_pieces_draw_drivers_from_their_parent(self, monkeypatch):
-        # vertex 2's driver is 3; 5 is the root's final driver, popped before
-        # the pieces below it take theirs, and 0 is no driver at all
-        for driver in (5, 0):
-            monkeypatch.setattr(treepark.bijections, "_image", with_image_entry(1, 2, driver))
-            with pytest.raises(InvariantError, match="drivers are drivers of its parent") as caught:
+    def test_marked_vertex_lies_in_its_piece(self, monkeypatch):
+        # The image pieces are {1}, {2} and {3, 4} below the root 5.  Vertex 4
+        # marked at 1, in another piece, would take a wrong label silently;
+        # marked at 5, the root, it would rank past the piece's labels.
+        for outside in (1, 5):
+            monkeypatch.setattr(treepark.bijections, "_image", with_marked(4, outside))
+            with pytest.raises(InvariantError, match="marked vertex lies in the piece") as caught:
                 encode_prime(FIG_SP)
             assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
 
@@ -355,17 +350,23 @@ class TestDecomposeInvariants:
             "except InvariantError:\n"
             "    print('raised')\n"
             "treepark.bijections._prime_outcome = real\n"
+            "take = treepark.bijections._take\n"
+            "treepark.bijections._take = lambda fen, k: 1\n"
+            "try:\n"
+            "    treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+            "treepark.bijections._take = take\n"
             "image = treepark.bijections._image\n"
-            "for array, value in ((2, 1), (1, 5)):\n"
-            "    def doctored(parents, prefs, outcome):\n"
-            "        found = image(parents, prefs, outcome)\n"
-            "        found[array][4 if array == 2 else 2] = value\n"
-            "        return found\n"
-            "    treepark.bijections._image = doctored\n"
-            "    try:\n"
-            "        treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
-            "    except InvariantError:\n"
-            "        print('raised')\n"
+            "def doctored(parents, prefs, outcome):\n"
+            "    found = image(parents, prefs, outcome)\n"
+            "    found[2][4] = 5\n"
+            "    return found\n"
+            "treepark.bijections._image = doctored\n"
+            "try:\n"
+            "    treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
         )
         src = Path(treepark.__file__).resolve().parents[1]
         done = subprocess.run(
