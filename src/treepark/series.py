@@ -1,17 +1,22 @@
 """Exact truncated power series and the count identities built on them.
 
-Every ``Series`` holds its coefficients as normalized
-:class:`fractions.Fraction`; nothing in this module is allowed to round.
-Inside, the product and recurrence loops (``*``, ``exp``, ``log``, ``sqrt``,
-``inverse`` and the ODE step) work on integer numerators over one common
-denominator and build each result coefficient once, as one ``Fraction``; a
-recurrence keeps its finished coefficients over the lcm of their own
-denominators and never scales step k by d^k, which on the distribution
-series' denominators would grow far faster than the coefficients.  A
-series of order N stores c_0..c_N; order -1 has no coefficients, and an
-operation that needs a constant term refuses it with ``OrderMismatchError``.
-Binary operations truncate to the smaller order of their operands, so
-precision loss is explicit in the result's order.
+A ``Series`` the package builds holds its coefficients as integer
+numerators over one denominator, the lcm of their normalized denominators
+(so the numerators and the denominator have no common factor); nothing in
+this module is allowed to round.  Every kernel operation reads and writes
+that form and reduces its result by one gcd; a recurrence (``exp``,
+``log``, ``sqrt``, ``inverse`` and the ODE step) keeps its finished
+coefficients over the lcm of their own denominators and never scales step
+k by d^k, which on the distribution series' denominators would grow far
+faster than the coefficients.  ``coeffs``, the one field, is built as
+normalized :class:`fractions.Fraction` on first read, and a series built
+through the public constructor is lifted to the integer form once, on its
+first operation; ``repr``, ``==``, ``hash``, copies and pickles read
+``coeffs``, so they see no difference.  A series of order N stores
+c_0..c_N; order -1 has no coefficients, and an operation that needs a
+constant term refuses it with ``OrderMismatchError``.  Binary operations
+truncate to the smaller order of their operands, so precision loss is
+explicit in the result's order.
 
 Normalizations: the parking and prime series divide count n by (n!)^2,
 covering relabelings of the tree and reorderings of the sequence; the
@@ -62,20 +67,27 @@ def _over_one_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _append(nums: list[int], den: int, c: Fraction, weight: int = 1) -> int:
-    """Append ``weight * c`` to the numerators ``nums`` over ``den``, widening
-    ``den`` to the lcm with ``c``'s denominator; return the new ``den``.
+def _ratio(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms with a positive denominator, as ``Fraction`` keeps it."""
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
+def _append(nums: list[int], den: int, p: int, q: int, weight: int = 1) -> int:
+    """Append ``weight * p/q`` (in lowest terms) to the numerators ``nums``
+    over ``den``, widening ``den`` to the lcm with q; return the new ``den``.
 
     The online recurrences keep their finished coefficients this way: the
     common denominator is the lcm of normalized denominators, never a power
     of an input's denominator.
     """
-    q = c.denominator
     if den % q:
         grow = q // gcd(den, q)
         nums[:] = [x * grow for x in nums]
         den *= grow
-    nums.append(weight * c.numerator * (den // q))
+    nums.append(weight * p * (den // q))
     return den
 
 
@@ -92,49 +104,82 @@ class Series:
             raise InputError(f"coefficients {self.coeffs!r} are not rational numbers") from None
         object.__setattr__(self, "coeffs", coeffs)
 
+    def __getattr__(self, name: str):
+        # Reached only when ``coeffs`` is not built yet, on a series the
+        # package made: build it from the integer form, once.
+        held = self.__dict__
+        if name == "coeffs" and "_num_den" in held:
+            nums, den = held["_num_den"]
+            coeffs = held["coeffs"] = tuple(Q(x, den) for x in nums)
+            return coeffs
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry ``coeffs`` alone, as a series built by hand does."""
+        return {"coeffs": self.coeffs}
+
     @staticmethod
     def constant(value, order: int) -> "Series":
-        return _series((_as_fraction(value),) + (Q(0),) * _at_least(order, 0, "order"))
+        value = _as_fraction(value)
+        return _series([value.numerator] + [0] * _at_least(order, 0, "order"), value.denominator)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(_lifted(self)[0]) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        beyond = f"coefficient {k} beyond truncation order {self.order}"
-        if _at_least(k, 0, "coefficient", message=beyond) > self.order:
+        nums, den = _lifted(self)
+        beyond = f"coefficient {k} beyond truncation order {len(nums) - 1}"
+        if _at_least(k, 0, "coefficient", message=beyond) >= len(nums):
             raise OrderMismatchError(beyond)
-        return self.coeffs[k]
+        return Q(nums[k], den)
 
     def truncate(self, order: int) -> "Series":
-        if _at_least(order, 0, "order") > self.order:
-            raise OrderMismatchError(f"cannot extend order {self.order} to {order}")
-        return _series(self.coeffs[: order + 1])
+        nums, den = _lifted(self)
+        if _at_least(order, 0, "order") >= len(nums):
+            raise OrderMismatchError(f"cannot extend order {len(nums) - 1} to {order}")
+        return _reduced(nums[: order + 1], den)
 
     def first_nonzero(self) -> tuple[int, Fraction] | None:
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k, c
+        nums, den = _lifted(self)
+        for k, x in enumerate(nums):
+            if x:
+                return k, Q(x, den)
         return None
 
-    def _constant_term(self, what: str) -> Fraction:
-        """c_0, or an ``OrderMismatchError``: a series of order -1 has none."""
-        if not self.coeffs:
+    def _with_constant(self, what: str) -> tuple[list[int], int]:
+        """The integer form, or an ``OrderMismatchError``: a series of order -1
+        has no constant term."""
+        nums, den = _lifted(self)
+        if not nums:
             raise OrderMismatchError(f"{what} needs a constant term, and a series of order -1 has none")
-        return self.coeffs[0]
+        return nums, den
+
+    def _plus(self, p: int, q: int) -> "Series":
+        """p/q added to the constant term."""
+        nums, den = self._with_constant("adding a number")
+        full = lcm(den, q)
+        grow = full // den
+        out = [x * grow for x in nums]
+        out[0] += p * (full // q)
+        return _reduced(out, full)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Series":
         if isinstance(other, Series):
-            return _series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+            (a, da), (b, db) = _lifted(self), _lifted(other)
+            den = lcm(da, db)
+            sa, sb = den // da, den // db
+            return _reduced([x * sa + y * sb for x, y in zip(a, b)], den)
         other = _as_fraction(other)
-        return _series((self._constant_term("adding a number") + other,) + self.coeffs[1:])
+        return self._plus(other.numerator, other.denominator)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return _series(tuple(-c for c in self.coeffs))
+        nums, den = _lifted(self)
+        return _series([-x for x in nums], den)
 
     def __sub__(self, other) -> "Series":
         return self + (-other if isinstance(other, Series) else -_as_fraction(other))
@@ -143,100 +188,101 @@ class Series:
         return (-self) + _as_fraction(other)
 
     def __mul__(self, other) -> "Series":
+        a, da = _lifted(self)
         if not isinstance(other, Series):
             other = _as_fraction(other)
-            return _series(tuple(c * other for c in self.coeffs))
-        n = min(self.order, other.order)
-        a, da = _over_one_denominator(self.coeffs[: n + 1])
-        b, db = _over_one_denominator(other.coeffs[: n + 1])
-        den = da * db
-        return _series(tuple(Q(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(n + 1)))
+            return _reduced([x * other.numerator for x in a], da * other.denominator)
+        b, db = _lifted(other)
+        n = min(len(a), len(b))
+        # The longer operand's tail is cut off, and so may be part of its
+        # denominator: the products then run on smaller numerators.
+        a, da = _lowest(a[:n], da) if len(a) > n else (a, da)
+        b, db = _lowest(b[:n], db) if len(b) > n else (b, db)
+        return _reduced([sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n)], da * db)
 
     __rmul__ = __mul__
 
     def shift_up(self) -> "Series":
         """Multiply by x; the order grows by one."""
-        return _series((Q(0),) + self.coeffs)
+        nums, den = _lifted(self)
+        return _series([0] + nums, den)
 
     def shift_down(self) -> "Series":
         """Divide by x; requires a vanishing constant term."""
-        if self._constant_term("dividing by x") != 0:
+        nums, den = self._with_constant("dividing by x")
+        if nums[0]:
             raise BranchUndefinedError("cannot divide by x: constant term is nonzero")
-        return _series(self.coeffs[1:])
+        return _series(nums[1:], den)
 
     def x_derivative(self) -> "Series":
         """x * d/dx, which keeps the order."""
-        return _series(tuple(k * c for k, c in enumerate(self.coeffs)))
+        nums, den = _lifted(self)
+        return _reduced([k * x for k, x in enumerate(nums)], den)
 
     def derivative(self) -> "Series":
-        return _series(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+        nums, den = _lifted(self)
+        return _reduced([k * x for k, x in enumerate(nums)][1:], den)
 
     def integral(self, constant=0) -> "Series":
-        return _series(
-            (_as_fraction(constant),)
-            + tuple(c / (k + 1) for k, c in enumerate(self.coeffs))
-        )
+        constant = _as_fraction(constant)
+        nums, den = _lifted(self)
+        steps = [den * k for k in range(1, len(nums) + 1)]
+        return _ratios([constant.numerator, *nums], [constant.denominator, *steps])
 
     # -- transcendental operations -------------------------------------------
 
     def exp(self) -> "Series":
-        if self._constant_term("exp") != 0:
+        a, d = self._with_constant("exp")
+        if a[0]:
             raise BranchUndefinedError("exp needs a vanishing constant term")
-        a, d = _over_one_denominator(self.coeffs)
         ja = [j * x for j, x in enumerate(a)]
-        out, o, den = [Q(1)], [1], 1  # o: numerators of out over den
-        for k in range(1, self.order + 1):
+        o, den = [1], 1  # o: numerators of the result over den
+        for k in range(1, len(a)):
             # out_k = sum over j = 1..k of j a_j out_{k-j}, over k
-            c = Q(sum(map(mul, ja[1 : k + 1], o[k - 1 :: -1])), d * den * k)
-            out.append(c)
-            den = _append(o, den, c)
-        return _series(tuple(out))
+            den = _append(o, den, *_ratio(sum(map(mul, ja[1 : k + 1], o[k - 1 :: -1])), d * den * k))
+        return _series(o, den)
 
     def log(self) -> "Series":
-        if self._constant_term("log") != 1:
+        a, d = self._with_constant("log")
+        if a[0] != d:
             raise BranchUndefinedError("log needs constant term 1")
-        a, d = _over_one_denominator(self.coeffs)
-        out, jo, den = [Q(0)], [0], 1  # jo: j out_j over den
-        for k in range(1, self.order + 1):
+        ps, qs, jo, den = [0], [1], [0], 1  # out_j = ps[j] / qs[j]; jo: j out_j over den
+        for k in range(1, len(a)):
             # out_k = k a_k - sum over j = 1..k-1 of j out_j a_{k-j}, over k
-            acc = k * a[k] * den - sum(map(mul, jo[1:k], a[k - 1 : 0 : -1]))
-            c = Q(acc, d * den * k)
-            out.append(c)
-            den = _append(jo, den, c, k)
-        return _series(tuple(out))
+            p, q = _ratio(k * a[k] * den - sum(map(mul, jo[1:k], a[k - 1 : 0 : -1])), d * den * k)
+            ps.append(p)
+            qs.append(q)
+            den = _append(jo, den, p, q, k)
+        return _ratios(ps, qs)
 
     def sqrt(self) -> "Series":
         """Principal branch: the constant term of the result is the positive
         exact square root of c_0, which must be a perfect square rational."""
-        c0 = self._constant_term("sqrt")
+        a, d = self._with_constant("sqrt")
+        c0 = Q(a[0], d)
         root_num, root_den = isqrt(abs(c0.numerator)), isqrt(c0.denominator)
         if c0 < 0 or root_num * root_num != c0.numerator or root_den * root_den != c0.denominator:
             raise BranchUndefinedError(f"constant term {c0} is not a perfect square")
         if root_num == 0:
             raise BranchUndefinedError("sqrt with vanishing constant term is not a power series")
-        a, d = _over_one_denominator(self.coeffs)
-        out, o = [Q(root_num, root_den)], []  # o: numerators of out over den
-        den = _append(o, 1, out[0])
-        for k in range(1, self.order + 1):
+        o = []  # numerators of the result over den
+        den = _append(o, 1, root_num, root_den)
+        for k in range(1, len(a)):
             # out_k = a_k - sum over j = 1..k-1 of out_j out_{k-j}, over 2 out_0
             acc = a[k] * den * den - d * sum(map(mul, o[1:k], o[k - 1 : 0 : -1]))
-            c = Q(acc * root_den, 2 * root_num * d * den * den)
-            out.append(c)
-            den = _append(o, den, c)
-        return _series(tuple(out))
+            den = _append(o, den, *_ratio(acc * root_den, 2 * root_num * d * den * den))
+        return _series(o, den)
 
     def inverse(self) -> "Series":
-        if self._constant_term("inverse") == 0:
+        a, d = self._with_constant("inverse")
+        if a[0] == 0:
             raise BranchUndefinedError("cannot invert a series with zero constant term")
-        a, d = _over_one_denominator(self.coeffs)
-        out, o = [Q(d, a[0])], []  # o: numerators of out over den
-        den = _append(o, 1, out[0])
-        for k in range(1, self.order + 1):
+        o = []  # numerators of the result over den
+        den = _append(o, 1, *_ratio(d, a[0]))
+        for k in range(1, len(a)):
             # out_k = -(sum over j = 1..k of a_j out_{k-j}) / a_0
-            c = Q(-sum(map(mul, a[1 : k + 1], o[k - 1 :: -1])), den * a[0])
-            out.append(c)
-            den = _append(o, den, c)
-        return _series(tuple(out))
+            den = _append(o, den, *_ratio(-sum(map(mul, a[1 : k + 1], o[k - 1 :: -1])), den * a[0]))
+        return _series(o, den)
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute ``inner`` (which must have no constant term) into self.
@@ -249,32 +295,64 @@ class Series:
         n = min(self.order, inner.order)
         if n < 0:
             raise OrderMismatchError(f"cannot compose series of orders {self.order} and {inner.order}")
-        if inner.coeffs[0] != 0:
+        if _lifted(inner)[0][0]:
             raise BranchUndefinedError("composition needs an inner series with zero constant term")
-        a = self.coeffs
-        acc = _series((a[n],))
+        a, d = _lifted(self)
+        acc = _reduced([a[n]], d)
         b = inner.truncate(n).shift_down()
         for k in range(n - 1, -1, -1):
-            acc = (acc * b).shift_up() + a[k]
+            acc = (acc * b).shift_up()._plus(a[k], d)
         return acc
 
     def scale_argument(self, factor) -> "Series":
         """f(x) -> f(factor * x)."""
         factor = _as_fraction(factor)
-        return _series(tuple(c * factor**k for k, c in enumerate(self.coeffs)))
+        p, q = factor.numerator, factor.denominator
+        nums, den = _lifted(self)
+        return _ratios([x * p**k for k, x in enumerate(nums)], [den * q**k for k in range(len(nums))])
 
 
-def _series(coeffs: tuple[Fraction, ...]) -> Series:
-    """A series the package built, its coefficients all ``Fraction`` already:
-    ``Series.__post_init__`` would pass each through unchanged, so it is skipped."""
+def _series(nums: list[int], den: int) -> Series:
+    """A series the package built: numerators over ``den``, with no factor
+    common to all of them, and a list that nothing mutates afterwards.  Its
+    ``coeffs`` are built on first read; ``__post_init__`` is skipped."""
     made = object.__new__(Series)
-    object.__setattr__(made, "coeffs", coeffs)
+    made.__dict__["_num_den"] = (nums, den)
     return made
+
+
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums/den with their common factor divided out."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _reduced(nums: list[int], den: int) -> Series:
+    """:func:`_series` of nums/den in lowest terms."""
+    return _series(*_lowest(nums, den))
+
+
+def _ratios(ps: Sequence[int], qs: Sequence[int]) -> Series:
+    """The series with coefficients ps[k] / qs[k], each qs[k] > 0 and the
+    pairs in any terms."""
+    den = lcm(*qs)
+    return _reduced([p * (den // q) for p, q in zip(ps, qs)], den)
+
+
+def _lifted(s: Series) -> tuple[list[int], int]:
+    """``s`` as (numerators, den); a series built by hand is lifted once."""
+    held = s.__dict__
+    form = held.get("_num_den")
+    if form is None:
+        form = held["_num_den"] = _over_one_denominator(held["coeffs"])
+    return form
 
 
 def x_series(order: int) -> Series:
     _at_least(order, 0, "order")
-    return _series(((Q(0), Q(1)) + (Q(0),) * (order - 1))[: order + 1])
+    return _series([0, 1, *[0] * (order - 1)][: order + 1], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +363,22 @@ def x_series(order: int) -> Series:
 def tree_function(order: int) -> Series:
     """Exponential series of labeled rooted trees: sum n^(n-1) x^n / n!."""
     _at_least(order, 0, "order")
-    return _series((Q(0),) + tuple(Q(n ** (n - 1), factorial(n)) for n in range(1, order + 1)))
+    sizes = range(1, order + 1)
+    return _ratios([0] + [n ** (n - 1) for n in sizes], [1] + [factorial(n) for n in sizes])
 
 
 def catalan_series(order: int) -> Series:
     """(1 - sqrt(1 - 4x)) / (2x); coefficients are the Catalan numbers."""
     _at_least(order, 0, "order")
-    radicand = _series((Q(1), Q(-4)) + (Q(0),) * order)  # order + 1
+    radicand = _series([1, -4] + [0] * order, 1)  # order + 1
     return ((1 - radicand.sqrt()).shift_down()) * Q(1, 2)
 
 
 def schroder_series(order: int) -> Series:
     """(1 - x - sqrt(x^2 - 6x + 1)) / (2x); the large Schroeder numbers."""
     _at_least(order, 0, "order")
-    radicand = _series((Q(1), Q(-6), Q(1)) + (Q(0),) * max(order - 1, 0))  # order + 1
-    numerator = _series((Q(1), Q(-1)) + (Q(0),) * order) - radicand.sqrt()
+    radicand = _series([1, -6, 1] + [0] * max(order - 1, 0), 1)  # order + 1
+    numerator = _series([1, -1] + [0] * order, 1) - radicand.sqrt()
     return numerator.shift_down() * Q(1, 2)
 
 
@@ -316,13 +395,14 @@ def schroder_number(n: int) -> int:
 
 
 def parking_count(n: int) -> int:
-    """Closed form for the number of (tree, parking function) pairs on n vertices."""
-    _at_least(n, 1, "n")
-    total = sum(Q((n - i) * (2 * n) ** i, factorial(i)) for i in range(n))
-    value = Q(factorial(n - 1) ** 2) * total
-    if value.denominator != 1:
-        raise IdentityViolatedError(f"parking count at n={n} is not an integer: {value}")
-    return value.numerator
+    """Closed form for the number of (tree, parking function) pairs on n
+    vertices: (n-1)!^2 sum over i < n of (n - i) (2n)^i / i!, summed in
+    integers as (n-1)! sum of (n - i) (2n)^i (n-1)!/i!."""
+    total, falling = 0, 1  # falling = (n-1)!/i!
+    for i in range(_at_least(n, 1, "n") - 1, -1, -1):
+        total += (n - i) * (2 * n) ** i * falling
+        falling *= i
+    return factorial(n - 1) * total
 
 
 def prime_count(n: int) -> int:
@@ -343,10 +423,8 @@ def parking_series(order: int) -> Series:
 def prime_series(order: int) -> Series:
     """Prime-pair series sum (2n-2)! x^n / (n!)^2, read off :func:`prime_count`."""
     _at_least(order, 0, "order")
-    return _series(
-        (Q(0),)
-        + tuple(Q(prime_count(n), factorial(n) ** 2) for n in range(1, order + 1))
-    )
+    sizes = range(1, order + 1)
+    return _ratios([0] + [prime_count(n) for n in sizes], [1] + [factorial(n) ** 2 for n in sizes])
 
 
 def _distribution_rhs(f: Series) -> Series:
@@ -365,15 +443,15 @@ def _distribution_series(order: int) -> Series:
     of the right-hand side then confirms the equation, or raises
     ``IdentityViolatedError``.
     """
-    f = [Q(0)] * (_at_least(order, 0, "order") + 1)
+    fp, fq = [0] * (_at_least(order, 0, "order") + 1), [1] * (order + 1)  # f_k = fp[k] / fq[k]
     (e, de), (g, dg), (h, dh) = ([0], 1), ([1], 1), ([1], 1)
     for k in range(order):
         if k:
-            de = _append(e, de, f[k], k)
-            dg = _append(g, dg, Q(sum(map(mul, e[1 : k + 1], g[k - 1 :: -1])), de * dg * k))
-            dh = _append(h, dh, Q(3 * e[k] * de + 2 * sum(map(mul, e[1:k], e[k - 1 : 0 : -1])), de * de))
-        f[k + 1] = Q(sum(map(mul, g, h[::-1])), dg * dh * (k + 1))
-    solved = _series(tuple(f))
+            de = _append(e, de, fp[k], fq[k], k)
+            dg = _append(g, dg, *_ratio(sum(map(mul, e[1 : k + 1], g[k - 1 :: -1])), de * dg * k))
+            dh = _append(h, dh, *_ratio(3 * e[k] * de + 2 * sum(map(mul, e[1:k], e[k - 1 : 0 : -1])), de * de))
+        fp[k + 1], fq[k + 1] = _ratio(sum(map(mul, g, h[::-1])), dg * dh * (k + 1))
+    solved = _ratios(fp, fq)
     bad = (solved.derivative() - _distribution_rhs(solved)).first_nonzero()
     if bad is not None:
         raise IdentityViolatedError(f"distribution ODE: residual {bad[1]} at x^{bad[0]}")
@@ -382,7 +460,8 @@ def _distribution_series(order: int) -> Series:
 
 def prime_distribution_series(order: int) -> Series:
     _at_least(order, 0, "order")
-    return _series((Q(0),) + tuple(Q(schroder_number(n - 1), n) for n in range(1, order + 1)))
+    sizes = range(1, order + 1)
+    return _ratios([0] + [schroder_number(n - 1) for n in sizes], [1, *sizes])
 
 
 class DistributionSeries(NamedTuple):
@@ -420,10 +499,8 @@ def marked_distribution_series(order: int) -> Series:
 
 
 def _closed_parking_series(order: int) -> Series:
-    return _series(
-        (Q(0),)
-        + tuple(Q(parking_count(n), factorial(n) ** 2) for n in range(1, order + 1))
-    )
+    sizes = range(1, order + 1)
+    return _ratios([0] + [parking_count(n) for n in sizes], [1] + [factorial(n) ** 2 for n in sizes])
 
 
 def _residual_parking_gf(order: int) -> Series:
@@ -470,8 +547,11 @@ def _residual_distribution_composition(order: int) -> Series:
 def _leaf_marked(order: int, counts: Sequence[int], factor: int) -> Series:
     """x + sum over n >= 2 of factor n (n - 1) counts[n - 1] x^n / n!: a marked
     leaf, counted from the unmarked structures one size down."""
-    terms = (Q(factor * n * (n - 1) * counts[n - 1], factorial(n)) for n in range(2, order + 1))
-    return _series((Q(0), Q(1))[: order + 1] + tuple(terms))
+    sizes = range(2, order + 1)
+    return _ratios(
+        [0, 1][: order + 1] + [factor * n * (n - 1) * counts[n - 1] for n in sizes],
+        [1, 1][: order + 1] + [factorial(n) for n in sizes],
+    )
 
 
 def _residual_marked_prime_sum(order: int) -> Series:
