@@ -26,7 +26,9 @@ reading raise :class:`InvariantError` with the pair as witness.
 Inside the maps a standard pair is flat: the parent array of its post-order
 labels (slot 0 unused, the root last), where a subtree is the run of labels
 ending at its root.  Nothing recurses: the nested plane shapes and labeled
-plane trees of the public types are converted once, at the boundary.
+plane trees of the public types are converted once, at the boundary, and a
+value the maps build carries its flat form (see :mod:`treepark.trees`): a
+standard pair builds its nested ``shape`` only when it is read.
 
 The module also covers the path specializations: preference sequences whose
 image is a labeled path, and Borie's statistic map on 132-avoiding
@@ -63,8 +65,8 @@ from .trees import (
     PlaneShape,
     RootedTree,
     _check_labels,
+    _carried_tree,
     _flatten,
-    _labeled_tree,
     _parents_shape,
     _shape_parents,
     _shape_repr,
@@ -83,7 +85,8 @@ class StandardPrime:
     post-order; siblings sit left to right in order of *decreasing* first
     crossing time of their parent edge, and ``prefs`` is the preference
     sequence under those labels.  A pair the package builds also carries the
-    run that checked it, outside the fields (see :func:`_standard_prime`).
+    run that checked it, outside the fields, and builds ``shape`` from that
+    run's parent array on first read (see :func:`_standard_prime`).
     """
 
     shape: PlaneShape
@@ -94,18 +97,48 @@ class StandardPrime:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        # Identical shapes are equal unwalked.  A pair whose shape is not built
+        # yet puts its own dict there, which is identical only to itself.
+        held, other_held = self.__dict__, other.__dict__
         return self.prefs == other.prefs and (
-            self.shape is other.shape or _shape_parents(self.shape) == _shape_parents(other.shape)
+            held.get("shape", held) is other_held.get("shape", other_held)
+            or _flat_parents(self) == _flat_parents(other)
         )
 
     def __hash__(self) -> int:
         try:  # a bad shape raises InputError, so only the prefs can be unhashable
-            return hash((tuple(_shape_parents(self.shape)), self.prefs))
+            return hash((tuple(_flat_parents(self)), self.prefs))
         except TypeError:
             raise InputError(f"preferences {self.prefs!r} are not hashable") from None
 
     def __repr__(self) -> str:
         return f"StandardPrime(shape={_shape_repr(self.shape)}, prefs={self.prefs!r})"
+
+    def __getattr__(self, name: str):
+        # Reached only for a name the instance does not hold: ``shape`` on a
+        # pair the package built, before it is read.  Build it once.
+        held = self.__dict__
+        if name == "shape" and "_run" in held:
+            shape = held["shape"] = _parents_shape(held["_run"][0])
+            return shape
+        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the fields alone, as a pair built by hand does."""
+        return {"shape": self.shape, "prefs": self.prefs}
+
+
+class _NoAttributeError(InputError, AttributeError):
+    """A name a :class:`StandardPrime` does not hold: the ``AttributeError``
+    that ``getattr`` and ``hasattr`` expect, named as the package names
+    every refusal."""
+
+
+def _flat_parents(sp: StandardPrime) -> list[int]:
+    """The post-order parent array of a standard pair's shape: its run's if
+    it carries one, else walked off the shape."""
+    run = sp.__dict__.get("_run")
+    return _shape_parents(sp.shape) if run is None else run[0]
 
 
 @dataclass(frozen=True)
@@ -186,9 +219,10 @@ _Run = tuple[list[int], tuple[int, ...], ParkingOutcome]  # flat parents, prefs,
 def _standard_prime(parents: list[int], prefs: tuple[int, ...], outcome: ParkingOutcome) -> StandardPrime:
     """The standard pair of a checked flat pair, carrying that check's run as
     an instance attribute: not a field, so ``==``, ``hash``, ``repr`` and
-    ``dataclasses.replace`` ignore it.  Nothing mutates the run."""
-    sp = StandardPrime(_parents_shape(parents), prefs)
-    object.__setattr__(sp, "_run", (parents, prefs, outcome))
+    ``dataclasses.replace`` ignore it.  Nothing mutates the run.  The nested
+    ``shape`` is left out until it is read (``StandardPrime.__getattr__``)."""
+    sp = object.__new__(StandardPrime)
+    sp.__dict__.update(prefs=prefs, _run=(parents, prefs, outcome))
     return sp
 
 
@@ -199,7 +233,7 @@ def _checked(sp: StandardPrime, first: Callable[[int], object] | None = None) ->
     if not isinstance(sp, StandardPrime):
         raise NotStandardPrimeError(f"{sp!r} is not a StandardPrime")
     run = sp.__dict__.get("_run")
-    parents = _shape_parents(sp.shape) if run is None else run[0]
+    parents = _flat_parents(sp)
     if first is not None:
         first(len(parents) - 1)
     return run or (parents, *_check_standard(parents, sp.prefs))
@@ -439,7 +473,7 @@ def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -
     if sorted(labels[1:n]) != list(range(1, n)):
         raise _broken(parents, prefs, "the image carries each label 1..n-1 once")
     labels[n] = None
-    return _labeled_tree([labels[v] for v in order], [[at[c] for c in kids[v]] for v in order])
+    return _carried_tree(tuple(labels[v] for v in order), tuple(tuple(at[c] for c in kids[v]) for v in order))
 
 
 def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
@@ -627,10 +661,8 @@ def path_preimage_seq(word: Sequence[int]) -> tuple[int, ...]:
 def labeled_path(word: Sequence[int]) -> LabeledPlaneTree:
     """The path on n+1 vertices reading ``word`` downward from an unlabeled root."""
     word = check_permutation(word)
-    node = None
-    for label in reversed(word):
-        node = LabeledPlaneTree(label, () if node is None else (node,))
-    return LabeledPlaneTree(None, () if node is None else (node,))
+    n = len(word)
+    return _carried_tree((None, *word), tuple((v,) for v in range(1, n + 1)) + ((),))
 
 
 def standard_path_prime(prefs: Sequence[int]) -> StandardPrime:

@@ -386,12 +386,20 @@ def catalan_number(n: int) -> int:
     return comb(2 * _at_least(n, 0, "n"), n) // (n + 1)
 
 
+def _schroder_numbers(count: int) -> list[int]:
+    """The large Schroeder numbers S_0 .. S_{count-1}, by the recurrence
+    (n + 1) S_n = 3 (2n - 1) S_{n-1} - (n - 2) S_{n-2} from S_0 = 1, S_1 = 2,
+    one product and one exact division each."""
+    numbers = [1, 2][: max(count, 0)]
+    for n in range(2, count):
+        numbers.append((3 * (2 * n - 1) * numbers[n - 1] - (n - 2) * numbers[n - 2]) // (n + 1))
+    return numbers
+
+
 def schroder_number(n: int) -> int:
-    """Large Schroeder number, the sum over k of C(n + k, n - k) C_k: a path
-    of semilength n with k up steps is a Dyck path of semilength k with
-    n - k flat steps placed among its n + k steps."""
-    _at_least(n, 0, "n")
-    return sum(comb(n + k, n - k) * catalan_number(k) for k in range(n + 1))
+    """Large Schroeder number: lattice paths from (0, 0) to (n, n) with unit
+    east, north and diagonal steps that never rise above the diagonal."""
+    return _schroder_numbers(_at_least(n, 0, "n") + 1)[n]
 
 
 def parking_count(n: int) -> int:
@@ -410,7 +418,7 @@ def prime_count(n: int) -> int:
 
 
 def prime_distribution_count(n: int) -> int:
-    return factorial(_at_least(n, 1, "n") - 1) * schroder_number(n - 1)
+    return factorial(_at_least(n, 1, "n") - 1) * _schroder_numbers(n)[n - 1]
 
 
 def parking_series(order: int) -> Series:
@@ -459,9 +467,8 @@ def _distribution_series(order: int) -> Series:
 
 
 def prime_distribution_series(order: int) -> Series:
-    _at_least(order, 0, "order")
-    sizes = range(1, order + 1)
-    return _ratios([0] + [schroder_number(n - 1) for n in sizes], [1, *sizes])
+    sizes = range(1, _at_least(order, 0, "order") + 1)
+    return _ratios([0] + _schroder_numbers(order), [1, *sizes])
 
 
 class DistributionSeries(NamedTuple):
@@ -555,7 +562,7 @@ def _leaf_marked(order: int, counts: Sequence[int], factor: int) -> Series:
 
 
 def _residual_marked_prime_sum(order: int) -> Series:
-    counts = [0] + [prime_distribution_count(n) for n in range(1, order)]
+    counts = [0] + [factorial(k) * s for k, s in enumerate(_schroder_numbers(order - 1))]
     return marked_prime_series(order) - _leaf_marked(order, counts, 1)
 
 
@@ -716,16 +723,17 @@ def closed_counts(max_n: int) -> CountTable:
     parking = parking_series(max_n)
     f = _distribution_series(max_n)
     ft = [_series_count(f, n, factorial(n), "distribution count") for n in range(max_n + 1)]
+    schroder = _schroder_numbers(max_n)
+    pt = [0] + [factorial(k) * s for k, s in enumerate(schroder)]  # the prime distribution counts
     rows = []
     for n in range(1, max_n + 1):
         f_n = parking_count(n)
         got = _series_count(parking, n, factorial(n) ** 2, "parking count")
         if got != f_n:
             raise IdentityViolatedError(f"parking count at n={n}: series gives {got}, closed form {f_n}")
-        ps_n = 1 if n == 1 else n * (n - 1) * prime_distribution_count(n - 1)
+        ps_n = 1 if n == 1 else n * (n - 1) * pt[n - 1]
         fs_n = 1 if n == 1 else 2 * n * (n - 1) * ft[n - 1]
         rows.append(CountRow(
-            n, f_n, prime_count(n), ft[n], prime_distribution_count(n), ps_n, fs_n,
-            catalan_number(n - 1), schroder_number(n - 1),
+            n, f_n, prime_count(n), ft[n], pt[n], ps_n, fs_n, catalan_number(n - 1), schroder[n - 1],
         ))
     return CountTable(tuple(rows))

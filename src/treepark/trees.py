@@ -19,6 +19,17 @@ into pre-order label and child arrays; both refuse a vertex of the wrong
 type.  Only ``repr`` of a shape walks a nested value itself.  A rooted tree
 is walked in one place, :func:`_bottom_up`, over its parent list with slot 0
 unused, and a public function checks one it is given with :func:`_check_tree`.
+
+A value the package builds from a flat form keeps it, outside the fields,
+so that it is not walked again: a labeled plane tree built by
+:func:`_carried_tree` (the enumeration, the relabeling, the encoder and the
+labeled paths) holds its pre-order arrays, and a standard pair built by the
+bijections holds its post-order parent array (``bijections._standard_prime``).
+That is safe because both types are frozen and the forms are tuples, or a
+list that nothing mutates: a held form cannot drift from the nested value.
+``==``, ``hash`` and ``repr`` give what they give on a value built by hand,
+and copies and pickles carry the fields alone.  A value built by hand holds
+no form, and is walked and checked on every read.
 """
 
 from __future__ import annotations
@@ -301,17 +312,29 @@ class LabeledPlaneTree:
     def __hash__(self) -> int:
         labels, kids = _flatten(self)
         try:
-            return hash((tuple(labels), tuple(map(len, kids))))
+            return hash((labels, tuple(map(len, kids))))
         except TypeError:
-            raise InputError(f"plane tree: labels {labels!r} are not all hashable") from None
+            raise InputError(f"plane tree: labels {list(labels)!r} are not all hashable") from None
 
     def __repr__(self) -> str:
         return f"parse_plane_tree({format_plane_tree(self)!r})"
 
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the fields alone, as a tree built by hand does."""
+        return {"label": self.label, "children": self.children}
 
-def _flatten(t: LabeledPlaneTree) -> tuple[list[int | None], list[list[int]]]:
+
+_Flat = tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]  # pre-order labels, children
+
+
+def _flatten(t: LabeledPlaneTree) -> _Flat:
     """A labeled plane tree as pre-order arrays: the label of node i and the
-    nodes of its children, left to right.  Children come after their parent."""
+    nodes of its children, left to right.  Children come after their parent.
+    A tree from :func:`_carried_tree` hands back the arrays it was built from."""
+    if isinstance(t, LabeledPlaneTree):
+        flat = t.__dict__.get("_flat")
+        if flat is not None:
+            return flat
     labels: list[int | None] = []
     kids: list[list[int]] = []
     stack: list[tuple[LabeledPlaneTree, int]] = [(t, -1)]
@@ -327,7 +350,7 @@ def _flatten(t: LabeledPlaneTree) -> tuple[list[int | None], list[list[int]]]:
         if p >= 0:
             kids[p].append(i)
         stack.extend((c, i) for c in reversed(node.children))
-    return labels, kids
+    return tuple(labels), tuple(map(tuple, kids))
 
 
 def _labeled_tree(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> LabeledPlaneTree:
@@ -337,6 +360,16 @@ def _labeled_tree(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -
     for i in range(len(labels) - 1, -1, -1):
         made[i] = LabeledPlaneTree(labels[i], tuple(made[c] for c in kids[i]))
     return made[0]
+
+
+def _carried_tree(labels: tuple[int | None, ...], kids: tuple[tuple[int, ...], ...]) -> LabeledPlaneTree:
+    """:func:`_labeled_tree` of arrays in the pre-order :func:`_flatten`
+    gives, as tuples, with the arrays attached to the root as an instance
+    attribute, where :func:`_flatten` reads them: not a field, so ``==``,
+    ``hash``, ``repr`` and ``dataclasses.replace`` see only the tree."""
+    t = _labeled_tree(labels, kids)
+    t.__dict__["_flat"] = (labels, kids)
+    return t
 
 
 def _check_labels(labels: Sequence[int | None], root_labeled: bool) -> int:
@@ -379,7 +412,7 @@ def post_order_relabel(t: LabeledPlaneTree) -> tuple[tuple[int, ...], LabeledPla
     mapping = [0] * (n + 1)
     for i, label in enumerate(labels):
         mapping[label] = new[i]
-    return tuple(mapping[1:]), _labeled_tree(new, kids)
+    return tuple(mapping[1:]), _carried_tree(tuple(new), kids)
 
 
 def enumerate_labeled_plane_trees(n: int) -> Iterator[LabeledPlaneTree]:
@@ -393,7 +426,7 @@ def enumerate_labeled_plane_trees(n: int) -> Iterator[LabeledPlaneTree]:
             below[parents[v]].append(LabeledPlaneTree(None, tuple(below[v])))
         _, kids = _flatten(below[0][0])
         for word in permutations(range(1, n)):
-            yield _labeled_tree((None, *word), kids)
+            yield _carried_tree((None, *word), kids)
 
 
 # ---------------------------------------------------------------------------

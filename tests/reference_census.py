@@ -1,19 +1,36 @@
-"""The bucket census, kept as the tests' reference for ``treepark.census``.
+"""References for ``treepark.census``, kept for the tests to compare with.
 
-It builds all n^n preference sequences, groups them by count vector (a
-bucket), and decides each (tree, bucket) pair with one subtree pass.  The
-package enumerates only the count vectors that park instead; the tests
-compare the two.
+The bucket census builds all n^n preference sequences, groups them by count
+vector (a bucket), and decides each (tree, bucket) pair with one subtree
+pass.  The package enumerates only the count vectors that park instead.
+
+The two-loop round-trip suite runs both composites of the maps on every
+object, from each side.  The package runs each map once per object and
+answers the backward half from the forward half's table.
 """
 
+import importlib
 from collections import Counter
-from itertools import islice, product
+from itertools import islice, permutations, product
+from math import factorial
 
-from treepark import RootedTree, enumerate_plane_trees, enumerate_rooted_trees
+from treepark import (
+    RootedTree,
+    catalan_number,
+    enumerate_labeled_plane_trees,
+    labeled_path,
+    enumerate_plane_trees,
+    enumerate_rooted_trees,
+    format_plane_tree,
+    format_rooted_tree,
+)
+from treepark import bijections
 from treepark.bijections import _out_of_crossing_order
-from treepark.census import CENSUS_COLUMNS, _shape_code
+from treepark.census import CENSUS_COLUMNS, _iter_primes, _shape_code
 from treepark.parking import run_parking
 from treepark.trees import _bottom_up, _shape_parents, _subtree_sums
+
+census = importlib.import_module("treepark.census")  # the package exports a census function
 
 
 def reference_buckets(n):
@@ -71,3 +88,68 @@ def reference_counts(n, shard=(0, 1)):
     for shape in islice(enumerate_plane_trees(n), which, None, mod):
         counts["standard_prime"] += sum(1 for _ in reference_standard_primes(shape, buckets))
     return counts
+
+
+def reference_roundtrip(n):
+    """``(cases, failures)`` of the round-trip suite at size n, both
+    composites run on every object.  The maps are read off the census module
+    at each call, so that a test that replaces them there replaces them here."""
+    failures = []
+    images = set()
+    forward = 0
+    for tree, prefs in _iter_primes(n):
+        forward += 1
+        word, plt = census.prime_to_pair(tree, prefs)
+        images.add((word, plt))
+        back_tree, back_prefs = census.pair_to_prime(word, plt)
+        if back_tree != tree or back_prefs != prefs:
+            failures.append(
+                f"forward roundtrip broke at tree={format_rooted_tree(tree)} seq={prefs}"
+            )
+    if len(images) != forward:
+        failures.append(f"image has {forward - len(images)} duplicate pairs")
+    if forward != factorial(2 * n - 2):
+        failures.append(f"found {forward} prime pairs, expected {factorial(2 * n - 2)}")
+
+    backward = 0
+    for word in permutations(range(1, n + 1)):
+        for plt in enumerate_labeled_plane_trees(n):
+            backward += 1
+            tree, prefs = census.pair_to_prime(word, plt)
+            word2, plt2 = census.prime_to_pair(tree, prefs)
+            if word2 != word or plt2 != plt:
+                failures.append(
+                    f"backward roundtrip broke at sigma={word} ptree={format_plane_tree(plt)}"
+                )
+    if backward != factorial(n) * factorial(n - 1) * catalan_number(n - 1):
+        failures.append(f"enumerated {backward} (permutation, tree) pairs")
+    return forward + backward, tuple(failures)
+
+
+# Doctored maps for the suites, each wrong in one way; every one still maps
+# into the other side's domain, so that neither suite raises.
+
+def decoder_broken_on_some_words(word, plt):
+    """Decodes a word that starts with 1 as if it were rotated by one place."""
+    if word[0] == 1:
+        word = word[1:] + word[:1]
+    return bijections.pair_to_prime(word, plt)
+
+
+def encoder_not_injective(tree, prefs):
+    """Swaps the letters 1 and 2 of a word that starts with 2, so that it
+    meets the image of another pair."""
+    word, plt = bijections.prime_to_pair(tree, prefs)
+    if word[0] == 2:
+        word = tuple({1: 2, 2: 1}.get(letter, letter) for letter in word)
+    return word, plt
+
+
+def encoder_missing_one_pair(tree, prefs):
+    """Sends the one pair whose image is the identity word with the path
+    labeled 1..n-1 downward to the image of the reversed word's pair."""
+    word, plt = bijections.prime_to_pair(tree, prefs)
+    n = len(word)
+    if word == tuple(range(1, n + 1)) and plt == labeled_path(range(1, n)):
+        word = word[::-1]
+    return word, plt

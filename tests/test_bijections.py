@@ -45,6 +45,7 @@ from treepark import (
     parse_plane_tree,
     parse_rooted_tree,
     path_preimage_seq,
+    post_order_relabel,
     path_tree,
     prime_to_pair,
     roundtrip_suite,
@@ -52,7 +53,7 @@ from treepark import (
     standardize,
     validate_rooted_tree,
 )
-from treepark.bijections import Component, _avoids_132, check_standard_prime
+from treepark.bijections import Component, _avoids_132, _standard_prime, check_standard_prime
 from treepark.census import _iter_primes
 from treepark.parking import ParkingOutcome, run_parking
 from treepark.trees import RootedTree, _flatten, _labeled_tree, _parents_shape, _shape_parents
@@ -259,10 +260,11 @@ class TestOneSimulation:
         assert simulations == []
 
     def test_roundtrip_suite(self, simulations):
-        # 24 prime pairs and 24 (permutation, plane tree) pairs at n = 3,
-        # each through both maps: one run per map
+        # 24 prime pairs at n = 3, each through both maps: one run per map.
+        # Each of the 24 (permutation, plane tree) pairs is one of their
+        # images, which decoded back, so the backward half runs no map.
         assert roundtrip_suite(3).failures == ()
-        assert len(simulations) == 96
+        assert len(simulations) == 48
 
     def test_pair_to_prime(self, simulations):
         tree, prefs = pair_to_prime((5, 1, 2, 4, 3), parse_plane_tree("*[1 3 4[2]]"))
@@ -785,6 +787,74 @@ class TestAttachedRun:
             destandardize(word, sp)
             check_standard_prime(sp)
             assert sp._run is run and (run[0], run[1], run[2]) == kept
+
+
+def walked(t):
+    """The pre-order arrays of a tree's nested value, walked: the root is
+    built again, so that it carries no flat form."""
+    return _flatten(LabeledPlaneTree(t.label, t.children))
+
+
+class TestCarriedForms:
+    """A value the package builds carries its flat form.  The form is the
+    nested value's own, and the value reads, compares, hashes, copies and
+    pickles as the same value built by hand, which carries none."""
+
+    @staticmethod
+    def assert_as_by_hand(made, hand, copies=True):
+        """``made()`` gives the package's value afresh, ``hand`` is built by
+        hand; ``copies`` also checks what copying and pickling give."""
+        assert made() == hand and hand == made() and hash(made()) == hash(hand)
+        if copies:
+            assert repr(made()) == repr(hand)
+            for copied in (copy.copy(made()), copy.deepcopy(made()), pickle.loads(pickle.dumps(made())),
+                           dataclasses.replace(made())):
+                assert copied == hand and vars(copied) == vars(hand)
+
+    def assert_tree(self, t, copies=True):
+        hand = parse_plane_tree(format_plane_tree(t))
+        assert "_flat" in vars(t) and "_flat" not in vars(hand)
+        assert _flatten(t) == walked(t) == _flatten(hand)
+        self.assert_as_by_hand(lambda: t, hand, copies)
+
+    # Copies and pickles are checked to n = 5: 372 trees of each kind.
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_enumerated_tree(self, n):
+        for t in enumerate_labeled_plane_trees(n):
+            self.assert_tree(t, copies=n <= 5)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_image_of_every_standard_pair(self, n):
+        for sp in standard_pairs(n):
+            self.assert_tree(encode_prime(sp), copies=n <= 5)
+
+    def test_paths_and_relabelings(self):
+        for word in [(), (1,), (3, 1, 2), tuple(range(40, 0, -1))]:
+            self.assert_tree(labeled_path(word))
+        for t in enumerate_labeled_plane_trees(4):
+            self.assert_tree(post_order_relabel(parse_plane_tree(format_plane_tree(t).replace("*", "4")))[1])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_standard_pairs_build_their_shape_when_read(self, n):
+        by_hand = {sp: sp for sp in standard_pairs(n)}
+        built = [decode_prime(plt) for plt in enumerate_labeled_plane_trees(n)]
+        assert all("shape" not in vars(sp) for sp in built)
+        assert len({by_hand[sp] for sp in built}) == len(by_hand)  # == and hash, the shapes unread
+        assert all("shape" not in vars(sp) for sp in built)
+        for sp in built:
+            hand = by_hand[sp]
+            self.assert_as_by_hand(lambda: _standard_prime(*sp._run), hand, copies=n <= 5)  # shape unread
+            assert sp.shape == hand.shape and "shape" in vars(sp)
+            self.assert_as_by_hand(lambda: sp, hand, copies=n <= 5)
+        assert dataclasses.fields(StandardPrime) == dataclasses.fields(without_run(built[0]))
+        assert [f.name for f in dataclasses.fields(StandardPrime)] == ["shape", "prefs"]
+
+    def test_a_missing_name_is_an_attribute_error(self):
+        sp = decode_prime(parse_plane_tree("*[1 3 4[2]]"))
+        assert not hasattr(sp, "nope") and getattr(sp, "nope", 5) == 5
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            sp.nope
+        assert "shape" not in vars(sp)
 
 
 class TestComposedMap:

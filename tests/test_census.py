@@ -1,10 +1,13 @@
 """Brute-force censuses, sharding, and the theorem suites."""
 
 import importlib
+import os
 import re
+import subprocess
 import sys
 from itertools import combinations_with_replacement, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +24,11 @@ from treepark import (
     roundtrip_suite,
     theorem53_suite,
 )
+import reference_census
 from reference_census import (
     reference_buckets,
     reference_counts,
+    reference_roundtrip,
     reference_slacks,
     reference_standard_primes,
 )
@@ -220,6 +225,69 @@ class TestRoundtripSuite:
     def test_guard(self):
         with pytest.raises(LimitExceededError):
             roundtrip_suite(5)
+
+
+# Each doctored map, by the name the census module calls it under.
+DOCTORED = {
+    "honest": {},
+    "decoder-broken-on-some-words": {"pair_to_prime": reference_census.decoder_broken_on_some_words},
+    "encoder-not-injective": {"prime_to_pair": reference_census.encoder_not_injective},
+    "encoder-missing-one-pair": {"prime_to_pair": reference_census.encoder_missing_one_pair},
+}
+
+
+class TestRoundtripAgainstTheReference:
+    """The suite runs each map once per object and answers the backward half
+    from the forward half's table; its report is the two-loop reference's,
+    string for string, with the honest maps and with doctored ones."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("doctored", sorted(DOCTORED))
+    def test_same_report(self, monkeypatch, doctored, n):
+        calls = []
+
+        def counting(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for name, fake in DOCTORED[doctored].items():
+            monkeypatch.setattr(census_module, name, fake)
+        for name in ("prime_to_pair", "pair_to_prime"):
+            monkeypatch.setattr(census_module, name, counting(name, getattr(census_module, name)))
+        expected = reference_roundtrip(n)
+        calls.clear()
+        report = roundtrip_suite(n)
+        assert (report.cases, report.failures) == expected
+        forward = report.cases // 2
+        if doctored == "honest":
+            assert report.failures == () and calls.count("prime_to_pair") == calls.count("pair_to_prime") == forward
+        elif n >= 2:
+            assert report.failures
+        if doctored == "encoder-missing-one-pair" and n >= 2:
+            # the missed pair runs both maps, the pair its image went to the encoding again
+            assert (calls.count("pair_to_prime"), calls.count("prime_to_pair")) == (forward + 1, forward + 2)
+
+    def test_same_report_under_optimize(self, monkeypatch):
+        # the suite's checks are no asserts, which python -O strips
+        monkeypatch.setattr(census_module, "pair_to_prime", reference_census.decoder_broken_on_some_words)
+        expected = reference_roundtrip(3)
+        assert expected[1]
+        probe = (
+            "import importlib, reference_census\n"
+            "census = importlib.import_module('treepark.census')\n"
+            "census.pair_to_prime = reference_census.decoder_broken_on_some_words\n"
+            "report = census.roundtrip_suite(3)\n"
+            "print(repr((report.cases, report.failures)))\n"
+        )
+        paths = [str(Path(census_module.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        runs = [
+            subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True, check=True)
+            for flags in ([], ["-O"])
+        ]
+        assert [run.stdout for run in runs] == [repr(expected) + "\n"] * 2
 
 
 class TestTheoremSuite:

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from functools import partial
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -99,6 +99,17 @@ class TestKernel:
         assert [schroder_number(n) for n in range(13)] == [
             1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718, 5293446, 27297738,
         ]
+
+    def test_schroder_recurrence_against_the_sum(self):
+        # the oracle: a path of semilength n with k up steps is a Dyck path of
+        # semilength k with n - k flat steps placed among its n + k steps
+        oracle = [sum(comb(n + k, n - k) * catalan_number(k) for k in range(n + 1)) for n in range(201)]
+        assert [schroder_number(n) for n in range(201)] == oracle
+        assert [prime_distribution_count(n) for n in range(1, 202)] == [
+            factorial(n - 1) * s for n, s in enumerate(oracle, start=1)
+        ]
+        f = prime_distribution_series(201)
+        assert [f.coefficient(n) for n in range(202)] == [0] + [Q(s, n) for n, s in enumerate(oracle, start=1)]
 
     def test_compose_requires_zero_constant(self):
         with pytest.raises(BranchUndefinedError):
