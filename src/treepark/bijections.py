@@ -49,6 +49,7 @@ from .errors import (
     Not132AvoidingError,
     NotPrimeError,
     NotStandardPrimeError,
+    _NoAttributeError,
     _ints,
 )
 from .parking import (
@@ -87,23 +88,19 @@ class StandardPrime:
     sequence under those labels.  A pair the package builds also carries the
     run that checked it, outside the fields, and builds ``shape`` from that
     run's parent array on first read (see :func:`_standard_prime`).
+    A copy or pickle, at any depth, is rebuilt by hand from the post-order
+    parent array and ``prefs``, and holds the two fields alone.
     """
 
     shape: PlaneShape
     prefs: tuple[int, ...]
 
-    # The shape nests one tuple per level, so equality and hashing compare
-    # flat post-order parent arrays and repr writes it out with a stack.
+    # The shape nests one tuple per level, so equality, hashing, copies and
+    # pickles read the flat post-order parents; repr writes it with a stack.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # Identical shapes are equal unwalked.  A pair whose shape is not built
-        # yet puts its own dict there, which is identical only to itself.
-        held, other_held = self.__dict__, other.__dict__
-        return self.prefs == other.prefs and (
-            held.get("shape", held) is other_held.get("shape", other_held)
-            or _flat_parents(self) == _flat_parents(other)
-        )
+        return self.prefs == other.prefs and _flat_parents(self) == _flat_parents(other)
 
     def __hash__(self) -> int:
         try:  # a bad shape raises InputError, so only the prefs can be unhashable
@@ -123,15 +120,14 @@ class StandardPrime:
             return shape
         raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def __getstate__(self) -> dict:
-        """Copies and pickles carry the fields alone, as a pair built by hand does."""
-        return {"shape": self.shape, "prefs": self.prefs}
+    def __reduce__(self):
+        """Copies and pickles rebuild the pair by hand from its flat form."""
+        return _hand_built, (tuple(_flat_parents(self)), self.prefs)
 
 
-class _NoAttributeError(InputError, AttributeError):
-    """A name a :class:`StandardPrime` does not hold: the ``AttributeError``
-    that ``getattr`` and ``hasattr`` expect, named as the package names
-    every refusal."""
+def _hand_built(parents: Sequence[int], prefs: tuple[int, ...]) -> StandardPrime:
+    """The standard pair built by hand from its post-order parent array."""
+    return StandardPrime(_parents_shape(parents), prefs)
 
 
 def _flat_parents(sp: StandardPrime) -> list[int]:

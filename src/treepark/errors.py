@@ -6,6 +6,8 @@ Every integer input passes :func:`_at_least` or :func:`_ints`: an exact
 ``int``, never a ``bool``.
 """
 
+import copyreg
+
 
 class TreeParkError(Exception):
     """Base class for all errors raised by treepark."""
@@ -75,6 +77,11 @@ class InvariantError(TreeParkError):
         self.tree = tree
         self.prefs = tuple(prefs)
 
+    def __reduce__(self):
+        # Copies and pickles keep ``args``, the formatted message, and the
+        # witness, without running ``__init__`` again on that message.
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
+
 
 class IdentityViolatedError(TreeParkError):
     """A generating-function identity has a nonzero residual coefficient."""
@@ -90,6 +97,12 @@ class UsageError(InputError):
 
 class InvalidShardError(InputError):
     """A census shard (k, m) with m < 1 or k outside 0..m-1."""
+
+
+class _NoAttributeError(InputError, AttributeError):
+    """A name a value does not hold: the ``AttributeError`` that ``getattr``
+    and ``hasattr`` expect, named as the package names every refusal.  The
+    types whose fields are built on first read raise it from ``__getattr__``."""
 
 
 def _at_least(value, least: int, name: str, error: type[InputError] = OrderMismatchError, message: str = "") -> int:

@@ -44,6 +44,7 @@ from .errors import (
     IdentityViolatedError,
     InputError,
     OrderMismatchError,
+    _NoAttributeError,
     _at_least,
     _ints,
 )
@@ -112,7 +113,7 @@ class Series:
             nums, den = held["_num_den"]
             coeffs = held["coeffs"] = tuple(Q(x, den) for x in nums)
             return coeffs
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
+        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __getstate__(self) -> dict:
         """Copies and pickles carry ``coeffs`` alone, as a series built by hand does."""

@@ -27,8 +27,10 @@ labeled paths) holds its pre-order arrays, and a standard pair built by the
 bijections holds its post-order parent array (``bijections._standard_prime``).
 That is safe because both types are frozen and the forms are tuples, or a
 list that nothing mutates: a held form cannot drift from the nested value.
-``==``, ``hash`` and ``repr`` give what they give on a value built by hand,
-and copies and pickles carry the fields alone.  A value built by hand holds
+``==``, ``hash`` and ``repr`` give what they give on a value built by hand.
+Copies and pickles carry the flat form alone, at any depth, and are rebuilt
+from it by hand, so they hold the fields and no form; a standard pair's
+nested ``shape`` is built only when it is read.  A value built by hand holds
 no form, and is walked and checked on every read.
 """
 
@@ -302,8 +304,8 @@ class LabeledPlaneTree:
     label: int | None
     children: tuple["LabeledPlaneTree", ...] = ()
 
-    # Equality, hashing and repr read the flat form, so that deep trees
-    # compare and print without recursion.
+    # Equality, hashing, repr, copies and pickles read the flat form, so that
+    # deep trees go through them without recursion.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -319,9 +321,9 @@ class LabeledPlaneTree:
     def __repr__(self) -> str:
         return f"parse_plane_tree({format_plane_tree(self)!r})"
 
-    def __getstate__(self) -> dict:
-        """Copies and pickles carry the fields alone, as a tree built by hand does."""
-        return {"label": self.label, "children": self.children}
+    def __reduce__(self):
+        """Copies and pickles rebuild the tree by hand from its flat form."""
+        return _labeled_tree, _flatten(self)
 
 
 _Flat = tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]  # pre-order labels, children

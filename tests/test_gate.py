@@ -410,12 +410,12 @@ METHOD_JUNK = {
     (LabeledPlaneTree, "__eq__"): (ANY,),
     (LabeledPlaneTree, "__hash__"): (),
     (LabeledPlaneTree, "__repr__"): (),
-    (LabeledPlaneTree, "__getstate__"): (),
+    (LabeledPlaneTree, "__reduce__"): (),
     (StandardPrime, "__eq__"): (ANY,),
     (StandardPrime, "__hash__"): (),
     (StandardPrime, "__repr__"): (),
     (StandardPrime, "__getattr__"): (st.one_of(pick(["shape", "prefs", "_run", "nope"]), ANY),),
-    (StandardPrime, "__getstate__"): (),
+    (StandardPrime, "__reduce__"): (),
     (MarkedSet, "unmarked"): (),
 }
 
