@@ -166,26 +166,36 @@ class Component:
     piece: StandardPrime  # the pair, relabeled by rank to its own scale
 
 
+def _right_siblings(parents: Sequence[int]) -> list[int]:
+    """The sibling table of a post-order parent array (slot 0 unused): entry
+    v is the next sibling to the right of v, or 0.  Siblings carry
+    increasing labels from left to right."""
+    right = [0] * len(parents)
+    last = [0] * len(parents)  # each vertex's latest child so far
+    for v in range(1, len(parents)):
+        p = parents[v]
+        if p:
+            right[last[p]] = v  # a first child lands in slot 0, cleared below
+            last[p] = v
+    right[0] = 0
+    return right
+
+
 def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) -> int | None:
     """The first vertex whose children are not in decreasing first-crossing
-    order of their parent edges, or None.
+    order of their parent edges, or None: a child whose edge is crossed no
+    later than its right sibling's breaks the order.
 
-    ``parents`` is a post-order parent array (slot 0 unused), so siblings
-    carry increasing labels from left to right; vertices whose entry is 0
-    have no parent edge to order, and every other edge must have been crossed.
+    ``parents`` is a post-order parent array (slot 0 unused); vertices whose
+    entry is 0 have no parent edge to order, and every other edge must have
+    been crossed.
     """
     tick = [0] * len(parents)
     for i, (c, _) in enumerate(crossings):
         tick[c] = i
-    last = [0] * len(parents)  # each vertex's latest child so far
-    bad = None
-    for v in range(1, len(parents)):
-        p = parents[v]
-        if p:
-            if last[p] and tick[last[p]] <= tick[v] and (bad is None or p < bad):
-                bad = p
-            last[p] = v
-    return bad
+    right = _right_siblings(parents)
+    bad = [parents[v] for v in range(1, len(parents)) if right[v] and tick[v] <= tick[right[v]]]
+    return min(bad, default=None)
 
 
 def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[tuple[int, ...], ParkingOutcome]:

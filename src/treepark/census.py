@@ -4,8 +4,9 @@ Every count here is obtained by enumerating objects one by one; the closed
 forms appear only on the *expected* side of each report.  Parking and
 primality depend on a sequence only through its count vector, so the census
 enumerates only the count vectors that park on a tree (a depth-first pass
-over its vertices) and weights each by its n!/prod(c_v!) sequences; only
-the standard-pair column and the round-trip suite spell a vector's
+over its vertices) and weights each by its n!/prod(c_v!) sequences.  The
+standard-pair column searches a prime vector's orderings on each plane
+tree, prefix by prefix, and only the round-trip suite spells a vector's
 sequences out.  The census still walks every labeled tree, but keeps only
 its isomorphism class and decides the vectors once per class met in a
 call, on the class's own code read as a plane shape: relabeling a tree
@@ -23,12 +24,12 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice, permutations, product
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bijections import (
     _avoids_132,
     _flat_parents,
-    _out_of_crossing_order,
+    _right_siblings,
     borie_map,
     decode_prime,
     encode_prime,
@@ -38,9 +39,9 @@ from .bijections import (
     standard_path_prime,
 )
 from .errors import InputError, InvalidShardError, LimitExceededError, _at_least, _ints
-from .parking import run_parking
 from .series import catalan_number, closed_counts
 from .trees import (
+    PlaneShape,
     RootedTree,
     _bottom_up,
     _flatten,
@@ -64,7 +65,7 @@ CENSUS_COLUMNS = (
 )
 
 # The largest n of each exhaustive run; the census needs allow_large at its cap.
-CAPS = {"census": 6, "roundtrip": 4, "thm53": 7, "paths": 6}
+CAPS = {"census": 7, "roundtrip": 4, "thm53": 7, "paths": 6}
 
 
 def _parking_vectors(up: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -122,14 +123,97 @@ def _prime_sequences(up: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield from _orderings(counts)
 
 
-def _shape_code(tree: RootedTree) -> tuple:
-    """The tree's isomorphism class as a canonical nested tuple (the AHU
-    encoding): each vertex's code is the sorted tuple of its children's."""
-    up = (0,) + tree.parents
-    below: list[list[tuple]] = [[] for _ in up]
-    for v in _bottom_up(up):  # slot 0 collects the root's code
-        below[up[v]].append(tuple(sorted(below[v])))
-    return below[0][0]
+def _standard_orderings(parents: Sequence[int], counts: Sequence[int]) -> int:
+    """How many orderings of the prime count vector ``counts`` form a
+    standard pair with the plane shape whose post-order parent array is
+    ``parents``.  Every driver of a prime vector parks, so no walk passes
+    the root.
+
+    A depth-first search over prefixes (a backtrack, Knuth TAOCP 4B
+    section 7.2.2) parks one driver per step on an occupied/crossed state
+    and undoes the step on the way back.  A prime sequence crosses every
+    edge, so it is standard unless some driver crosses an edge while its
+    right sibling's edge is still uncrossed (the rule of
+    ``bijections._out_of_crossing_order``, on the same sibling table); a
+    prefix is cut at the first such crossing.
+
+    The state after a prefix depends only on how many of its drivers
+    prefer each vertex: a vertex is occupied once a driver reaches it, and
+    an edge crossed once a driver leaves the subtree below it, and how many
+    drivers reach a vertex follows from the counts in its subtree alone.
+    So the standard completions of a prefix are counted once per count
+    vector of the drivers still to come.
+    """
+    right = _right_siblings(parents)
+    taken = [False] * len(parents)  # slot 0, above the root, is never taken
+    crossed = [True] + [False] * (len(parents) - 1)  # slot 0 stands for no right sibling
+    left = list(counts)
+    wanted = [v for v, count in enumerate(counts) if count]
+    completions: dict[tuple[int, ...], int] = {(0,) * len(counts): 1}
+
+    def extend() -> int:
+        found = completions.get(tuple(left))
+        if found is not None:
+            return found
+        found = 0
+        for want in wanted:
+            if not left[want]:
+                continue
+            new = []  # the edges this driver crosses first
+            v = want
+            while taken[v]:
+                if not crossed[v]:
+                    if not crossed[right[v]]:
+                        break  # v's right sibling is still uncrossed
+                    new.append(v)
+                v = parents[v]
+            else:  # v is the driver's spot
+                left[want] -= 1
+                taken[v] = True
+                for c in new:
+                    crossed[c] = True
+                found += extend()
+                for c in new:
+                    crossed[c] = False
+                taken[v] = False
+                left[want] += 1
+        completions[tuple(left)] = found
+        return found
+
+    return extend()
+
+
+def _class_shapes(trees: Iterable[RootedTree], n: int) -> Counter:
+    """How many of the n-vertex ``trees`` fall in each isomorphism class,
+    keyed by the class's code read as a plane shape (the AHU encoding).
+
+    Each class of subtree met gets a small id k and stands for the weight
+    2^(b k), with b the bit length of n.  A vertex's key is the sum of its
+    children's weights: the multiset of their ids, one b-bit digit per id
+    (no vertex has n children), so equal keys are equal classes and no
+    child list is sorted.  A tree's class is its root's weight.  The nested
+    shape of each class met is built once, from the table of keys.
+    """
+    bits = n.bit_length()
+    weights: dict[int, int] = {}  # key -> weight of the class it names
+    roots: Counter = Counter()
+    for tree in trees:
+        up = (0,) + tree.parents
+        key = [0] * len(up)  # slot 0 collects the root's weight
+        for v in _bottom_up(up):
+            weight = weights.get(key[v])
+            if weight is None:
+                weight = weights[key[v]] = 1 << (bits * len(weights))
+            key[up[v]] += weight
+        roots[key[0]] += 1
+    shapes: dict[int, PlaneShape] = {}  # weight -> shape, in order of ids
+    digit = (1 << bits) - 1
+    for multiset, weight in weights.items():
+        below = list(shapes.values())  # every id a child of this one can have
+        shapes[weight] = tuple(
+            below[j] for j in range(len(below)) for _ in range(multiset >> (bits * j) & digit)
+        )
+    return Counter({shapes[weight]: trees for weight, trees in roots.items()})
 
 
 def _leaf_count(parents: Sequence[int]) -> int:
@@ -146,9 +230,9 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
         raise LimitExceededError(guard)
     if n == cap and not allow_large:
         raise LimitExceededError(
-            "the n=6 census walks 7776 trees, weighs the 853 count vectors that park"
-            " on their 20 isomorphism classes and simulates 7105 prime sequences on"
-            " 42 plane trees; pass allow_large"
+            "the n=7 census walks 117649 trees, weighs the 4696 count vectors that park"
+            " on their 48 isomorphism classes and searches the 153504 prime sequences"
+            " on the 132 plane trees for standard pairs; pass allow_large"
         )
     which_mod = _ints(shard, InvalidShardError, "shard entry {}:")
     if len(which_mod) != 2 or which_mod[1] < 1 or not 0 <= which_mod[0] < which_mod[1]:
@@ -158,11 +242,9 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     which, mod = (min(entry, n ** (n - 1)) for entry in which_mod)
 
     walk = islice(enumerate_rooted_trees(n), which, None, mod)
-    classes = Counter(_shape_code(tree) for tree in walk)  # shape code -> trees of that class
-
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
-    for code, trees in classes.items():
-        parents = _shape_parents(code)  # a code is also a plane shape
+    for shape, trees in _class_shapes(walk, n).items():
+        parents = _shape_parents(shape)
         parking = prime = distribution = prime_distribution = 0
         for vector, slack in _parking_vectors(parents):
             sequences = factorial(n) // prod(map(factorial, vector))
@@ -181,10 +263,10 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
 
     for shape in islice(enumerate_plane_trees(n), which, None, mod):
         parents = _shape_parents(shape)
-        tree = RootedTree(tuple(parents[1:]))
         counts["standard_prime"] += sum(
-            _out_of_crossing_order(parents, run_parking(tree, seq).crossings) is None
-            for seq in _prime_sequences(parents)
+            _standard_orderings(parents, vector)
+            for vector, slack in _parking_vectors(parents)
+            if slack >= 1
         )
     return counts
 

@@ -261,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n", type=_positive_int, default=None,
         help="largest n each suite visits; a named suite refuses one above its guard",
     )
-    p.add_argument("--allow-large", action="store_true", help="allow the n=6 census and run to it by default")
+    p.add_argument(
+        "--allow-large", action="store_true",
+        help=f"allow the n={CAPS['census']} census and run to it by default",
+    )
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     return parser

@@ -29,16 +29,24 @@ That is safe because both types are frozen and the forms are tuples, or a
 list that nothing mutates: a held form cannot drift from the nested value.
 ``==``, ``hash`` and ``repr`` give what they give on a value built by hand.
 Copies and pickles carry the flat form alone, at any depth, and are rebuilt
-from it by hand, so they hold the fields and no form; a standard pair's
-nested ``shape`` is built only when it is read.  A value built by hand holds
-no form, and is walked and checked on every read.
+from it by hand, so they hold the fields and no form.  The nested field is
+built only when it is read: a carried tree's ``children`` and a standard
+pair's ``shape``.  A value built by hand holds no form, and is walked and
+checked on every read.
+
+What walks the nested fields itself still recurses, once per level.  At
+the default recursion limit, ``dataclasses.asdict`` and ``astuple`` raise
+``RecursionError`` on a labeled path from about 332 vertices, and ``==``
+between two raw nested ``shape`` tuples on a path from about 999.  ``==``,
+``hash`` and ``repr`` of the two types, copies, pickles, the text formats
+and both maps go through the flat forms, and do not recurse at any depth.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
@@ -49,6 +57,7 @@ from .errors import (
     MultipleRootsError,
     NoRootError,
     VertexOutOfRangeError,
+    _NoAttributeError,
     _at_least,
     _ints,
 )
@@ -302,7 +311,8 @@ class LabeledPlaneTree:
     """Plane tree with integer labels; ``None`` marks an unlabeled root."""
 
     label: int | None
-    children: tuple["LabeledPlaneTree", ...] = ()
+    # a factory, so that the class holds no ``children`` to shadow __getattr__
+    children: tuple["LabeledPlaneTree", ...] = field(default_factory=tuple)
 
     # Equality, hashing, repr, copies and pickles read the flat form, so that
     # deep trees go through them without recursion.
@@ -320,6 +330,15 @@ class LabeledPlaneTree:
 
     def __repr__(self) -> str:
         return f"parse_plane_tree({format_plane_tree(self)!r})"
+
+    def __getattr__(self, name: str):
+        # Reached only for a name the instance does not hold: ``children`` on
+        # a tree the package built, before it is read.  Build them once.
+        held = self.__dict__
+        if name == "children" and "_flat" in held:
+            children = held["children"] = _labeled_tree(*held["_flat"]).children
+            return children
+        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __reduce__(self):
         """Copies and pickles rebuild the tree by hand from its flat form."""
@@ -365,12 +384,14 @@ def _labeled_tree(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -
 
 
 def _carried_tree(labels: tuple[int | None, ...], kids: tuple[tuple[int, ...], ...]) -> LabeledPlaneTree:
-    """:func:`_labeled_tree` of arrays in the pre-order :func:`_flatten`
-    gives, as tuples, with the arrays attached to the root as an instance
-    attribute, where :func:`_flatten` reads them: not a field, so ``==``,
-    ``hash``, ``repr`` and ``dataclasses.replace`` see only the tree."""
-    t = _labeled_tree(labels, kids)
-    t.__dict__["_flat"] = (labels, kids)
+    """The labeled plane tree of arrays in the pre-order :func:`_flatten`
+    gives, as tuples, built as its root alone.  The arrays are attached as an
+    instance attribute, where :func:`_flatten` reads them, and ``children``
+    is built from them on first read (``LabeledPlaneTree.__getattr__``).
+    The arrays are no field, so ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` see only the tree."""
+    t = object.__new__(LabeledPlaneTree)
+    t.__dict__.update(label=labels[0], _flat=(labels, kids))
     return t
 
 

@@ -4,6 +4,13 @@ The bucket census builds all n^n preference sequences, groups them by count
 vector (a bucket), and decides each (tree, bucket) pair with one subtree
 pass.  The package enumerates only the count vectors that park instead.
 
+The nested class code names a tree's isomorphism class by sorted nested
+tuples.  The package interns each subtree class as a small id instead.
+
+The simulated standard column parks every prime sequence on each plane
+tree and checks the sibling order of the whole run.  The package searches
+the orderings of each prime vector prefix by prefix instead.
+
 The two-loop round-trip suite runs both composites of the maps on every
 object, from each side.  The package runs each map once per object and
 answers the backward half from the forward half's table.
@@ -26,11 +33,38 @@ from treepark import (
 )
 from treepark import bijections
 from treepark.bijections import _out_of_crossing_order
-from treepark.census import CENSUS_COLUMNS, _iter_primes, _shape_code
+from treepark.census import CENSUS_COLUMNS, _iter_primes, _prime_sequences
 from treepark.parking import run_parking
 from treepark.trees import _bottom_up, _shape_parents, _subtree_sums
 
 census = importlib.import_module("treepark.census")  # the package exports a census function
+
+
+def shape_code(tree):
+    """The tree's isomorphism class as a canonical nested tuple (the AHU
+    encoding): each vertex's code is the sorted tuple of its children's."""
+    up = (0,) + tree.parents
+    below = [[] for _ in up]
+    for v in _bottom_up(up):  # slot 0 collects the root's code
+        below[up[v]].append(tuple(sorted(below[v])))
+    return below[0][0]
+
+
+def simulated_standard_count(shape):
+    """How many prime sequences form a standard pair with the post-order
+    labeled shape: each one simulated, its whole run checked for order."""
+    parents = _shape_parents(shape)
+    tree = RootedTree(tuple(parents[1:]))
+    return sum(
+        _out_of_crossing_order(parents, run_parking(tree, seq).crossings) is None
+        for seq in _prime_sequences(parents)
+    )
+
+
+def simulated_standard_column(n, shard=(0, 1)):
+    """The standard-pair column of one shard, simulated shape by shape."""
+    which, mod = shard
+    return sum(simulated_standard_count(shape) for shape in islice(enumerate_plane_trees(n), which, None, mod))
 
 
 def reference_buckets(n):
@@ -71,7 +105,7 @@ def reference_counts(n, shard=(0, 1)):
     isomorphism class met in the shard."""
     which, mod = shard
     buckets = reference_buckets(n)
-    classes = Counter(_shape_code(tree) for tree in islice(enumerate_rooted_trees(n), which, None, mod))
+    classes = Counter(shape_code(tree) for tree in islice(enumerate_rooted_trees(n), which, None, mod))
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
     for code, trees in classes.items():
         parents = _shape_parents(code)

@@ -30,7 +30,7 @@ from treepark import (
     theorem53_suite,
     used_edges,
 )
-from treepark.census import CENSUS_COLUMNS
+from treepark.census import CAPS, CENSUS_COLUMNS
 from treepark.series import INFORMATIONAL_IDENTITIES
 from treepark.trees import enumerate_rooted_trees, validate_rooted_tree
 
@@ -246,3 +246,19 @@ def test_readme_library_block():
     assert held == [None] * 15
     assert "residuals exactly zero" in comments[4]
     assert passed is True
+
+
+def test_readme_count_table():
+    """Each row of the README's count table is the closed forms' row, the
+    one counted above the census cap included."""
+    readme = (Path(treepark.__file__).resolve().parents[2] / "README.md").read_text()
+    header = "| n | parking pairs | prime pairs | distributions | prime distributions |"
+    table = readme[readme.index(header):].split("\n\n")[0].splitlines()[2:]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+    sizes = [int(row[0].rstrip("*")) for row in rows]
+    assert sizes == list(range(1, 9))
+    assert [row[0].endswith("*") for row in rows] == [n > CAPS["census"] for n in sizes]
+    closed = treepark.closed_counts(max(sizes))
+    for n, row in zip(sizes, rows):
+        want = closed.row(n)
+        assert list(map(int, row[1:])) == [want.parking, want.prime, want.distribution, want.prime_distribution], n

@@ -5,12 +5,15 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
 
 import pytest
 
+import treepark.parking
+import treepark.trees
 from treepark import (
     InputError,
     InvalidShardError,
@@ -31,9 +34,19 @@ from reference_census import (
     reference_roundtrip,
     reference_slacks,
     reference_standard_primes,
+    shape_code,
+    simulated_standard_column,
+    simulated_standard_count,
 )
-from treepark.census import CENSUS_COLUMNS, _orderings, _parking_vectors, _prime_sequences, _shape_code
-from treepark.trees import _shape_parents
+from treepark.census import (
+    CENSUS_COLUMNS,
+    _class_shapes,
+    _orderings,
+    _parking_vectors,
+    _prime_sequences,
+    _standard_orderings,
+)
+from treepark.trees import RootedTree, _shape_parents
 
 census_module = importlib.import_module("treepark.census")  # the package exports a census function
 
@@ -77,29 +90,30 @@ class TestCensus:
 
     def test_guard(self):
         with pytest.raises(LimitExceededError):
-            census_counts(7)
+            census_counts(8)
         with pytest.raises(LimitExceededError):
-            census_counts(6)  # needs allow_large
+            census_counts(7)  # needs allow_large
 
     def test_guard_message_matches_the_walk(self):
         with pytest.raises(LimitExceededError) as caught:
-            census_counts(6)
+            census_counts(7)
         stated = re.search(
             r"walks (\d+) trees, weighs the (\d+) count vectors that park on their"
-            r" (\d+) isomorphism classes and simulates (\d+) prime sequences on"
-            r" (\d+) plane trees",
+            r" (\d+) isomorphism classes and searches the (\d+) prime sequences on"
+            r" the (\d+) plane trees",
             str(caught.value),
         )
-        classes = {_shape_code(tree) for tree in enumerate_rooted_trees(6)}
-        shapes = list(enumerate_plane_trees(6))
+        trees = list(enumerate_rooted_trees(7))
+        classes = set(map(shape_code, trees))
+        shapes = list(enumerate_plane_trees(7))
         walked = (
-            sum(1 for _ in enumerate_rooted_trees(6)),
+            len(trees),
             sum(1 for code in classes for _ in _parking_vectors(_shape_parents(code))),
             len(classes),
             sum(1 for shape in shapes for _ in _prime_sequences(_shape_parents(shape))),
             len(shapes),
         )
-        assert tuple(map(int, stated.groups())) == walked == (7776, 853, 20, 7105, 42)
+        assert tuple(map(int, stated.groups())) == walked == (117649, 4696, 48, 153504, 132)
 
     def test_shards_sum_to_full(self):
         for n in (4, 5):
@@ -138,8 +152,18 @@ class TestCensus:
 
     def test_shape_code_names_isomorphism_classes(self):
         # unlabeled rooted trees on n vertices (OEIS A000081)
-        classes = [len({_shape_code(t) for t in enumerate_rooted_trees(n)}) for n in range(1, 7)]
+        classes = [len(_class_shapes(enumerate_rooted_trees(n), n)) for n in range(1, 7)]
         assert classes == [1, 1, 2, 4, 9, 20]
+
+    @pytest.mark.parametrize("n, start, step", [(n, 0, 1) for n in range(1, 7)] + [(6, 1, 3)])
+    def test_class_shapes_match_the_nested_code(self, n, start, step):
+        # each class's shape is a tree of that class, and counts its trees
+        trees = list(enumerate_rooted_trees(n))[start::step]
+        by_ids = {
+            shape_code(RootedTree(tuple(_shape_parents(shape)[1:]))): count
+            for shape, count in _class_shapes(trees, n).items()
+        }
+        assert by_ids == Counter(map(shape_code, trees))
 
     def test_deterministic(self):
         assert census_counts(3) == census_counts(3)
@@ -148,6 +172,59 @@ class TestCensus:
     def test_bad_shard_is_named(self, shard):
         with pytest.raises(InvalidShardError, match=rf"shard \({shard[0]}, {shard[1]}\)"):
             census_counts(3, shard=shard)
+
+
+class TestStandardSearch:
+    """The standard column searches each prime vector's orderings prefix by
+    prefix; the reference parks every prime sequence and checks its run."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_shape_matches_the_simulation(self, n):
+        for shape in enumerate_plane_trees(n):
+            parents = _shape_parents(shape)
+            searched = sum(
+                _standard_orderings(parents, vector)
+                for vector, slack in _parking_vectors(parents)
+                if slack >= 1
+            )
+            assert searched == simulated_standard_count(shape), shape
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (5, 6) for k in range(3)])
+    def test_shards_match_the_simulation(self, n, k):
+        counted = census_counts(n, shard=(k, 3), allow_large=True)["standard_prime"]
+        assert counted == simulated_standard_column(n, shard=(k, 3))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_a_prefix_state_depends_on_its_counts_alone(self, n):
+        # the premise of counting completions once per count vector: every
+        # ordering of a prefix occupies the same vertices and crosses the
+        # same edges
+        for shape in enumerate_plane_trees(n):
+            tree = RootedTree(tuple(_shape_parents(shape)[1:]))
+            states = {}
+            for k in range(n + 1):
+                for prefix in product(range(1, n + 1), repeat=k):
+                    outcome = treepark.parking.run_parking(tree, prefix)
+                    state = set(outcome.spots), set(outcome.crossings)
+                    assert states.setdefault(tuple(sorted(prefix)), state) == state, (shape, prefix)
+
+    def test_census_parks_no_driver(self, monkeypatch):
+        calls = []
+        real = treepark.parking.run_parking
+        for name, module in list(sys.modules.items()):  # every module that holds the kernel
+            if name.split(".")[0] == "treepark" and getattr(module, "run_parking", None) is real:
+                monkeypatch.setattr(module, "run_parking", lambda tree, prefs: calls.append(prefs) or real(tree, prefs))
+        assert census_counts(6, allow_large=True)["standard_prime"] == 5040
+        assert calls == []
+
+    def test_a_cut_prefix_is_not_counted(self):
+        # A root over a cherry, post-order labels: leaves 1 and 2 below 3,
+        # below the root 4.  The second driver to prefer a leaf crosses its
+        # edge, and 2 -> 3 must be crossed first, so of the six orderings of
+        # 1 1 2 2 the standard ones end in 1: 1 2 2 1, 2 1 2 1 and 2 2 1 1.
+        parents = _shape_parents((((), ()),))
+        assert parents == [0, 3, 3, 4, 0]
+        assert _standard_orderings(parents, (0, 2, 2, 0, 0)) == 3 == simulated_standard_count((((), ()),))
 
 
 def filtered_vectors(up):
@@ -313,6 +390,16 @@ class TestPathImageSuite:
     def test_guard(self):
         with pytest.raises(LimitExceededError):
             path_image_suite(7)
+
+
+@pytest.mark.parametrize("suite, n", [(roundtrip_suite, 4), (path_image_suite, 6), (theorem53_suite, 7)])
+def test_suites_build_no_nested_tree(suite, n, monkeypatch):
+    # the suites read every labeled plane tree through its flat form
+    calls = []
+    real = treepark.trees._labeled_tree
+    monkeypatch.setattr(treepark.trees, "_labeled_tree", lambda *flat: calls.append(flat) or real(*flat))
+    assert suite(n).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -244,35 +244,39 @@ class TestVerify:
 
 class TestVerifyCensusCap:
     def test_max_n_above_cap_needs_allow_large(self, capsys):
-        code, out, err = run(capsys, "verify", "--suite", "census", "--max-n", "6")
+        code, out, err = run(capsys, "verify", "--suite", "census", "--max-n", "7")
         assert code == 2 and out == ""
         assert "--allow-large" in err
 
     def test_max_n_above_cap_with_allow_large(self, capsys):
         code, out, err = run(
-            capsys, "verify", "--suite", "census", "--max-n", "7", "--allow-large"
+            capsys, "verify", "--suite", "census", "--max-n", "8", "--allow-large"
         )
         assert code == 2 and out == ""
-        assert "cap of 6" in err
+        assert "cap of 7" in err
 
     def test_all_suites_respect_the_census_cap(self, capsys):
-        code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "6")
+        code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "7")
         assert code == 2 and out == ""
         assert "--allow-large" in err
 
-    def test_allow_large_runs_the_census_to_six(self, capsys):
+    def test_allow_large_runs_the_census_to_seven(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "census", "--allow-large", "--format", "json"
         )
         assert code == 0
         rows = json.loads(out)
-        assert {row["n"] for row in rows} == set(range(1, 7))
+        assert {row["n"] for row in rows} == set(range(1, 8))
         assert all(row["status"] == "PASS" for row in rows)
 
-    def test_default_cap_is_five(self, capsys):
+    def test_default_cap_is_six(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "census", "--format", "json")
         assert code == 0
-        assert {row["n"] for row in json.loads(out)} == set(range(1, 6))
+        assert {row["n"] for row in json.loads(out)} == set(range(1, 7))
+
+    def test_allow_large_is_named_with_the_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert "allow the n=7 census" in " ".join(out.split())
 
 
 class TestVerifySuiteCaps:

@@ -410,6 +410,7 @@ METHOD_JUNK = {
     (LabeledPlaneTree, "__eq__"): (ANY,),
     (LabeledPlaneTree, "__hash__"): (),
     (LabeledPlaneTree, "__repr__"): (),
+    (LabeledPlaneTree, "__getattr__"): (st.one_of(pick(["children", "label", "_flat", "nope"]), ANY),),
     (LabeledPlaneTree, "__reduce__"): (),
     (StandardPrime, "__eq__"): (ANY,),
     (StandardPrime, "__hash__"): (),
@@ -490,7 +491,7 @@ CLI_JUNK = {
             ["--suite", "nope"],
             ["--max-n", "0"],
             ["--max-n", "x"],
-            ["--suite", "census", "--max-n", "6"],
+            ["--suite", "census", "--max-n", "7"],
             ["--suite", "roundtrip", "--max-n", "5"],
             ["--suite", "thm53", "--max-n", "8"],
         ]

@@ -23,6 +23,7 @@ from treepark import (
     IDENTITY_NAMES,
     InputError,
     InvariantError,
+    LabeledPlaneTree,
     MarkedSet,
     Series,
     StandardPrime,
@@ -33,12 +34,15 @@ from treepark import (
     decode_prime,
     decompose,
     distribution_series,
+    enumerate_labeled_plane_trees,
     format_plane_tree,
     labeled_path,
     park,
     parse_plane_tree,
     parse_rooted_tree,
     path_tree,
+    post_order_relabel,
+    prime_to_pair,
     roundtrip_suite,
     standardize,
 )
@@ -126,6 +130,8 @@ def deep_failures(n: int) -> list[str]:
     }
     copies = {name: round_trips(value) for name, value in values.items()}
     failures = ["the decoded pair built its shape"] if "shape" in vars(pair) else []
+    if "children" in vars(path):
+        failures.append("the labeled path built its children")
     for name, value in values.items():
         fields = {f.name for f in dataclasses.fields(value)}
         for how, copied in copies[name].items():
@@ -170,11 +176,46 @@ def test_a_junk_shape_is_an_input_error_even_shared():
 @pytest.mark.parametrize("value", [
     decode_prime(parse_plane_tree("*[1 3 4[2]]")),
     StandardPrime(((),), (1, 1)),
+    labeled_path((2, 1)),
+    parse_plane_tree("*[1 3[2]]"),
     catalan_series(3),
     Series((1, 2)),
-], ids=["decoded pair", "hand-built pair", "built series", "hand-built series"])
+], ids=["decoded pair", "hand-built pair", "built tree", "hand-built tree", "built series", "hand-built series"])
 def test_an_unknown_name_is_an_input_error_and_missing(value):
     assert not hasattr(value, "nope") and getattr(value, "nope", 5) == 5
     with pytest.raises(InputError, match=f"'{type(value).__name__}' object has no attribute 'nope'") as caught:
         value.nope
     assert isinstance(caught.value, AttributeError)
+
+
+# ---------------------------------------------------------------------------
+# Children built on first read
+# ---------------------------------------------------------------------------
+
+
+def built_trees() -> list:
+    """Labeled plane trees from every builder that attaches a flat form."""
+    trees = list(enumerate_labeled_plane_trees(4))
+    trees += [labeled_path((3, 1, 2)), labeled_path(())]
+    trees.append(post_order_relabel(parse_plane_tree("5[1 3[2] 4]"))[1])
+    trees.append(prime_to_pair(parse_rooted_tree("2 4 4 5 0"), (1, 3, 2, 3, 1))[1])
+    return trees
+
+
+@pytest.mark.parametrize("tree", built_trees(), ids=format_plane_tree)
+def test_a_built_tree_reads_as_one_built_by_hand(tree):
+    twin = parse_plane_tree(format_plane_tree(tree))
+    assert "children" not in vars(tree)
+    assert repr(tree) == repr(twin)
+    assert dataclasses.asdict(tree) == dataclasses.asdict(twin)
+    assert dataclasses.astuple(tree) == dataclasses.astuple(twin)
+    assert dataclasses.replace(tree) == twin and dataclasses.replace(tree, label=7) == dataclasses.replace(twin, label=7)
+    assert tree.label == twin.label and tree.children == twin.children
+    assert [format_plane_tree(c) for c in tree.children] == [format_plane_tree(c) for c in twin.children]
+    assert tree.children is tree.children  # built once, then held
+    assert tree == twin and hash(tree) == hash(twin) and repr(tree) == repr(twin)
+
+
+def test_a_tree_built_by_hand_defaults_to_no_children():
+    assert LabeledPlaneTree(4).children == () == dataclasses.replace(labeled_path(()), label=4).children
+    assert LabeledPlaneTree(4) == parse_plane_tree("4")
