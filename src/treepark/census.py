@@ -28,15 +28,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .bijections import (
     _avoids_132,
+    _check_standard,
+    _encode,
     _flat_parents,
     _right_siblings,
     borie_map,
     decode_prime,
-    encode_prime,
     labeled_path,
     pair_to_prime,
     prime_to_pair,
-    standard_path_prime,
 )
 from .errors import InputError, InvalidShardError, LimitExceededError, _at_least, _ints
 from .series import catalan_number, closed_counts
@@ -423,10 +423,11 @@ def path_image_suite(n: int) -> SuiteReport:
     failures: list[str] = []
     seen: set[tuple[int, ...]] = set()
     cases = 0
+    path = _shape_parents(path_shape(n + 1))  # every case encodes this flat pair's tree
     ranges = [range(1, 2)] + [range(1, i) for i in range(2, n + 2)]
     for seq in product(*ranges):
         cases += 1
-        labels, kids = _flatten(encode_prime(standard_path_prime(seq)))
+        labels, kids = _flatten(_encode(path, *_check_standard(path, seq)))
         if any(len(k) > 1 for k in kids):
             failures.append(f"seq={seq}: image is not a path")
         else:

@@ -9,32 +9,37 @@ queried property holds (or the command simply succeeded), 1 when it fails,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import astuple
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .bijections import borie_map, pair_to_prime, prime_to_pair
-from .census import CAPS, roundtrip_suite, theorem53_suite
-from .census import census as run_census
 from .errors import TreeParkError, UsageError
-from .parking import is_parking_function, is_prime, park, used_edges
-from .series import (
-    IDENTITY_NAMES,
-    check_identities,
-    closed_counts,
-)
-from .trees import (
-    RootedTree,
-    format_plane_tree,
-    format_rooted_tree,
-    format_word,
-    parse_permutation,
-    parse_plane_tree,
-    parse_preferences,
-    parse_rooted_tree,
-)
+
+if TYPE_CHECKING:
+    from .trees import RootedTree
+
+# Each command imports the layers it uses, so that a process loads only
+# those.  The parser needs two figures from layers that most commands do
+# not load, so it keeps copies; the tests hold them equal to the originals.
+IDENTITY_NAMES = (
+    "parking-gf",
+    "parking-composition",
+    "combined-composition",
+    "catalan-ratio",
+    "prime-derivative",
+    "prime-log-form",
+    "distribution-composition",
+    "marked-prime-sum",
+    "marked-prime-recursion",
+    "schroder-quadratic",
+    "schroder-gf",
+    "marked-distribution-sum",
+    "marked-distribution-recursion",
+    "distribution-ode",
+    "parking-ode",
+    "marked-distribution-unnormalized",
+)  # series.IDENTITY_NAMES
+CENSUS_CAP = 7  # census.CAPS["census"]
 
 
 def _payload(value: str) -> str:
@@ -54,20 +59,27 @@ def _positive_int(text: str) -> int:
 
 
 def _pair(args: argparse.Namespace) -> tuple[RootedTree, tuple[int, ...]]:
+    from .trees import parse_preferences, parse_rooted_tree
+
     return parse_rooted_tree(_payload(args.tree)), parse_preferences(_payload(args.seq))
 
 
 def _cmd_park(args: argparse.Namespace) -> int:
+    from .parking import park
+
     outcome = park(*_pair(args))
     print("spots: " + " ".join("-" if s is None else str(s) for s in outcome.spots))
     return 0 if outcome.all_parked else 1
 
 
-def _predicate(label: str, holds: Callable[..., bool]) -> Callable[[argparse.Namespace], int]:
-    """The command that prints whether ``holds`` of the pair, as ``label``."""
+def _predicate(label: str, holds: str) -> Callable[[argparse.Namespace], int]:
+    """The command that prints whether the parking predicate named ``holds``
+    holds of the pair, as ``label``."""
 
     def command(args: argparse.Namespace) -> int:
-        ok = holds(*_pair(args))
+        from . import parking
+
+        ok = getattr(parking, holds)(*_pair(args))
         print(f"{label}: {'true' if ok else 'false'}")
         return 0 if ok else 1
 
@@ -75,6 +87,8 @@ def _predicate(label: str, holds: Callable[..., bool]) -> Callable[[argparse.Nam
 
 
 def _cmd_used_edges(args: argparse.Namespace) -> int:
+    from .parking import used_edges
+
     edges = used_edges(*_pair(args))
     print("used-edges: " + " ".join(f"{u}->{v}" for u, v in edges))
     return 0
@@ -90,6 +104,9 @@ def _roundtrip(same: bool) -> int:
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
+    from .bijections import pair_to_prime, prime_to_pair
+    from .trees import format_plane_tree, format_word
+
     tree, prefs = _pair(args)
     word, plt = prime_to_pair(tree, prefs)
     print("sigma: " + format_word(word))
@@ -98,6 +115,9 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 
 def _cmd_psi_inv(args: argparse.Namespace) -> int:
+    from .bijections import pair_to_prime, prime_to_pair
+    from .trees import format_rooted_tree, format_word, parse_permutation, parse_plane_tree
+
     word = parse_permutation(_payload(args.perm))
     plt = parse_plane_tree(_payload(args.ptree))
     tree, prefs = pair_to_prime(word, plt)
@@ -107,12 +127,17 @@ def _cmd_psi_inv(args: argparse.Namespace) -> int:
 
 
 def _cmd_borie(args: argparse.Namespace) -> int:
+    from .bijections import borie_map
+    from .trees import format_word, parse_permutation
+
     word = parse_permutation(_payload(args.perm))
     print("seq: " + format_word(borie_map(word)))
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from .series import check_identities
+
     names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
     failed = False
     for result in check_identities(args.order, names):
@@ -133,10 +158,16 @@ _COUNT_HEADER = ("n", "F", "P", "Ftilde", "Ptilde", "Pstar", "Fstar")
 
 
 def _count_cells(row) -> tuple[int, ...]:
+    from dataclasses import astuple
+
     return astuple(row)[: len(_COUNT_HEADER)]
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
+    import json
+
+    from .series import closed_counts
+
     table = closed_counts(args.max)
     if args.format == "json":
         payload = [dict(zip(_COUNT_HEADER, _count_cells(row))) for row in table.rows]
@@ -149,6 +180,8 @@ def _cmd_counts(args: argparse.Namespace) -> int:
 
 
 def _verify_rows(args: argparse.Namespace) -> list[dict]:
+    from .census import CAPS, census, roundtrip_suite, theorem53_suite
+
     rows: list[dict] = []
     suites = ["census", "roundtrip", "thm53"] if args.suite == "all" else [args.suite]
 
@@ -159,7 +192,7 @@ def _verify_rows(args: argparse.Namespace) -> list[dict]:
             unlock = "" if args.allow_large else f"; --allow-large unlocks n={CAPS['census']}"
             raise UsageError(f"--max-n {top} is above the census cap of {cap}{unlock}")
         for n in range(1, top + 1):
-            report = run_census(n, allow_large=args.allow_large)
+            report = census(n, allow_large=args.allow_large)
             for col in report.columns:
                 rows.append(_verify_row("census", n, col.name, col.counted, col.expected, col.passed))
     if "roundtrip" in suites:
@@ -174,6 +207,8 @@ def _verify_rows(args: argparse.Namespace) -> list[dict]:
 def _suite_sizes(args: argparse.Namespace, suite: str, default: int) -> range:
     """Sizes 1..top for a bijection suite.  A named suite refuses a --max-n
     above its guard; ``--suite all`` clamps to it."""
+    from .census import CAPS
+
     cap = CAPS[suite]
     if args.max_n is None:
         return range(1, default + 1)
@@ -197,6 +232,8 @@ def _suite_row(report) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
     rows = _verify_rows(args)
     if args.format == "json":
         print(json.dumps(rows, indent=None, separators=(",", ":")))
@@ -221,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, help_ in (
         ("park", _cmd_park, "run the parking procedure and print the spots"),
-        ("check", _predicate("parking-function", is_parking_function), "is the pair a parking function?"),
-        ("prime", _predicate("prime", is_prime), "is the pair a prime parking function?"),
+        ("check", _predicate("parking-function", "is_parking_function"), "is the pair a parking function?"),
+        ("prime", _predicate("prime", "is_prime"), "is the pair a prime parking function?"),
         ("used-edges", _cmd_used_edges, "edges used by a parking function, in crossing order"),
     ):
         p = add(name, func, help_)
@@ -263,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--allow-large", action="store_true",
-        help=f"allow the n={CAPS['census']} census and run to it by default",
+        help=f"allow the n={CENSUS_CAP} census and run to it by default",
     )
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 

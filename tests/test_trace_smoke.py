@@ -4,11 +4,16 @@ by, each composed bijection map runs its traced half under its own span, and
 uninstalling restores every function it rebound."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import treepark
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = str(Path(treepark.__file__).resolve().parents[1])
 
 # The names layer_metrics and exponent_ops of perfbench/run.py read.
 READ_BY_THE_BENCH = [
@@ -73,3 +78,47 @@ def test_composed_maps_call_the_traced_halves():
         for span in spans:
             children = {tracer.names[j] for j, parent in enumerate(tracer.parents) if parent == span}
             assert inner in children, (outer, span)
+
+
+# The census workload installs the tracer right after ``import treepark``,
+# while every layer still waits in sys.modules unrun and the package has
+# bound none of its exports.  The tracer reads the layers through
+# sys.modules, which runs them, and the exports the package binds afterwards
+# are the wrapped functions.
+FIRST_READ_AFTER_INSTALL = f"""
+import importlib.util, json, sys, types
+spec = importlib.util.spec_from_file_location("_bench_tracer", {str(TRACER)!r})
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+import treepark
+unrun = sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("treepark.") and type(module) is not types.ModuleType
+)
+tracer = bench.Tracer()
+tracer.install()
+counts = treepark.census_counts(3)
+tree = treepark.validate_rooted_tree((0, 3, 4, 1, 4))
+word, plane = treepark.prime_to_pair(tree, (2, 5, 3, 5, 2))
+back, prefs = treepark.pair_to_prime(word, plane)
+tracer.uninstall()
+print(json.dumps([unrun, dict(tracer.calls), tracer.names, counts["prime"], [back.parents, prefs]]))
+"""
+
+
+def test_tracer_installed_before_any_name_is_read():
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_READ_AFTER_INSTALL],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    unrun, calls, names, prime, pair = json.loads(done.stdout)
+    assert unrun == [f"treepark.{layer}" for layer in ("bijections", "census", "errors", "parking", "series", "trees")]
+    assert prime == 24 and pair == [[0, 3, 4, 1, 4], [2, 5, 3, 5, 2]]
+    for name in ("census.census_counts", "bijections.prime_to_pair", "bijections.pair_to_prime",
+                 "bijections.encode_prime", "bijections.decode_prime", "trees.enumerate_rooted_trees"):
+        assert calls.get(name, 0) > 0, name
+        assert name in names, name
+    assert calls["parking.run_parking"] > 0
