@@ -29,12 +29,17 @@ Hoeven), and checked against the equation once.  Beyond that self-check,
 :func:`check_identities` is the one place that verifies identities: the
 named series and the count table run none.  Every named series takes any
 order >= 0; a bad order or size raises ``OrderMismatchError`` naming it.
+
+Each named series is built once, at the widest order asked so far in the
+process, and a lower order is served by truncating it (``_widest``), so the
+residuals of one :func:`check_identities` call share their series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import comb, factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
@@ -360,24 +365,55 @@ def x_series(order: int) -> Series:
 # Named series
 # ---------------------------------------------------------------------------
 
+# The widest integer form each named series has been built at, by builder
+# name.  The lists are shared with every series served from them, so they
+# rely on the contract of :func:`_series`: nothing mutates them.
+_WIDEST: dict[str, tuple[list[int], int]] = {}
 
+
+def _widest(build: Callable[[int], Series]) -> Callable[[int], Series]:
+    """``build``, keeping the widest series it has built and serving a lower
+    order by truncating that one.  This is exact: coefficient k of each named
+    series depends on the ones below it alone, and both ``build`` and
+    ``truncate`` give lowest terms, so the integer form is the same.  The
+    order is checked first; a build that raises leaves the memo as it was.
+    Each call returns a new series, whose ``coeffs`` nobody has read."""
+    name = build.__name__
+
+    @wraps(build)
+    def named(order: int) -> Series:
+        _at_least(order, 0, "order")
+        form = _WIDEST.get(name)
+        if form is None or len(form[0]) <= order:
+            form = _WIDEST[name] = _lifted(build(order))
+        nums, den = form
+        return _series(nums, den) if len(nums) == order + 1 else _reduced(nums[: order + 1], den)
+
+    return named
+
+
+def _reset_memo() -> None:
+    """Empty the memo of every named series."""
+    _WIDEST.clear()
+
+
+@_widest
 def tree_function(order: int) -> Series:
     """Exponential series of labeled rooted trees: sum n^(n-1) x^n / n!."""
-    _at_least(order, 0, "order")
     sizes = range(1, order + 1)
     return _ratios([0] + [n ** (n - 1) for n in sizes], [1] + [factorial(n) for n in sizes])
 
 
+@_widest
 def catalan_series(order: int) -> Series:
     """(1 - sqrt(1 - 4x)) / (2x); coefficients are the Catalan numbers."""
-    _at_least(order, 0, "order")
     radicand = _series([1, -4] + [0] * order, 1)  # order + 1
     return ((1 - radicand.sqrt()).shift_down()) * Q(1, 2)
 
 
+@_widest
 def schroder_series(order: int) -> Series:
     """(1 - x - sqrt(x^2 - 6x + 1)) / (2x); the large Schroeder numbers."""
-    _at_least(order, 0, "order")
     radicand = _series([1, -6, 1] + [0] * max(order - 1, 0), 1)  # order + 1
     numerator = _series([1, -1] + [0] * order, 1) - radicand.sqrt()
     return numerator.shift_down() * Q(1, 2)
@@ -422,6 +458,7 @@ def prime_distribution_count(n: int) -> int:
     return factorial(_at_least(n, 1, "n") - 1) * _schroder_numbers(n)[n - 1]
 
 
+@_widest
 def parking_series(order: int) -> Series:
     """Parking-pair series built from the tree function:
     T(2x) + log(1 - T(2x)/2), with coefficient of x^n equal to count/(n!)^2."""
@@ -429,9 +466,9 @@ def parking_series(order: int) -> Series:
     return t2 + (1 - t2 * Q(1, 2)).log()
 
 
+@_widest
 def prime_series(order: int) -> Series:
     """Prime-pair series sum (2n-2)! x^n / (n!)^2, read off :func:`prime_count`."""
-    _at_least(order, 0, "order")
     sizes = range(1, order + 1)
     return _ratios([0] + [prime_count(n) for n in sizes], [1] + [factorial(n) ** 2 for n in sizes])
 
@@ -441,6 +478,7 @@ def _distribution_rhs(f: Series) -> Series:
     return f.exp() * (1 + e) * (1 + 2 * e)
 
 
+@_widest
 def _distribution_series(order: int) -> Series:
     """Solve f' = exp(f) (1 + x f') (1 + 2x f') with f(0) = 0, online.
 
@@ -450,9 +488,11 @@ def _distribution_series(order: int) -> Series:
     That is O(order^2) integer products in all: e, g and h are kept as
     numerators over de, dg and dh, as in :meth:`Series.exp`.  One evaluation
     of the right-hand side then confirms the equation, or raises
-    ``IdentityViolatedError``.
+    ``IdentityViolatedError``.  Both run once per build; a lower order is a
+    truncation of the widest solve (``_widest``), so :func:`check_identities`
+    solves at most twice, at ``order`` and ``order + 1``.
     """
-    fp, fq = [0] * (_at_least(order, 0, "order") + 1), [1] * (order + 1)  # f_k = fp[k] / fq[k]
+    fp, fq = [0] * (order + 1), [1] * (order + 1)  # f_k = fp[k] / fq[k]
     (e, de), (g, dg), (h, dh) = ([0], 1), ([1], 1), ([1], 1)
     for k in range(order):
         if k:
@@ -467,8 +507,9 @@ def _distribution_series(order: int) -> Series:
     return solved
 
 
+@_widest
 def prime_distribution_series(order: int) -> Series:
-    sizes = range(1, _at_least(order, 0, "order") + 1)
+    sizes = range(1, order + 1)
     return _ratios([0] + _schroder_numbers(order), [1, *sizes])
 
 
@@ -506,6 +547,7 @@ def marked_distribution_series(order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
+@_widest
 def _closed_parking_series(order: int) -> Series:
     sizes = range(1, order + 1)
     return _ratios([0] + [parking_count(n) for n in sizes], [1] + [factorial(n) ** 2 for n in sizes])
@@ -672,7 +714,9 @@ def check_identity(name: str, order: int) -> IdentityResult:
 
 
 def check_identities(order: int, names: Sequence[str] | None = None) -> list[IdentityResult]:
-    """Every identity, or those in ``names``, in order."""
+    """Every identity, or those in ``names``, in order.  The residuals share
+    the named series they read: each is built at most once per order asked,
+    and not at all if a wider one is held already."""
     _at_least(order, 0, "order")
     if not isinstance(names, (list, tuple, type(None))):  # a string would iterate by letter
         raise InputError(f"names must be a list or tuple of identity names, got {names!r}")

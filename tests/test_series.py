@@ -1,7 +1,9 @@
 """Exact series kernel and the generating-function identities."""
 
+import copy
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -435,6 +437,109 @@ class TestVerifiesInOnePlace:
         assert check_identity("parking-composition", 6).first_bad is None
         with pytest.raises(IdentityViolatedError, match="^parking count at n=3: "):
             closed_counts(6)
+
+
+# The builders that keep their widest series (``series._widest``).
+WIDEST = [
+    "tree_function",
+    "parking_series",
+    "prime_series",
+    "_distribution_series",
+    "prime_distribution_series",
+    "catalan_series",
+    "schroder_series",
+    "_closed_parking_series",
+]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every series the memo stores, as (builder name, order, its integer
+    form, a deep copy of that form taken when it was stored), in the order
+    stored."""
+    stored = []
+
+    class Recording(dict):
+        def __setitem__(self, name, form):
+            stored.append((name, len(form[0]) - 1, form, copy.deepcopy(form)))
+            super().__setitem__(name, form)
+
+    monkeypatch.setattr(treepark.series, "_WIDEST", Recording())
+    return stored
+
+
+class TestWidestSeries:
+    """Each named series is built once, at the widest order asked; a lower
+    order is its truncation, bit for bit the series a fresh build gives."""
+
+    def test_the_memo_holds_one_series_per_builder(self):
+        for name in WIDEST:
+            getattr(treepark.series, name)(3)
+        assert set(treepark.series._WIDEST) == set(WIDEST)
+        treepark.series._reset_memo()
+        assert treepark.series._WIDEST == {}
+
+    @pytest.mark.parametrize("name", WIDEST)
+    def test_truncation_equals_a_fresh_build(self, name):
+        make = getattr(treepark.series, name)
+        orders = list(range(61))
+        random.Random(name).shuffle(orders)
+        for order in orders:
+            got, want = make(order), make.__wrapped__(order)
+            assert vars(got)["_num_den"] == vars(want)["_num_den"], order
+
+    @pytest.mark.parametrize("name", WIDEST)
+    def test_each_call_returns_a_new_unread_series(self, name):
+        make = getattr(treepark.series, name)
+        for order in (7, 7, 4, 9, 4, 9):
+            a, b = make(order), make(order)
+            assert a is not b
+            assert "coeffs" not in vars(a) and "coeffs" not in vars(b)
+            assert a == b
+
+    def test_a_build_that_raises_leaves_the_memo_as_it_was(self, monkeypatch):
+        distribution_series(5)
+        before = dict(treepark.series._WIDEST)
+        rhs = treepark.series._distribution_rhs
+        monkeypatch.setattr(
+            treepark.series, "_distribution_rhs", lambda f: rhs(f) + Series((0, 0, 0, 1) + (0,) * (f.order - 3))
+        )
+        with pytest.raises(IdentityViolatedError, match="x\\^3"):
+            distribution_series(8)
+        held = treepark.series._WIDEST
+        assert held.keys() == before.keys() and all(held[k] is before[k] for k in held)
+
+    @pytest.mark.parametrize("order", [0, 1, 12, 25])
+    def test_check_identities_solves_the_ode_at_most_twice(self, order, builds):
+        check_identities(order)
+        solves = [built for name, built, _, _ in builds if name == "_distribution_series"]
+        assert 1 <= len(solves) <= 2, solves
+
+    @pytest.mark.parametrize("name", WIDEST)
+    @pytest.mark.parametrize("order", [-1, 1.5, True, "3"], ids=repr)
+    def test_a_bad_order_is_refused_before_the_memo_is_read(self, name, order, builds):
+        # on a warm memo too, where True and 1.5 would pass as orders below 9
+        make = getattr(treepark.series, name)
+        for memo in ("cold", "warm"):
+            stored = len(builds)
+            with pytest.raises(OrderMismatchError, match=f"^{re.escape(f'order must be an integer >= 0, got {order!r}')}$"):
+                make(order)
+            assert len(builds) == stored, memo
+            make(9)
+
+    def test_nothing_mutates_a_held_series(self, builds):
+        # the memo shares its lists with every series it serves, so it relies
+        # on the contract of _series: no operation mutates a list it reads
+        plan = [(name, order) for name in IDENTITY_NAMES for order in range(31)]
+        plan += [(None, size) for size in range(1, 31)]
+        random.Random(0).shuffle(plan)
+        for name, order in plan:
+            check_identity(name, order) if name else closed_counts(order)
+        assert {name for name, _, _, _ in builds} == set(WIDEST)
+        for name, order, form, snapshot in builds:  # held now, or until a wider build
+            assert form == snapshot, (name, order)
+        stored = [id(form) for _, _, form, _ in builds]
+        assert all(id(form) in stored for form in treepark.series._WIDEST.values())
 
 
 NAMED_SERIES = [

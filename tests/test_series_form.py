@@ -195,7 +195,10 @@ def pinned_outputs():
 
 
 def test_outputs_match_the_fraction_kernel():
-    digest = hashlib.sha256()
-    for text in pinned_outputs():
-        digest.update(text.encode())
-    assert digest.hexdigest() == PINNED_SHA256
+    # The second pass finds every named series held at its widest order, so
+    # each of its outputs comes from a truncation.
+    for _ in ("cold", "warm"):
+        digest = hashlib.sha256()
+        for text in pinned_outputs():
+            digest.update(text.encode())
+        assert digest.hexdigest() == PINNED_SHA256
