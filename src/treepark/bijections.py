@@ -400,35 +400,59 @@ def _decomposable(n: int) -> None:
         raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
 
 
-# Fenwick trees (Fenwick 1994) of present positions 1..m: entry i counts those
-# in (i - (i & -i), i], so [i & -i for i in range(m + 1)] has all present.
-def _rank(fen: list[int], i: int) -> int:
-    """How many present positions are at most i."""
-    r = 0
-    while i:
-        r += fen[i]
-        i &= i - 1
-    return r
+_BLOCK = 1024  # entries per block of a _Shrinking list
 
 
-def _remove(fen: list[int], i: int) -> None:
-    end = len(fen)
-    while i < end:
-        fen[i] -= 1
-        i += i & -i
+class _Shrinking:
+    """A sorted list of distinct ints that only loses entries, cut into blocks
+    of ``_BLOCK``.  A value's block is found by bisecting the blocks' first
+    maxima, which stay separators, so a delete moves at most one block.  A
+    rank's is found on ``gone``, a Fenwick tree (Fenwick 1994) of the entries
+    deleted: entry b > 0 counts those of blocks b - (b & -b) .. b - 1, which
+    held ``_BLOCK`` each.  No rank needs the last block's count."""
 
+    __slots__ = ("blocks", "tops", "gone")
 
-def _take(fen: list[int], k: int) -> int:
-    """Remove the k-th smallest present position and return it."""
-    i, end = 0, len(fen)
-    step = 1 << (end - 1).bit_length() >> 1
-    while step:
-        if i + step < end and fen[i + step] < k:
-            i += step
-            k -= fen[i]
-        step >>= 1
-    _remove(fen, i + 1)
-    return i + 1
+    def __init__(self, items: list[int]) -> None:
+        self.blocks = [items[:_BLOCK]]
+        for i in range(_BLOCK, len(items), _BLOCK):
+            self.blocks.append(items[i : i + _BLOCK])
+        self.tops = items[_BLOCK - 1 : -1 : _BLOCK] + items[-1:]
+        self.gone = [0] * len(self.blocks)
+
+    def rank(self, x: int, drop: bool = False) -> int | None:
+        """The rank of x, from 0, or None if x is absent; ``drop`` deletes x."""
+        b, gone = bisect_left(self.tops, x), self.gone
+        block = self.blocks[b] if b < len(gone) else []
+        i = bisect_left(block, x)
+        if i == len(block) or block[i] != x:
+            return None
+        if drop:
+            del block[i]
+            j = b + 1
+            while j < len(gone):
+                gone[j] += 1
+                j += j & -j
+        i += b * _BLOCK
+        while b:
+            i -= gone[b]
+            b &= b - 1
+        return i
+
+    def pop(self, r: int) -> int:
+        """Delete and return the entry of rank r."""
+        gone, b = self.gone, 0
+        step = 1 << (len(gone) - 1).bit_length() >> 1
+        while step:
+            if b + step < len(gone) and step * _BLOCK - gone[b + step] <= r:
+                b += step
+                r -= step * _BLOCK - gone[b]
+            step >>= 1
+        j = b + 1
+        while j < len(gone):
+            gone[j] += 1
+            j += j & -j
+        return self.blocks[b].pop(r)
 
 
 def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -> LabeledPlaneTree:
@@ -441,45 +465,45 @@ def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -
     (P's final driver, the largest, hands none down), and Q's own label is
     the k-th smallest of them, k the rank in Q of its marked vertex.
 
-    A piece keeps a Fenwick tree each over its vertices, drivers and labels,
-    by rank; its largest child inherits them less the other children's
-    entries, which go to fresh ones, so an entry moves O(log n) times.  Its
-    root and final driver, the largest, stay in and change no rank below.
+    A heavy path keeps its vertices, drivers and names L, aligned rank for
+    rank with the drivers, as :class:`_Shrinking` lists; other children's
+    entries go to fresh ones, so an entry moves O(log n) times.  The pieces
+    above stay in: larger, with their final drivers, they change no rank.
     """
     n = len(prefs)
     kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
     labels: list[int | None] = [0] * (n + 1)
-    vertex_at, driver_at = list(range(n + 1)), list(range(n + 1))  # ranks in the current piece
-    full = [i & -i for i in range(n + 1)]  # every position present; sliced, never changed
-    work = [(n, full[:], full[:], full[:], range(1, n + 1))]
+    every = list(range(1, n + 1))
+    work = [(n, _Shrinking(every), _Shrinking(every), _Shrinking(every))]
     while work:
-        v, vertex_fen, driver_fen, label_fen, names = work.pop()
+        v, vertices, driven, names = work.pop()
         while True:
-            if not at[v] <= at[marked[v]] < at[v] + size[v]:
+            r = vertices.rank(marked[v])  # the piece: what is still in, up to v
+            if r is None or marked[v] > v:
                 raise _broken(parents, prefs, "each piece's marked vertex lies in the piece")
-            labels[v] = names[_take(label_fen, _rank(vertex_fen, vertex_at[marked[v]])) - 1]
+            labels[v] = names.pop(r)
             if not kids[v]:
                 break
             heavy = max(kids[v], key=size.__getitem__)
             for c in kids[v]:
                 if c == heavy:
                     continue
-                vertices = sorted(order[at[c] : at[c] + size[c]])
-                for u in vertices:
-                    _remove(vertex_fen, vertex_at[u])
-                sub_names = []
-                for r, (u, d) in enumerate(zip(vertices, sorted(drivers[u] for u in vertices)), start=1):
-                    rank = _rank(driver_fen, driver_at[d])
-                    _remove(driver_fen, driver_at[d])
-                    sub_names.append(names[_take(label_fen, rank) - 1])
-                    vertex_at[u] = driver_at[d] = r
-                fresh = full[: size[c] + 1]
-                work.append((c, fresh, fresh[:], fresh[:], sub_names))
+                if size[c] == 1 and marked[c] == c:  # a one-vertex piece takes its one name
+                    vertices.rank(c, drop=True)
+                    labels[c] = names.pop(driven.rank(drivers[c], drop=True))
+                    continue
+                members = sorted(order[at[c] : at[c] + size[c]])
+                ds = sorted([drivers[u] for u in members])
+                sub_names = [names.pop(driven.rank(d, drop=True)) for d in ds]
+                for u in members:
+                    vertices.rank(u, drop=True)
+                work.append((c, _Shrinking(members), _Shrinking(ds), _Shrinking(sub_names)))
             v = heavy
     if sorted(labels[1:n]) != list(range(1, n)):
         raise _broken(parents, prefs, "the image carries each label 1..n-1 once")
     labels[n] = None
-    return _carried_tree(tuple(labels[v] for v in order), tuple(tuple(at[c] for c in kids[v]) for v in order))
+    kid_ids = tuple(tuple(map(at.__getitem__, kids[v])) for v in order)
+    return _carried_tree(tuple(map(labels.__getitem__, order)), kid_ids)
 
 
 def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
@@ -630,12 +654,19 @@ def borie_map(word: Sequence[int]) -> tuple[int, ...]:
     if not _avoids_132(word):
         raise Not132AvoidingError(f"{list(word)} contains a 132 pattern")
     n = len(word)
-    left_larger = [
-        sum(1 for j in range(i) if word[j] > word[i]) for i in range(n)
-    ]
-    out = tuple(
-        sum(1 for c in left_larger if c >= m) + 1 for m in range(n, 0, -1)
-    )
+    # Left of each letter, a 132-avoider has its larger letters first and
+    # then its smaller ones, so the larger ones number 1 + the place of the
+    # previous larger letter, found on a stack.
+    at_least = [0] * (n + 1)
+    stack: list[int] = []  # places of the letters read with no larger one after them yet
+    for i, letter in enumerate(word):
+        while stack and word[stack[-1]] < letter:
+            stack.pop()
+        at_least[stack[-1] + 1 if stack else 0] += 1
+        stack.append(i)
+    for m in range(n - 1, 0, -1):  # suffix sums: at_least[m] positions have m or more
+        at_least[m] += at_least[m + 1]
+    out = tuple(at_least[m] + 1 for m in range(n, 0, -1))
     if n and not all(a <= b for a, b in zip(out, out[1:])):
         raise InvariantError("the statistic map must be weakly increasing", path_tree(n), out)
     if n and not is_parking_function(path_tree(n), out):

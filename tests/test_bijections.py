@@ -53,10 +53,12 @@ from treepark import (
     standardize,
     validate_rooted_tree,
 )
-from treepark.bijections import Component, _avoids_132, _standard_prime, check_standard_prime
+from treepark.bijections import Component, _Shrinking, _avoids_132, _checked, _standard_prime, check_standard_prime
 from treepark.census import _iter_primes
 from treepark.parking import ParkingOutcome, run_parking
 from treepark.trees import RootedTree, _flatten, _labeled_tree, _parents_shape, _shape_parents
+
+from reference_encode import fenwick_encode
 
 # the standard form of the figure pair (tree 0 3 4 1 4, preferences 2 5 3 5 2)
 FIG_SP = StandardPrime(((((),), ()),), (1, 3, 2, 3, 1))
@@ -322,7 +324,8 @@ class TestDecomposeInvariants:
         assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
 
     def test_image_carries_each_label_once(self, monkeypatch):
-        monkeypatch.setattr(treepark.bijections, "_take", lambda fen, k: 1)
+        # every piece takes the smallest of its names, and none is used up
+        monkeypatch.setattr(treepark.bijections._Shrinking, "pop", lambda names, r: names.blocks[0][0])
         with pytest.raises(InvariantError, match="each label 1..n-1 once") as caught:
             encode_prime(FIG_SP)
         assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
@@ -330,12 +333,14 @@ class TestDecomposeInvariants:
     def test_marked_vertex_lies_in_its_piece(self, monkeypatch):
         # The image pieces are {1}, {2} and {3, 4} below the root 5.  Vertex 4
         # marked at 1, in another piece, would take a wrong label silently;
-        # marked at 5, the root, it would rank past the piece's labels.
-        for outside in (1, 5):
-            monkeypatch.setattr(treepark.bijections, "_image", with_marked(4, outside))
+        # marked at 5, the root, it would rank past the piece's labels.  The
+        # one-vertex piece {1} marked at 2 is checked too.
+        for piece, outside in ((4, 1), (4, 5), (1, 2)):
+            monkeypatch.setattr(treepark.bijections, "_image", with_marked(piece, outside))
             with pytest.raises(InvariantError, match="marked vertex lies in the piece") as caught:
                 encode_prime(FIG_SP)
             assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
+            monkeypatch.undo()  # each case doctors the real reader alone
 
     def test_checked_under_optimize(self):
         # python -O strips asserts; the checks must still raise
@@ -352,13 +357,13 @@ class TestDecomposeInvariants:
             "except InvariantError:\n"
             "    print('raised')\n"
             "treepark.bijections._prime_outcome = real\n"
-            "take = treepark.bijections._take\n"
-            "treepark.bijections._take = lambda fen, k: 1\n"
+            "pop = treepark.bijections._Shrinking.pop\n"
+            "treepark.bijections._Shrinking.pop = lambda names, r: names.blocks[0][0]\n"
             "try:\n"
             "    treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
             "except InvariantError:\n"
             "    print('raised')\n"
-            "treepark.bijections._take = take\n"
+            "treepark.bijections._Shrinking.pop = pop\n"
             "image = treepark.bijections._image\n"
             "def doctored(parents, prefs, outcome):\n"
             "    found = image(parents, prefs, outcome)\n"
@@ -670,8 +675,106 @@ class TestAgainstTheLevelEncoder:
             assert images == [reference_encode(ones), reference_encode(labeled)]
 
 
+def star_tree(rng, n):
+    """The root with n - 1 leaves, labels shuffled."""
+    names = list(range(1, n))
+    rng.shuffle(names)
+    return _labeled_tree([None] + names, [list(range(1, n))] + [[] for _ in range(n - 1)])
+
+
+def caterpillar_tree(rng, n):
+    """A spine of 3/5 of the n vertices below the root, the other vertices
+    leaves hung off random spine vertices at random places among their
+    siblings, labels shuffled."""
+    spine = 3 * n // 5
+    kids = [[1]] + [[] for _ in range(n - 1)]
+    for leaf in range(spine + 1, n):
+        host = kids[rng.randrange(1, spine + 1)]
+        host.insert(rng.randrange(len(host) + 1), leaf)
+    for v in range(1, spine):
+        kids[v].insert(rng.randrange(len(kids[v]) + 1), v + 1)
+    names = list(range(1, n))
+    rng.shuffle(names)
+    return _labeled_tree([None] + names, kids)
+
+
+def shuffled_path(rng, n):
+    word = list(range(1, n))
+    rng.shuffle(word)
+    return labeled_path(word)
+
+
+class TestShrinking:
+    """The block lists against plain sorted lists, with the block size set
+    low so that short lists are cut into many blocks."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    def test_against_a_plain_list(self, monkeypatch, block):
+        monkeypatch.setattr(treepark.bijections, "_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(200):
+            model = sorted(rng.sample(range(1, 60), rng.randint(1, 40)))
+            seq = _Shrinking(list(model))
+            assert len(seq.blocks) == -(-len(model) // block)
+            while model:
+                x = rng.randrange(62)
+                assert seq.rank(x) == (model.index(x) if x in model else None)
+                if rng.random() < 0.5:
+                    r = rng.randrange(len(model))
+                    assert seq.pop(r) == model.pop(r)
+                else:
+                    x = rng.choice(model)
+                    assert seq.rank(x, drop=True) == model.index(x)
+                    model.remove(x)
+                assert [x for block in seq.blocks for x in block] == model
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_encoder_at_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(treepark.bijections, "_BLOCK", block)
+        for n in range(1, 6):
+            for sp in standard_pairs(n):
+                assert encode_prime(sp) == fenwick_encode(*_checked(sp)), sp
+        rng = random.Random(block)
+        for _ in range(30):
+            plt = random_plane_tree(rng, rng.randint(2, 200))
+            assert encode_prime(decode_prime(plt)) == plt
+
+
+class TestAgainstTheFenwickEncoder:
+    """The block lists give what the Fenwick label pass gives, bit for bit,
+    where the root's lists fill one, two and many blocks of 1024."""
+
+    SIZES = (1000, 2000, 5000)
+
+    @staticmethod
+    def check(plt):
+        sp = decode_prime(plt)
+        assert encode_prime(sp) == fenwick_encode(*_checked(sp)) == plt
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_paths(self, n):
+        ones = standard_path_prime((1,) * n)
+        assert encode_prime(ones) == fenwick_encode(*_checked(ones)) == labeled_path(range(1, n))
+        self.check(shuffled_path(random.Random(n), n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_star(self, n):
+        self.check(star_tree(random.Random(n), n))
+
+    @pytest.mark.parametrize("n", (1000, 2000, 3000))
+    def test_caterpillar(self, n):
+        self.check(caterpillar_tree(random.Random(n), n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_pairs(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            self.check(random_plane_tree(rng, n))
+
+
 class TestGrowth:
-    """10^4-vertex paths through both maps (no timing: the bench measures)."""
+    """10^4-vertex paths and star, and a 3000-vertex caterpillar, through
+    both maps (no timing: the bench measures)."""
 
     N = 10**4
 
@@ -689,6 +792,14 @@ class TestGrowth:
         plt = labeled_path(labels)
         tree, prefs = pair_to_prime(word, plt)
         assert len(set(tree.parents)) == self.N  # no vertex has two children: a path
+        assert prime_to_pair(tree, prefs) == (tuple(word), plt)
+
+    @pytest.mark.parametrize("shape, n", [(star_tree, N), (caterpillar_tree, 3000)])
+    def test_star_and_caterpillar(self, shape, n):
+        rng = random.Random(n)
+        plt, word = shape(rng, n), list(range(1, n + 1))
+        rng.shuffle(word)
+        tree, prefs = pair_to_prime(word, plt)
         assert prime_to_pair(tree, prefs) == (tuple(word), plt)
 
 
@@ -970,7 +1081,40 @@ class TestPatternAvoidance:
                 assert _avoids_132(word) == (not has_132_brute(word)), word
 
 
+def borie_loops(word):
+    """Oracle: the statistic map by its definition, two quadratic loops."""
+    n = len(word)
+    left_larger = [sum(1 for j in range(i) if word[j] > word[i]) for i in range(n)]
+    return tuple(sum(1 for c in left_larger if c >= m) + 1 for m in range(n, 0, -1))
+
+
+def avoiders_132(n):
+    """Every 132-avoiding permutation of [n]: the letters left of n are all
+    larger than those right of it, and both sides avoid 132."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(n):
+        for left in avoiders_132(k):
+            for right in avoiders_132(n - 1 - k):
+                yield tuple(x + n - 1 - k for x in left) + (n,) + right
+
+
 class TestBorieMap:
+    def test_avoiders_are_every_132_avoider_to_seven(self):
+        for n in range(8):
+            assert sorted(avoiders_132(n)) == [
+                w for w in permutations(range(1, n + 1)) if not has_132_brute(w)
+            ]
+
+    def test_one_pass_matches_the_loops_to_nine(self):
+        total = 0
+        for n in range(10):
+            for word in avoiders_132(n):
+                assert borie_map(word) == borie_loops(word), word
+                total += 1
+        assert total == sum(catalan_number(n) for n in range(10)) == 6918
+
     def test_identity_two(self):
         assert borie_map((1, 2)) == (1, 1)
 
