@@ -58,7 +58,6 @@ from .parking import (
     _preferences,
     _prime_outcome,
     check_preferences,
-    is_parking_function,
     is_prime,
 )
 from .trees import (
@@ -669,9 +668,15 @@ def borie_map(word: Sequence[int]) -> tuple[int, ...]:
     out = tuple(at_least[m] + 1 for m in range(n, 0, -1))
     if n and not all(a <= b for a, b in zip(out, out[1:])):
         raise InvariantError("the statistic map must be weakly increasing", path_tree(n), out)
-    if n and not is_parking_function(path_tree(n), out):
+    if not _increasing_parks(out):
         raise InvariantError("the statistic map must be a parking function", path_tree(n), out)
     return out
+
+
+def _increasing_parks(prefs: Sequence[int]) -> bool:
+    """Whether a weakly increasing sequence parks on ``path_tree(n)``, the
+    classical lot: its i-th entry is at most i, for i = 1..n."""
+    return all(pref <= i for i, pref in enumerate(prefs, start=1))
 
 
 def path_preimage_seq(word: Sequence[int]) -> tuple[int, ...]:

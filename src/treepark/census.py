@@ -11,10 +11,14 @@ sequences out.  The census still walks every labeled tree, but keeps only
 its isomorphism class and decides the vectors once per class met in a
 call, on the class's own code read as a plane shape: relabeling a tree
 permutes its vectors and keeps each vector's weight and slack, so a tree's
-parking and prime totals depend only on its unlabeled shape.  The tree
-space can be sharded: ``shard=(k, m)`` keeps the trees (or shapes) whose
-enumeration index is congruent to k mod m, and the per-shard counts sum to
-the full run.
+parking and prime totals depend only on its unlabeled shape.  The walk
+meets each Pruefer word's n rootings back to back, and finds the class of
+every rooting after the first by rerooting that first one: a class code is
+a sum of its children's weights, so moving the root to a neighbour is one
+subtraction and one addition.  The tree space can be sharded:
+``shard=(k, m)`` keeps the trees (or shapes) whose enumeration index is
+congruent to k mod m, and the per-shard counts sum to the full run.  The
+pattern suite builds its 132-avoiders instead of filtering all n! words.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice, permutations, product
 from math import factorial, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bijections import (
     _avoids_132,
@@ -42,7 +46,6 @@ from .errors import InputError, InvalidShardError, LimitExceededError, _at_least
 from .series import catalan_number, closed_counts
 from .trees import (
     PlaneShape,
-    RootedTree,
     _bottom_up,
     _flatten,
     _shape_parents,
@@ -183,29 +186,69 @@ def _standard_orderings(parents: Sequence[int], counts: Sequence[int]) -> int:
     return extend()
 
 
-def _class_shapes(trees: Iterable[RootedTree], n: int) -> Counter:
-    """How many of the n-vertex ``trees`` fall in each isomorphism class,
-    keyed by the class's code read as a plane shape (the AHU encoding).
+def _class_shapes(n: int, shard: tuple[int, int]) -> Counter:
+    """How many of the n-vertex rooted trees in the walk's ``shard=(k, m)``
+    (the trees whose enumeration index is congruent to k mod m) fall in each
+    isomorphism class, keyed by the class's code read as a plane shape (the
+    AHU encoding).
 
-    Each class of subtree met gets a small id k and stands for the weight
-    2^(b k), with b the bit length of n.  A vertex's key is the sum of its
+    Each class of subtree met gets a small id j and stands for the weight
+    2^(b j), with b the bit length of n.  A vertex's key is the sum of its
     children's weights: the multiset of their ids, one b-bit digit per id
     (no vertex has n children), so equal keys are equal classes and no
     child list is sorted.  A tree's class is its root's weight.  The nested
     shape of each class met is built once, from the table of keys.
+
+    The walk yields each Pruefer word's n rootings back to back, so tree i
+    is word i // n rooted at i % n + 1.  The first rooting met of a word is
+    decided by one bottom-up pass over its keys, and costs no more when it
+    is the word's only rooting in the shard (every rooting is, when m >= n).
+    A later rooting r reuses that pass: the keys are additive, so moving the
+    root from u down to its child v takes v's weight out of u's key as root,
+    which leaves the key of u's side seen from v, and adds that side's
+    weight to v's own key.  From r, the walk goes up the first rooting to
+    the nearest vertex whose key as root is known, then back down, and each
+    vertex's key as root is kept for the word's later rootings.
     """
+    which, mod = shard
     bits = n.bit_length()
     weights: dict[int, int] = {}  # key -> weight of the class it names
     roots: Counter = Counter()
-    for tree in trees:
-        up = (0,) + tree.parents
-        key = [0] * len(up)  # slot 0 collects the root's weight
-        for v in _bottom_up(up):
-            weight = weights.get(key[v])
+    offset = which % n + n - mod  # the tree's index mod n, reached from the one before
+    path: list[int] = []
+    for tree in islice(enumerate_rooted_trees(n), which, None, mod):
+        offset += mod
+        if offset >= n:  # the first rooting met of its word
+            offset %= n
+            up = (0,) + tree.parents
+            key = [0] * len(up)  # slot 0 collects the root's weight
+            order = _bottom_up(up)
+            for v in order:
+                weight = weights.get(key[v])
+                if weight is None:
+                    weight = weights[key[v]] = 1 << (bits * len(weights))
+                key[up[v]] += weight
+            roots[key[0]] += 1
+            as_root = None  # each vertex's key as root, 0 until known
+        else:
+            if as_root is None:
+                as_root = [0] * len(up)
+                as_root[order[-1]] = key[order[-1]]
+            v = offset + 1
+            while not as_root[v]:  # a key as root is 0 only at n = 1, a lone rooting
+                path.append(v)
+                v = up[v]
+            while path:
+                v = path.pop()
+                side = as_root[up[v]] - weights[key[v]]
+                weight = weights.get(side)
+                if weight is None:
+                    weight = weights[side] = 1 << (bits * len(weights))
+                as_root[v] = key[v] + weight
+            weight = weights.get(as_root[v])
             if weight is None:
-                weight = weights[key[v]] = 1 << (bits * len(weights))
-            key[up[v]] += weight
-        roots[key[0]] += 1
+                weight = weights[as_root[v]] = 1 << (bits * len(weights))
+            roots[weight] += 1
     shapes: dict[int, PlaneShape] = {}  # weight -> shape, in order of ids
     digit = (1 << bits) - 1
     for multiset, weight in weights.items():
@@ -241,9 +284,8 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     # shard, and keeps islice's index arithmetic inside sys.maxsize
     which, mod = (min(entry, n ** (n - 1)) for entry in which_mod)
 
-    walk = islice(enumerate_rooted_trees(n), which, None, mod)
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
-    for shape, trees in _class_shapes(walk, n).items():
+    for shape, trees in _class_shapes(n, (which, mod)).items():
         parents = _shape_parents(shape)
         parking = prime = distribution = prime_distribution = 0
         for vector, slack in _parking_vectors(parents):
@@ -388,19 +430,47 @@ def roundtrip_suite(n: int) -> SuiteReport:
     return SuiteReport("roundtrip", n, forward + backward, tuple(failures), time.perf_counter() - start)
 
 
+def _avoiders_132(n: int) -> list[tuple[int, ...]]:
+    """The 132-avoiding permutations of 1..n, in the lexicographic order of
+    ``permutations``.  Split at n, an avoider is an avoider of the k largest
+    letters below n, then n, then an avoider of the n - 1 - k smallest: every
+    letter left of n is larger than every letter right of it, and both sides
+    avoid 132."""
+    by_size: list[list[tuple[int, ...]]] = [[()]]
+    for size in range(1, n + 1):
+        built = []
+        for k in range(size):
+            rights = by_size[size - 1 - k]
+            for left in by_size[k]:
+                head = tuple(x + size - 1 - k for x in left) + (size,)
+                built.extend(head + right for right in rights)
+        by_size.append(built)
+    return sorted(by_size[n])
+
+
 def theorem53_suite(n: int) -> SuiteReport:
     """For every 132-avoiding permutation, the statistic map agrees with the
-    decoded labeled path after dropping its leading 1."""
+    decoded labeled path after dropping its leading 1.  The avoiders are
+    built, not filtered out of all n! words; each one is checked to be a new
+    132-avoiding permutation of 1..n, and Catalan(n) such words are all of
+    them."""
     if _at_least(n, 0, "n", InputError, f"the pattern suite needs n >= 0, got n={n}") > CAPS["thm53"]:
         raise LimitExceededError(f"the pattern suite is guarded to n <= {CAPS['thm53']}")
     start = time.perf_counter()
     failures: list[str] = []
     cases = 0
     path = _shape_parents(path_shape(n + 1))
-    for word in permutations(range(1, n + 1)):
-        if not _avoids_132(word):  # permutations() makes valid words
-            continue
+    letters = list(range(1, n + 1))
+    seen: set[tuple[int, ...]] = set()
+    for word in _avoiders_132(n):
         cases += 1
+        if word in seen:
+            failures.append(f"sigma={word}: built twice")
+            continue
+        seen.add(word)
+        if sorted(word) != letters or not _avoids_132(word):
+            failures.append(f"sigma={word}: not a 132-avoiding permutation of 1..{n}")
+            continue
         sp = decode_prime(labeled_path(word))
         if _flat_parents(sp) != path:
             failures.append(f"sigma={word}: decoded tree is not a path")

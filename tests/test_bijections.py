@@ -8,7 +8,7 @@ import random
 import re
 import subprocess
 import sys
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 from pathlib import Path
 
@@ -39,6 +39,7 @@ from treepark import (
     format_plane_tree,
     is_132_avoiding,
     is_parking_distribution,
+    is_parking_function,
     is_prime,
     labeled_path,
     pair_to_prime,
@@ -53,7 +54,15 @@ from treepark import (
     standardize,
     validate_rooted_tree,
 )
-from treepark.bijections import Component, _Shrinking, _avoids_132, _checked, _standard_prime, check_standard_prime
+from treepark.bijections import (
+    Component,
+    _Shrinking,
+    _avoids_132,
+    _checked,
+    _increasing_parks,
+    _standard_prime,
+    check_standard_prime,
+)
 from treepark.census import _iter_primes
 from treepark.parking import ParkingOutcome, run_parking
 from treepark.trees import RootedTree, _flatten, _labeled_tree, _parents_shape, _shape_parents
@@ -407,8 +416,14 @@ class TestPathInvariants:
     """The self-checks of the path maps raise, with the witness, and are not
     asserts that python -O strips."""
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_image_check_matches_the_subtree_criterion(self, n):
+        # the statistic map's last check, on every weakly increasing sequence
+        for prefs in combinations_with_replacement(range(1, n + 1), n):
+            assert _increasing_parks(prefs) == is_parking_function(path_tree(n), prefs), prefs
+
     def test_statistic_map_checks_its_image(self, monkeypatch):
-        monkeypatch.setattr(treepark.bijections, "is_parking_function", lambda tree, prefs: False)
+        monkeypatch.setattr(treepark.bijections, "_increasing_parks", lambda prefs: False)
         with pytest.raises(InvariantError, match="parking function") as caught:
             borie_map((2, 1))
         assert caught.value.tree.parents == (2, 0)
@@ -426,7 +441,7 @@ class TestPathInvariants:
             "import treepark\n"
             "from treepark import InvariantError, borie_map, path_preimage_seq\n"
             "treepark.bijections.is_prime = lambda tree, prefs: False\n"
-            "treepark.bijections.is_parking_function = lambda tree, prefs: False\n"
+            "treepark.bijections._increasing_parks = lambda prefs: False\n"
             "for call in (lambda: path_preimage_seq((2, 1)), lambda: borie_map((2, 1))):\n"
             "    try:\n"
             "        call()\n"

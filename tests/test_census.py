@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, permutations, product
 from math import comb
 from pathlib import Path
 
@@ -38,8 +38,10 @@ from reference_census import (
     simulated_standard_column,
     simulated_standard_count,
 )
+from treepark.bijections import _avoids_132
 from treepark.census import (
     CENSUS_COLUMNS,
+    _avoiders_132,
     _class_shapes,
     _orderings,
     _parking_vectors,
@@ -49,6 +51,16 @@ from treepark.census import (
 from treepark.trees import RootedTree, _shape_parents
 
 census_module = importlib.import_module("treepark.census")  # the package exports a census function
+
+
+def nested_classes(n, start, step):
+    """The classes of one shard of ``_class_shapes``, each keyed by the
+    nested code of its shape: a class's plane representative may list its
+    children in any order, and the nested code sorts them."""
+    return Counter({
+        shape_code(RootedTree(tuple(_shape_parents(shape)[1:]))): count
+        for shape, count in _class_shapes(n, (start, step)).items()
+    })
 
 
 def unmemoized_counts(n):
@@ -152,18 +164,28 @@ class TestCensus:
 
     def test_shape_code_names_isomorphism_classes(self):
         # unlabeled rooted trees on n vertices (OEIS A000081)
-        classes = [len(_class_shapes(enumerate_rooted_trees(n), n)) for n in range(1, 7)]
-        assert classes == [1, 1, 2, 4, 9, 20]
+        classes = [len(_class_shapes(n, (0, 1))) for n in range(1, 8)]
+        assert classes == [1, 1, 2, 4, 9, 20, 48]
 
-    @pytest.mark.parametrize("n, start, step", [(n, 0, 1) for n in range(1, 7)] + [(6, 1, 3)])
+    @pytest.mark.parametrize("n, start, step", [(n, 0, 1) for n in range(1, 8)] + [(6, 1, 3)])
     def test_class_shapes_match_the_nested_code(self, n, start, step):
         # each class's shape is a tree of that class, and counts its trees
-        trees = list(enumerate_rooted_trees(n))[start::step]
-        by_ids = {
-            shape_code(RootedTree(tuple(_shape_parents(shape)[1:]))): count
-            for shape, count in _class_shapes(trees, n).items()
-        }
-        assert by_ids == Counter(map(shape_code, trees))
+        assert nested_classes(n, start, step) == Counter(
+            map(shape_code, islice(enumerate_rooted_trees(n), start, None, step))
+        )
+
+    @pytest.mark.parametrize("n, step", [(n, m) for n in (5, 6) for m in (2, 3, n, n + 1, 13)])
+    def test_shards_of_the_rerooted_walk_match_the_nested_code(self, n, step):
+        # a step below n splits a word's rootings between shards, and one of
+        # n or more leaves every rooting alone in its shard
+        codes = list(map(shape_code, enumerate_rooted_trees(n)))
+        for start in range(step):
+            assert nested_classes(n, start, step) == Counter(codes[start::step]), start
+
+    @pytest.mark.parametrize("n, step", [(n, m) for n in (5, 6) for m in (2, 3, n, n + 1, 13)])
+    def test_shards_of_the_rerooted_walk_match_the_bucket_census(self, n, step):
+        for start in range(step):
+            assert census_counts(n, shard=(start, step)) == reference_counts(n, shard=(start, step)), start
 
     def test_deterministic(self):
         assert census_counts(3) == census_counts(3)
@@ -375,6 +397,22 @@ class TestTheoremSuite:
 
     def test_case_counts_are_catalan(self):
         assert [theorem53_suite(n).cases for n in range(1, 6)] == [1, 2, 5, 14, 42]
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_built_avoiders_are_the_filtered_ones_in_order(self, n):
+        assert _avoiders_132(n) == [w for w in permutations(range(1, n + 1)) if _avoids_132(w)]
+
+    def test_each_built_word_is_checked(self, monkeypatch):
+        # five words, as many as Catalan(3), so the count check alone passes
+        built = [(1, 2, 3), (1, 2, 3), (1, 3, 2), (1, 2, 2), (3, 2, 1)]
+        monkeypatch.setattr(census_module, "_avoiders_132", lambda n: built)
+        report = theorem53_suite(3)
+        assert report.cases == 5
+        assert report.failures == (
+            "sigma=(1, 2, 3): built twice",
+            "sigma=(1, 3, 2): not a 132-avoiding permutation of 1..3",
+            "sigma=(1, 2, 2): not a 132-avoiding permutation of 1..3",
+        )
 
     def test_guard(self):
         with pytest.raises(LimitExceededError):

@@ -55,6 +55,24 @@ def test_traced_run_sees_every_name_the_bench_reads():
     assert (treepark.pair_to_prime, treepark.series.check_identity, treepark.Series.__mul__) == originals
 
 
+# The bench's fixed count of labeled trees: every census call walks all
+# n^(n-1) of them, and a shard walks them all too (it keeps every m-th).
+def test_census_walks_every_labeled_tree():
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        for n in range(1, 6):
+            treepark.census_counts(n)
+        full = dict(tracer.items)
+        shards = [treepark.census_counts(5, shard=(k, 3)) for k in range(3)]
+    finally:
+        tracer.uninstall()
+    assert full["trees.enumerate_rooted_trees"] == sum(n ** (n - 1) for n in range(1, 6)) == 701
+    assert tracer.items["trees.enumerate_rooted_trees"] - 701 == 3 * 5**4
+    whole = treepark.census_counts(5)
+    assert {name: sum(shard[name] for shard in shards) for name in whole} == whole
+
+
 # The composed maps must reach these through their module-level names: the
 # bench's path exponents divide by the time spent under the child spans.
 CHILD_SPANS = {
