@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     InputError,
@@ -49,6 +49,7 @@ from .errors import (
     Not132AvoidingError,
     NotPrimeError,
     NotStandardPrimeError,
+    VertexOutOfRangeError,
     _NoAttributeError,
     _ints,
 )
@@ -132,6 +133,8 @@ def _hand_built(parents: Sequence[int], prefs: tuple[int, ...]) -> StandardPrime
 def _flat_parents(sp: StandardPrime) -> list[int]:
     """The post-order parent array of a standard pair's shape: its run's if
     it carries one, else walked off the shape."""
+    if not isinstance(sp, StandardPrime):
+        raise NotStandardPrimeError(f"{sp!r} is not a StandardPrime")
     run = sp.__dict__.get("_run")
     return _shape_parents(sp.shape) if run is None else run[0]
 
@@ -231,17 +234,11 @@ def _standard_prime(parents: list[int], prefs: tuple[int, ...], outcome: Parking
     return sp
 
 
-def _checked(sp: StandardPrime, first: Callable[[int], object] | None = None) -> _Run:
+def _checked(sp: StandardPrime) -> _Run:
     """The flat pair and run of a valid standard pair: the run attached by
-    :func:`_standard_prime`, or else one simulation checks the pair.
-    ``first(n)`` runs ahead of that check, for an argument reported first."""
-    if not isinstance(sp, StandardPrime):
-        raise NotStandardPrimeError(f"{sp!r} is not a StandardPrime")
-    run = sp.__dict__.get("_run")
+    :func:`_standard_prime`, or else one simulation checks the pair."""
     parents = _flat_parents(sp)
-    if first is not None:
-        first(len(parents) - 1)
-    return run or (parents, *_check_standard(parents, sp.prefs))
+    return sp.__dict__.get("_run") or (parents, *_check_standard(parents, sp.prefs))
 
 
 def check_standard_prime(sp: StandardPrime) -> int:
@@ -318,8 +315,8 @@ def destandardize(
     The permutation is checked first, then the standard pair, as in
     :func:`check_standard_prime`.
     """
-    inv: list[int] = []
-    std_parents, prefs, _ = _checked(sp, lambda n: inv.extend(_inverse_relabeling(word, n)))
+    inv = _inverse_relabeling(word, len(_flat_parents(sp)) - 1)
+    std_parents, prefs, _ = _checked(sp)
     return _destandardize(inv, std_parents, prefs)
 
 
@@ -379,8 +376,10 @@ def decompose(sp: StandardPrime) -> list[Component]:
     root's image children in :func:`_image`, in walk order, each with the
     drivers that prefer it, one marked where the walk re-entered.
     """
-    parents, prefs, outcome = _checked(sp, _decomposable)
-    n = len(prefs)
+    n = len(_flat_parents(sp)) - 1
+    if n < 2:
+        raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
+    parents, prefs, outcome = _checked(sp)
     kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
     components = []
     for c in kids[n]:
@@ -392,11 +391,6 @@ def decompose(sp: StandardPrime) -> list[Component]:
         marks = MarkedSet(tuple(ds), ds[rank[marked[c]] - 1])
         components.append(Component(tuple(vertices), marked[c], marks, piece))
     return components
-
-
-def _decomposable(n: int) -> None:
-    if n < 2:
-        raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
 
 
 _BLOCK = 1024  # entries per block of a _Shrinking list
@@ -710,4 +704,6 @@ def labeled_path(word: Sequence[int]) -> LabeledPlaneTree:
 def standard_path_prime(prefs: Sequence[int]) -> StandardPrime:
     """Wrap a preference sequence on the n-spot path as a standard pair."""
     prefs = _ints(prefs, LabelOutOfRangeError, "driver {}: preference", 1)
+    if not prefs:
+        raise VertexOutOfRangeError(f"the path needs at least one vertex, got preferences {prefs}")
     return StandardPrime(path_shape(len(prefs)), prefs)

@@ -3,19 +3,20 @@
 Every count here is obtained by enumerating objects one by one; the closed
 forms appear only on the *expected* side of each report.  Parking and
 primality depend on a sequence only through its count vector, so the census
-enumerates only the count vectors that park on a tree (a depth-first pass
-over its vertices) and weights each by its n!/prod(c_v!) sequences.  The
-standard-pair column searches a prime vector's orderings on each plane
-tree, prefix by prefix, and only the round-trip suite spells a vector's
-sequences out.  The census still walks every labeled tree, but keeps only
-its isomorphism class and decides the vectors once per class met in a
-call, on the class's own code read as a plane shape: relabeling a tree
-permutes its vectors and keeps each vector's weight and slack, so a tree's
-parking and prime totals depend only on its unlabeled shape.  The walk
-meets each Pruefer word's n rootings back to back, and finds the class of
-every rooting after the first by rerooting that first one: a class code is
-a sum of its children's weights, so moving the root to a neighbour is one
-subtraction and one addition.  The tree space can be sharded:
+enumerates count vectors, not sequences, and weights each by its
+n!/prod(c_v!) sequences.  One depth-first pass over a tree's vertices
+yields the vectors in which every non-root subtree gets at least as many
+preferences as it has vertices (those that park), and the same pass with
+the bound raised by one yields the prime ones.  The standard-pair column
+searches a prime vector's orderings on each plane tree, prefix by prefix,
+and only the round-trip suite spells a vector's sequences out.  The census
+still walks every labeled tree, but keeps only its isomorphism class and
+decides the vectors once per class met in a call, on the class's own code
+read as a plane shape: relabeling a tree permutes its vectors and keeps
+each vector's weight, so a tree's parking and prime totals depend only on
+its unlabeled shape.  The walk meets each Pruefer word's n rootings back to
+back, and the first one met gets two passes: its class codes bottom up,
+then every vertex's code as root top down.  The tree space can be sharded:
 ``shard=(k, m)`` keeps the trees (or shapes) whose enumeration index is
 congruent to k mod m, and the per-shard counts sum to the full run.  The
 pattern suite builds its 132-avoiders instead of filtering all n! words.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import islice, permutations, product
+from itertools import count, islice, permutations, product
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -71,34 +72,33 @@ CENSUS_COLUMNS = (
 CAPS = {"census": 7, "roundtrip": 4, "thm53": 7, "paths": 6}
 
 
-def _parking_vectors(up: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The count vectors that park on the tree whose parent list is ``up``
-    (slot 0 unused), each with its slack.  Slot v of a vector is how many of
-    the n drivers prefer v (slot 0 holds 0); the vector parks when every
-    subtree gets at least as many preferences as it has vertices.  The slack
-    is the least, over non-root v, of the drivers preferring the subtree of v
-    less its size (1 when n = 1); the vector's sequences are prime when it is
-    >= 1.  A depth-first pass places the vertices children first and carries
-    each vertex's surplus over the children placed so far."""
+def _parking_vectors(up: Sequence[int], least: int) -> Iterator[tuple[int, ...]]:
+    """The count vectors on the tree whose parent list is ``up`` (slot 0
+    unused) in which every non-root subtree gets at least ``least`` more
+    preferences than it has vertices.  Slot v of a vector is how many of the
+    n drivers prefer v (slot 0 holds 0).  With ``least`` 0 these are the
+    vectors that park, and with ``least`` 1 those whose sequences are prime;
+    the second walk yields the first's prime vectors in the same order.  A
+    depth-first pass places the vertices children first and carries each
+    vertex's surplus over the children placed so far."""
     *below_root, root = _bottom_up(up)
     counts = [0] * len(up)
     surplus = [0] * len(up)
 
-    def place(i: int, left: int, slack: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def place(i: int, left: int) -> Iterator[tuple[int, ...]]:
         if i == len(below_root):
             counts[root] = left  # the root's subtree is the whole tree: surplus 0
-            yield tuple(counts), slack
+            yield tuple(counts)
             return
         v = below_root[i]
-        for count in range(max(0, 1 - surplus[v]), left + 1):
-            excess = surplus[v] + count - 1
-            counts[v] = count
+        for drivers in range(max(0, 1 + least - surplus[v]), left + 1):
+            excess = surplus[v] + drivers - 1
+            counts[v] = drivers
             surplus[up[v]] += excess
-            yield from place(i + 1, left - count, min(slack, excess))
+            yield from place(i + 1, left - drivers)
             surplus[up[v]] -= excess
 
-    # slacks never exceed 1: the root's children's excesses sum to 1 less its count
-    yield from place(0, len(up) - 1, 1)
+    yield from place(0, len(up) - 1)
 
 
 def _orderings(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -121,9 +121,8 @@ def _orderings(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def _prime_sequences(up: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Every prime preference sequence on the tree whose parent list is ``up``."""
-    for counts, slack in _parking_vectors(up):
-        if slack >= 1:
-            yield from _orderings(counts)
+    for counts in _parking_vectors(up, 1):
+        yield from _orderings(counts)
 
 
 def _standard_orderings(parents: Sequence[int], counts: Sequence[int]) -> int:
@@ -186,6 +185,19 @@ def _standard_orderings(parents: Sequence[int], counts: Sequence[int]) -> int:
     return extend()
 
 
+class _Weights(dict):
+    """Class keys -> the weights of the classes they name: a key met for the
+    first time gets the next id j, and its class the weight 2^(bits j)."""
+
+    def __init__(self, bits: int) -> None:
+        super().__init__()
+        self.bits = bits
+
+    def __missing__(self, key: int) -> int:
+        weight = self[key] = 1 << (self.bits * len(self))
+        return weight
+
+
 def _class_shapes(n: int, shard: tuple[int, int]) -> Counter:
     """How many of the n-vertex rooted trees in the walk's ``shard=(k, m)``
     (the trees whose enumeration index is congruent to k mod m) fall in each
@@ -196,67 +208,49 @@ def _class_shapes(n: int, shard: tuple[int, int]) -> Counter:
     2^(b j), with b the bit length of n.  A vertex's key is the sum of its
     children's weights: the multiset of their ids, one b-bit digit per id
     (no vertex has n children), so equal keys are equal classes and no
-    child list is sorted.  A tree's class is its root's weight.  The nested
-    shape of each class met is built once, from the table of keys.
+    child list is sorted.  A tree's class is the weight of its root's key.
+    The nested shape of each class met is built once, from the table of keys.
 
     The walk yields each Pruefer word's n rootings back to back, so tree i
-    is word i // n rooted at i % n + 1.  The first rooting met of a word is
-    decided by one bottom-up pass over its keys, and costs no more when it
-    is the word's only rooting in the shard (every rooting is, when m >= n).
-    A later rooting r reuses that pass: the keys are additive, so moving the
-    root from u down to its child v takes v's weight out of u's key as root,
-    which leaves the key of u's side seen from v, and adds that side's
-    weight to v's own key.  From r, the walk goes up the first rooting to
-    the nearest vertex whose key as root is known, then back down, and each
-    vertex's key as root is kept for the word's later rootings.
+    is word i // n rooted at i % n + 1.  The first tree of a word met in the
+    shard gets two passes.  The first computes the keys bottom up.  The
+    second computes top down each vertex's key as root: the keys are
+    additive, so taking v's weight out of its parent's key as root leaves
+    the key of the parent's side seen from v, and v's key as root is its own
+    key plus that side's weight.  Every rooting of the word in the shard
+    then reads its class off that table.
     """
     which, mod = shard
     bits = n.bit_length()
-    weights: dict[int, int] = {}  # key -> weight of the class it names
+    weights = _Weights(bits)
     roots: Counter = Counter()
-    offset = which % n + n - mod  # the tree's index mod n, reached from the one before
-    path: list[int] = []
-    for tree in islice(enumerate_rooted_trees(n), which, None, mod):
-        offset += mod
-        if offset >= n:  # the first rooting met of its word
-            offset %= n
+    word = -1
+    walk = islice(enumerate_rooted_trees(n), which, None, mod)
+    for i, tree in zip(count(which, mod), walk):
+        if i // n != word:  # the first tree met of its word
+            word = i // n
             up = (0,) + tree.parents
-            key = [0] * len(up)  # slot 0 collects the root's weight
+            key = [0] * len(up)
             order = _bottom_up(up)
             for v in order:
-                weight = weights.get(key[v])
-                if weight is None:
-                    weight = weights[key[v]] = 1 << (bits * len(weights))
-                key[up[v]] += weight
-            roots[key[0]] += 1
-            as_root = None  # each vertex's key as root, 0 until known
-        else:
-            if as_root is None:
-                as_root = [0] * len(up)
-                as_root[order[-1]] = key[order[-1]]
-            v = offset + 1
-            while not as_root[v]:  # a key as root is 0 only at n = 1, a lone rooting
-                path.append(v)
-                v = up[v]
-            while path:
-                v = path.pop()
-                side = as_root[up[v]] - weights[key[v]]
-                weight = weights.get(side)
-                if weight is None:
-                    weight = weights[side] = 1 << (bits * len(weights))
-                as_root[v] = key[v] + weight
-            weight = weights.get(as_root[v])
-            if weight is None:
-                weight = weights[as_root[v]] = 1 << (bits * len(weights))
-            roots[weight] += 1
+                key[up[v]] += weights[key[v]]
+            as_root = key[:]  # the root's key as root is its own key
+            for v in reversed(order[:-1]):
+                as_root[v] = key[v] + weights[as_root[up[v]] - weights[key[v]]]
+        roots[weights[as_root[i % n + 1]]] += 1
     shapes: dict[int, PlaneShape] = {}  # weight -> shape, in order of ids
     digit = (1 << bits) - 1
-    for multiset, weight in weights.items():
+    for multiset, named in weights.items():
         below = list(shapes.values())  # every id a child of this one can have
-        shapes[weight] = tuple(
+        shapes[named] = tuple(
             below[j] for j in range(len(below)) for _ in range(multiset >> (bits * j) & digit)
         )
-    return Counter({shapes[weight]: trees for weight, trees in roots.items()})
+    return Counter({shapes[named]: trees for named, trees in roots.items()})
+
+
+def _sequences(counts: Sequence[int]) -> int:
+    """How many sequences have the count vector ``counts``: n!/prod(c_v!)."""
+    return factorial(sum(counts)) // prod(map(factorial, counts))
 
 
 def _leaf_count(parents: Sequence[int]) -> int:
@@ -287,18 +281,11 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
     for shape, trees in _class_shapes(n, (which, mod)).items():
         parents = _shape_parents(shape)
-        parking = prime = distribution = prime_distribution = 0
-        for vector, slack in _parking_vectors(parents):
-            sequences = factorial(n) // prod(map(factorial, vector))
-            parking += sequences
-            distribution += 1
-            if slack >= 1:
-                prime += sequences
-                prime_distribution += 1
+        parks, primes = (list(_parking_vectors(parents, least)) for least in (0, 1))
         leaves = _leaf_count(parents)
         row = (
-            parking, prime, distribution, prime_distribution,
-            leaves * prime_distribution, leaves * distribution,
+            sum(map(_sequences, parks)), sum(map(_sequences, primes)), len(parks), len(primes),
+            leaves * len(primes), leaves * len(parks),
         )
         for name, value in zip(CENSUS_COLUMNS, row):
             counts[name] += trees * value
@@ -306,9 +293,7 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     for shape in islice(enumerate_plane_trees(n), which, None, mod):
         parents = _shape_parents(shape)
         counts["standard_prime"] += sum(
-            _standard_orderings(parents, vector)
-            for vector, slack in _parking_vectors(parents)
-            if slack >= 1
+            _standard_orderings(parents, vector) for vector in _parking_vectors(parents, 1)
         )
     return counts
 

@@ -120,7 +120,7 @@ class TestCensus:
         shapes = list(enumerate_plane_trees(7))
         walked = (
             len(trees),
-            sum(1 for code in classes for _ in _parking_vectors(_shape_parents(code))),
+            sum(1 for code in classes for _ in _parking_vectors(_shape_parents(code), 0)),
             len(classes),
             sum(1 for shape in shapes for _ in _prime_sequences(_shape_parents(shape))),
             len(shapes),
@@ -174,10 +174,10 @@ class TestCensus:
             map(shape_code, islice(enumerate_rooted_trees(n), start, None, step))
         )
 
-    @pytest.mark.parametrize("n, step", [(n, m) for n in (5, 6) for m in (2, 3, n, n + 1, 13)])
+    @pytest.mark.parametrize("n, step", [(n, m) for n in (5, 6) for m in (1, 2, 3, n - 1, n, n + 1, 13)])
     def test_shards_of_the_rerooted_walk_match_the_nested_code(self, n, step):
-        # a step below n splits a word's rootings between shards, and one of
-        # n or more leaves every rooting alone in its shard
+        # a step below n splits a word's rootings between shards (unevenly at
+        # n - 1), and one of n or more leaves every rooting alone in its shard
         codes = list(map(shape_code, enumerate_rooted_trees(n)))
         for start in range(step):
             assert nested_classes(n, start, step) == Counter(codes[start::step]), start
@@ -204,11 +204,7 @@ class TestStandardSearch:
     def test_each_shape_matches_the_simulation(self, n):
         for shape in enumerate_plane_trees(n):
             parents = _shape_parents(shape)
-            searched = sum(
-                _standard_orderings(parents, vector)
-                for vector, slack in _parking_vectors(parents)
-                if slack >= 1
-            )
+            searched = sum(_standard_orderings(parents, vector) for vector in _parking_vectors(parents, 1))
             assert searched == simulated_standard_count(shape), shape
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in (5, 6) for k in range(3)])
@@ -249,23 +245,36 @@ class TestStandardSearch:
         assert _standard_orderings(parents, (0, 2, 2, 0, 0)) == 3 == simulated_standard_count((((), ()),))
 
 
-def filtered_vectors(up):
-    """The parking count vectors of a parent list (slot 0 unused) with their
-    slacks, by filtering all C(2n-1, n) count vectors; each subtree is found
-    by walking every vertex up to the root."""
-    n = len(up) - 1
-    subtrees = {v: set() for v in range(1, n + 1) if up[v]}  # non-root v -> its subtree
-    for u in range(1, n + 1):
+def subtrees_below_root(up):
+    """Each non-root vertex of a parent list (slot 0 unused) -> the vertices
+    of its subtree, found by walking every vertex up to the root."""
+    subtrees = {v: set() for v in range(1, len(up)) if up[v]}
+    for u in range(1, len(up)):
         v = u
         while up[v]:
             subtrees[v].add(u)
             v = up[v]
+    return subtrees
+
+
+def slack(subtrees, counts):
+    """The least, over the non-root subtrees, of the drivers of the count
+    vector ``counts`` preferring the subtree less its size (1 when there is
+    none).  The vector parks when it is >= 0 and is prime when it is >= 1."""
+    return min((sum(counts[u] for u in sub) - len(sub) for sub in subtrees.values()), default=1)
+
+
+def filtered_vectors(up):
+    """The parking count vectors of a parent list (slot 0 unused) with their
+    slacks, by filtering all C(2n-1, n) count vectors."""
+    n = len(up) - 1
+    subtrees = subtrees_below_root(up)
     found = []
     for multiset in combinations_with_replacement(range(1, n + 1), n):
         counts = tuple(multiset.count(v) for v in range(n + 1))
-        slack = min((sum(counts[u] for u in sub) - len(sub) for sub in subtrees.values()), default=1)
-        if slack >= 0:
-            found.append((counts, slack))
+        least = slack(subtrees, counts)
+        if least >= 0:
+            found.append((counts, least))
     return sorted(found)
 
 
@@ -281,18 +290,34 @@ def sequences_of(counts):
 class TestParkingVectors:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_path_counts(self, n):
-        vectors = list(_parking_vectors((0,) + path_tree(n).parents))
-        primes = [counts for counts, slack in vectors if slack >= 1]
+        up = (0,) + path_tree(n).parents
+        vectors, primes = (list(_parking_vectors(up, least)) for least in (0, 1))
         assert len(vectors) == comb(2 * n, n) // (n + 1)
         assert len(primes) == comb(2 * n - 2, n - 1) // n
-        assert sum(sequences_of(counts) for counts, _ in vectors) == (n + 1) ** (n - 1)
+        assert sum(sequences_of(counts) for counts in vectors) == (n + 1) ** (n - 1)
         assert sum(sequences_of(counts) for counts in primes) == (n - 1) ** (n - 1)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_labeled_tree_matches_a_filter(self, n):
         for tree in enumerate_rooted_trees(n):
             up = (0,) + tree.parents
-            assert sorted(_parking_vectors(up)) == filtered_vectors(up), tree
+            filtered = filtered_vectors(up)
+            for least in (0, 1):
+                walked = sorted(_parking_vectors(up, least))
+                assert walked == [counts for counts, kept in filtered if kept >= least], (tree, least)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_the_prime_walk_keeps_the_order_of_the_parking_walk(self, n):
+        # every plane shape, and every labeled tree up to n = 5: the order of
+        # _prime_sequences and _iter_primes, and so of the round-trip suite's
+        # failures, is that of the parking walk
+        ups = list(map(_shape_parents, enumerate_plane_trees(n)))
+        if n <= 5:
+            ups += [(0,) + tree.parents for tree in enumerate_rooted_trees(n)]
+        for up in ups:
+            subtrees = subtrees_below_root(up)
+            primes = [counts for counts in _parking_vectors(up, 0) if slack(subtrees, counts) >= 1]
+            assert list(_parking_vectors(up, 1)) == primes, up
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_orderings_are_distinct_and_multinomial_many(self, n):

@@ -47,6 +47,7 @@ from treepark import (
     parse_rooted_tree,
     path_tree,
     roundtrip_suite,
+    standard_path_prime,
     standardize,
     subtree_size,
     validate_rooted_tree,
@@ -87,6 +88,7 @@ REPRODUCTIONS = [
     ("park-not-a-tree", lambda: park((2, 0), (1, 1)), InputError, "(2, 0)"),
     ("park-list-parents", lambda: park(RootedTree([2, 0]), (1, 1)), InputError, "[2, 0]"),
     ("subtree-size-float", lambda: subtree_size(path_tree(3), 1.5), VertexOutOfRangeError, "1.5"),
+    ("standard-path-prime-empty", lambda: standard_path_prime(()), VertexOutOfRangeError, "()"),
     ("format-plane-tree-none", lambda: format_plane_tree(None), InputError, "None"),
     ("format-word-none", lambda: format_word(None), InputError, "None"),
     ("children-not-a-tuple", lambda: format_plane_tree(LabeledPlaneTree(1, None)), InputError, "None"),
