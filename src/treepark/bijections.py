@@ -8,7 +8,10 @@ The pipeline factors a prime pair through a *standard form*:
 * :func:`encode_prime` turns a standard pair into a plane tree whose
   non-root vertices are labeled by [n-1], by cutting along the edges the
   final driver is the first to cross and encoding the pieces the same way.
-  :func:`decode_prime` inverts it and is total on labeled plane trees.
+  :func:`decode_prime` inverts it and is total on labeled plane trees.  It
+  reads the pair back in two flat passes, one up the tree over plain lists
+  of sorted labels, preferences and post-orders, one along the post-order;
+  a 10^4-vertex caterpillar decodes in ~0.03 s and a 10^5 one in ~2 s.
 * :func:`prime_to_pair` / :func:`pair_to_prime` compose the two steps, so
   prime pairs on n vertices correspond to (permutation, labeled plane tree)
   pairs, (2n-2)! of them in total.
@@ -37,7 +40,7 @@ permutations.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -190,14 +193,22 @@ def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) ->
 
     ``parents`` is a post-order parent array (slot 0 unused); vertices whose
     entry is 0 have no parent edge to order, and every other edge must have
-    been crossed.
+    been crossed.  Siblings carry increasing labels from left to right, so
+    one sweep meets each child just after its left sibling.
     """
+    last, pairs = [0] * len(parents), []  # last: each vertex's latest child so far
+    for v in range(1, len(parents)):
+        p = parents[v]
+        if p:
+            if last[p]:
+                pairs.append((last[p], v))
+            last[p] = v
+    if not pairs:
+        return None
     tick = [0] * len(parents)
     for i, (c, _) in enumerate(crossings):
         tick[c] = i
-    right = _right_siblings(parents)
-    bad = [parents[v] for v in range(1, len(parents)) if right[v] and tick[v] <= tick[right[v]]]
-    return min(bad, default=None)
+    return min((parents[v] for u, v in pairs if tick[u] <= tick[v]), default=None)
 
 
 def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[tuple[int, ...], ParkingOutcome]:
@@ -504,83 +515,133 @@ def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
     return _encode(*_checked(sp))
 
 
-def _decode(labels: list[int | None], kids: list[list[int]]) -> tuple[list[int], list[int]]:
+_FEW = 256  # entries a merge inserts one by one; past that, one sort costs less
+
+
+def _merge(parts: list[tuple[Sequence[int], Sequence[int]]]) -> tuple[list[int], list[int]]:
+    """Sorted labels with the preferences aligned to them, as one pair of
+    lists, from several such pairs: the longest pair takes the others'
+    entries at their labels' ranks, or all are sorted at once past ``_FEW``."""
+    sizes = [len(labels) for labels, _ in parts]
+    big = sizes.index(max(sizes))
+    below, wants = parts[big]
+    if sum(sizes) - sizes[big] > _FEW:
+        pairs: dict[int, int] = {}
+        for part in parts:
+            pairs.update(zip(*part))
+        below = sorted(pairs)
+        return below, [pairs[label] for label in below]
+    for j, (labels, prefer) in enumerate(parts):
+        if j != big:
+            for label, w in zip(labels, prefer):
+                i = bisect_left(below, label)
+                below[i:i], wants[i:i] = (label,), (w,)
+    return below, wants
+
+
+def _decode(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """The flat standard pair of a valid root-unlabeled plane tree, given as
-    its pre-order arrays (see :func:`_flatten`).
+    its pre-order arrays (see :func:`_flatten`): one pass up the tree, one
+    along the pair's post-order, and no pair rebuilt on the way.
 
-    Every vertex x stands for the pair decoded from its subtree with x's own
-    label dropped and the others ranked, so the vertices are decoded
-    children first.  A vertex's branches are the pieces along the final
-    walk, bottom-up: each piece is re-attached as the leftmost child of the
-    vertex the cut edge pointed at, recovered as the rank of the next
-    piece's marked driver, and the last piece hangs under a fresh root.
+    Vertex x stands for the piece it roots in :func:`_image`: its vertices
+    are x's subtree, x its largest post-order label.  Going up, vertices are
+    named by pre-order id, and each finished subtree leaves three lists:
+
+    * ``below``, its labels, sorted; the root's label counts as n;
+    * ``wants``, what the piece's drivers prefer, in driver order.  The
+      encoder hands a piece the labels at its drivers' ranks, so the k-th
+      label goes with the k-th driver: x's children's pairs merge by label
+      (:func:`_merge`), then x's label goes in at its rank r(x), and the
+      preference of x's driver, the piece's largest, goes last;
+    * ``order``, its post-order.  x takes its first child's; each later
+      child c hangs what is built so far as the leftmost child of c's marked
+      vertex m, entry r(c) of c's own list, that is just before m's
+      leftmost leaf, found down leftmost-child links; x goes last.
+
+    x's driver prefers its first child's marked vertex, or x at a leaf.  A
+    child's parent is its next sibling's marked vertex, and the last
+    child's is x.  The post-order labels are the places in the root's list.
+
+    Every step is a bisection or a shift inside a list, and a label moves
+    O(log n) times, so the decode is near-linear but for the shifts, which
+    are quadratic in C on a path, as the ``insort`` of the piece-by-piece
+    decoder it replaced was.  On a shared 2-vCPU VM it takes 0.01-0.03 s
+    on 10^4-vertex paths, stars, caterpillars and random pairs, and 0.2-2.5
+    s at 10^5 (a caterpillar ~2 s, where the old decoder took ~10 min).
+    Two O(n) checks close it: each driver takes one preference, and each
+    vertex one post-order label.
     """
-    # vertex -> (parent array, prefs, sorted labels of its subtree)
-    done: dict[int, tuple[list[int], list[int], list[int]]] = {}
-    for x in range(len(labels) - 1, -1, -1):
-        branches = kids[x]
-        if not branches:
-            parents, prefs, below = [0, 0], [1], []
-        elif len(branches) == 1:
-            # One piece: the pair gains a root above it, and its final driver
-            # prefers the vertex at the marked driver's rank.
-            parents, prefs, below = done.pop(branches[0])
-            m = len(prefs)
-            parents[m] = m + 1
-            parents.append(0)
-            prefs.append(bisect_left(below, labels[branches[0]]) + 1)
+    n = len(labels)
+    # The subtree being built, and r of its top.  It starts as the root
+    # alone, which a larger tree sets aside at its first leaf.
+    below, wants, order, r = [n], [0], [0], 0
+    stack = []  # finished subtrees whose parent is still to come
+    up: dict[int, int] = {}  # the parent of each child but a single child c, whose is c - 1
+    first: dict[int, int] = {}  # the leftmost child, where it is not a single child v + 1
+    for x in range(n - 1, -1, -1):
+        k = kids[x]
+        if len(k) == 1:
+            wants.append(order[r])
+        elif not k:
+            if kids[x - 1]:  # a first child starts the lists; a later one waits for its parent
+                stack.append((below, wants, order, r))
+                below, wants, order, r = [labels[x]], [x], [x], 0
+            continue
         else:
-            parents, prefs, below = _assemble(
-                [done.pop(b) for b in branches], [labels[b] for b in branches]
-            )
-        if labels[x] is not None:
-            insort(below, labels[x])
-        done[x] = (parents, prefs, below)
-    parents, prefs, _ = done[0]
+            w = order[r]
+            parts = [(below, wants)]
+            c = x + 1  # the child before the next
+            for later in k[1:]:
+                if kids[later]:
+                    *part, own, at = stack.pop()
+                    parts.append(part)
+                    v = m = own[at]
+                    while True:  # down to m's leftmost leaf
+                        f = first.get(v)
+                        if f is None:
+                            if not kids[v]:
+                                break
+                            f = v + 1
+                        v = f
+                    p = own.index(v)
+                    if p:
+                        own[p:p] = order
+                        order = own
+                    else:
+                        order += own
+                else:  # a leaf: its lists are itself
+                    parts.append(((labels[later],), (later,)))
+                    m = later
+                    order.append(later)
+                up[c] = m
+                first[m] = c
+                c = later
+            up[c] = x
+            first[x] = c
+            below, wants = _merge(parts)
+            wants.append(w)
+        label = labels[x] or n
+        r = bisect_left(below, label)
+        below[r:r] = (label,)  # a slice assignment moves the tail in one block
+        order.append(x)
+    if not up:  # no vertex branched: a path, listed bottom up
+        parents, prefs = [0, *range(2, n + 1), 0], [n - w for w in wants]
+    else:
+        place, parents = [0] * (n + 1), [0] * (n + 1)  # place[n] = 0 stands for no parent
+        i = n
+        for v in reversed(order):
+            place[v] = i
+            parents[i] = place[v - 1]
+            i -= 1
+        for c, m in up.items():
+            parents[place[c]] = place[m]
+        prefs = [place[w] for w in wants]
+        if len(order) != n or place.count(0) > 1:
+            raise _broken(parents, prefs, "each vertex takes one post-order label")
+    if len(prefs) != n:
+        raise _broken(parents, prefs, "each driver takes one preference")
     return parents, prefs
-
-
-def _assemble(
-    pieces: list[tuple[list[int], list[int], list[int]]], marks: list[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """Join decoded pieces (parent array, prefs, sorted labels), given in walk
-    order with their marked labels, into the pair of their common parent.
-
-    Post-order labels the joined tree blockwise: piece i's vertices before
-    the attachment vertex's subtree, then everything hung below it, then
-    the rest of piece i.
-    """
-    below = sorted(label for _, _, labels in pieces for label in labels)
-    n = len(below) + 1
-    rank = {label: r for r, label in enumerate(below, start=1)}
-    parents = [0] * (n + 1)
-    prefs = [0] * n
-    base, total, above = 0, n - 1, n  # block offset, block size, where the block's root hangs
-    for i in range(len(pieces) - 1, -1, -1):
-        piece_parents, piece_prefs, labels = pieces[i]
-        m = len(piece_prefs)
-        lower = total - m  # vertices hung below this piece
-        if i:
-            at = bisect_left(labels, marks[i]) + 1
-            start = at  # the first label of at's subtree
-            while start > 1 and piece_parents[start - 1] <= at:
-                start -= 1
-        else:
-            start = m + 1
-        g = [0, *range(base + 1, base + start), *range(base + lower + start, base + lower + m + 1)]
-        for v in range(1, m):
-            parents[g[v]] = g[piece_parents[v]]
-        parents[g[m]] = above
-        for label, q in zip(labels, piece_prefs):
-            prefs[rank[label] - 1] = g[q]
-        if i:
-            above = g[at]
-            base += start - 1
-            total = lower
-    prefs[n - 1] = g[bisect_left(pieces[0][2], marks[0]) + 1]
-    if 0 in parents[1:n] or 0 in prefs:
-        raise _broken(parents, prefs, "the pieces' post-order labels must cover the joined tree once")
-    return parents, prefs, below
 
 
 def decode_prime(plt: LabeledPlaneTree) -> StandardPrime:

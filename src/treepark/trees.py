@@ -358,19 +358,21 @@ def _flatten(t: LabeledPlaneTree) -> _Flat:
             return flat
     labels: list[int | None] = []
     kids: list[list[int]] = []
-    stack: list[tuple[LabeledPlaneTree, int]] = [(t, -1)]
-    while stack:
-        node, p = stack.pop()
+    nodes, ups = [t], [-1]  # the nodes still to visit, and their parents' ids
+    while nodes:
+        node, p = nodes.pop(), ups.pop()
         if not isinstance(node, LabeledPlaneTree):
             raise InputError(f"plane tree: vertex {node!r} is not a LabeledPlaneTree")
-        if not isinstance(node.children, tuple):
-            raise InputError(f"plane tree: children {node.children!r} of {node.label!r} are not a tuple")
+        children = node.children
+        if not isinstance(children, tuple):
+            raise InputError(f"plane tree: children {children!r} of {node.label!r} are not a tuple")
         i = len(labels)
         labels.append(node.label)
         kids.append([])
         if p >= 0:
             kids[p].append(i)
-        stack.extend((c, i) for c in reversed(node.children))
+        nodes += children[::-1]
+        ups += [i] * len(children)
     return tuple(labels), tuple(map(tuple, kids))
 
 

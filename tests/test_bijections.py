@@ -65,8 +65,9 @@ from treepark.bijections import (
 )
 from treepark.census import _iter_primes
 from treepark.parking import ParkingOutcome, run_parking
-from treepark.trees import RootedTree, _flatten, _labeled_tree, _parents_shape, _shape_parents
+from treepark.trees import RootedTree, _carried_tree, _flatten, _labeled_tree, _parents_shape, _shape_parents
 
+from reference_decode import piecewise_decode
 from reference_encode import fenwick_encode
 
 # the standard form of the figure pair (tree 0 3 4 1 4, preferences 2 5 3 5 2)
@@ -383,6 +384,18 @@ class TestDecomposeInvariants:
             "    treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
             "except InvariantError:\n"
             "    print('raised')\n"
+            "treepark.bijections._image = image\n"
+            "merge = treepark.bijections._merge\n"
+            "treepark.bijections._merge = lambda parts: [found[:-1] for found in merge(parts)]\n"
+            "try:\n"
+            "    decode_prime(treepark.parse_plane_tree('*[1 3 4[2]]'))\n"
+            "except InvariantError as caught:\n"
+            "    print('raised', caught.tree.parents, caught.prefs)\n"
+            "treepark.bijections._merge = merge\n"
+            "try:\n"
+            "    decode_prime(treepark.trees._carried_tree((None, 1, 2), ((1, 2), (2,), ())))\n"
+            "except InvariantError as caught:\n"
+            "    print('raised', caught)\n"
         )
         src = Path(treepark.__file__).resolve().parents[1]
         done = subprocess.run(
@@ -392,7 +405,13 @@ class TestDecomposeInvariants:
             text=True,
             check=True,
         )
-        assert done.stdout == "raised\nraised\nraised\n"
+        assert done.stdout.splitlines() == [
+            "raised",
+            "raised",
+            "raised",
+            "raised (2, 4, 4, 5, 0) (1, 3, 2, 1)",
+            "raised each vertex takes one post-order label (witness: parents (0, 0, 0), prefs (0, 0, 0, 0))",
+        ]
 
     def test_needs_two_vertices(self):
         with pytest.raises(InputError, match="at least 2 vertices"):
@@ -410,6 +429,26 @@ class TestStandardizeInvariant:
             standardize(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
         assert caught.value.tree.parents == (0, 3, 4, 1, 4)
         assert caught.value.prefs == (2, 5, 3, 5, 2)
+
+
+class TestDecodeInvariants:
+    """The decoder's two O(n) checks raise with the pair it decoded as the
+    witness.  The figure tree's root has three children, so its lists go
+    through ``_merge``."""
+
+    def test_each_driver_takes_one_preference(self, monkeypatch):
+        # a merge that loses its last entry leaves a driver without a preference
+        merge = treepark.bijections._merge
+        monkeypatch.setattr(treepark.bijections, "_merge", lambda parts: [found[:-1] for found in merge(parts)])
+        with pytest.raises(InvariantError, match="each driver takes one preference") as caught:
+            decode_prime(parse_plane_tree("*[1 3 4[2]]"))
+        assert (caught.value.tree.parents, caught.value.prefs) == ((2, 4, 4, 5, 0), (1, 3, 2, 1))
+
+    def test_each_vertex_takes_one_label(self):
+        # flat arrays that hang vertex 2 below both 0 and 1: it is listed twice
+        doctored = _carried_tree((None, 1, 2), ((1, 2), (2,), ()))
+        with pytest.raises(InvariantError, match="each vertex takes one post-order label"):
+            decode_prime(doctored)
 
 
 class TestPathInvariants:
@@ -787,9 +826,50 @@ class TestAgainstTheFenwickEncoder:
             self.check(random_plane_tree(rng, n))
 
 
+class TestAgainstThePiecewiseDecoder:
+    """The decoding gives what the piece-by-piece decoder it replaced gave
+    (``reference_decode``), bit for bit: every labeled plane tree to six
+    vertices, seeded random pairs, and the shapes that made that decoder
+    slow, at 10^3 vertices."""
+
+    @staticmethod
+    def check(plt):
+        sp = decode_prime(plt)
+        parents, prefs = piecewise_decode(*_flatten(plt))
+        assert (_checked(sp)[0], sp.prefs) == (parents, tuple(prefs)), format_plane_tree(plt)
+
+    def test_every_labeled_plane_tree_to_six(self):
+        total = 0
+        for n in range(1, 7):
+            for plt in enumerate_labeled_plane_trees(n):
+                self.check(plt)
+                total += 1
+        assert total == sum(factorial(n - 1) * catalan_number(n - 1) for n in range(1, 7)) == 5412
+
+    def test_random_pairs(self):
+        rng = random.Random(20181101)
+        for _ in range(300):
+            self.check(random_plane_tree(rng, rng.randint(2, 400)))
+
+    @pytest.mark.parametrize("shape", [shuffled_path, star_tree, caterpillar_tree])
+    def test_shapes_at_a_thousand(self, shape):
+        self.check(shape(random.Random(1000), 1000))
+
+    @pytest.mark.parametrize("few", [0, 1, 3])
+    def test_merges_by_sorting(self, monkeypatch, few):
+        # with the cut set low, most merges sort instead of inserting
+        monkeypatch.setattr(treepark.bijections, "_FEW", few)
+        for n in range(1, 6):
+            for plt in enumerate_labeled_plane_trees(n):
+                self.check(plt)
+        rng = random.Random(few)
+        for _ in range(30):
+            self.check(random_plane_tree(rng, rng.randint(2, 200)))
+
+
 class TestGrowth:
-    """10^4-vertex paths and star, and a 3000-vertex caterpillar, through
-    both maps (no timing: the bench measures)."""
+    """10^4-vertex paths, star, caterpillar and random pair through both maps
+    (no timing: the bench measures)."""
 
     N = 10**4
 
@@ -809,7 +889,7 @@ class TestGrowth:
         assert len(set(tree.parents)) == self.N  # no vertex has two children: a path
         assert prime_to_pair(tree, prefs) == (tuple(word), plt)
 
-    @pytest.mark.parametrize("shape, n", [(star_tree, N), (caterpillar_tree, 3000)])
+    @pytest.mark.parametrize("shape, n", [(star_tree, N), (caterpillar_tree, N), (random_plane_tree, N)])
     def test_star_and_caterpillar(self, shape, n):
         rng = random.Random(n)
         plt, word = shape(rng, n), list(range(1, n + 1))
