@@ -171,19 +171,18 @@ class Component:
     piece: StandardPrime  # the pair, relabeled by rank to its own scale
 
 
-def _right_siblings(parents: Sequence[int]) -> list[int]:
-    """The sibling table of a post-order parent array (slot 0 unused): entry
-    v is the next sibling to the right of v, or 0.  Siblings carry
-    increasing labels from left to right."""
-    right = [0] * len(parents)
-    last = [0] * len(parents)  # each vertex's latest child so far
+def _sibling_pairs(parents: Sequence[int]) -> list[tuple[int, int]]:
+    """Each pair (u, v) of a post-order parent array (slot 0 unused) with v
+    the next sibling right of u.  Siblings carry increasing labels from left
+    to right, so one sweep meets each child just after its left sibling."""
+    last, pairs = [0] * len(parents), []  # last: each vertex's latest child so far
     for v in range(1, len(parents)):
         p = parents[v]
         if p:
-            right[last[p]] = v  # a first child lands in slot 0, cleared below
+            if last[p]:
+                pairs.append((last[p], v))
             last[p] = v
-    right[0] = 0
-    return right
+    return pairs
 
 
 def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) -> int | None:
@@ -193,16 +192,10 @@ def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) ->
 
     ``parents`` is a post-order parent array (slot 0 unused); vertices whose
     entry is 0 have no parent edge to order, and every other edge must have
-    been crossed.  Siblings carry increasing labels from left to right, so
-    one sweep meets each child just after its left sibling.
+    been crossed.  Siblings are paired by :func:`_sibling_pairs`, as in the
+    census's standard search; a path builds no table of crossing times.
     """
-    last, pairs = [0] * len(parents), []  # last: each vertex's latest child so far
-    for v in range(1, len(parents)):
-        p = parents[v]
-        if p:
-            if last[p]:
-                pairs.append((last[p], v))
-            last[p] = v
+    pairs = _sibling_pairs(parents)
     if not pairs:
         return None
     tick = [0] * len(parents)

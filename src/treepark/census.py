@@ -11,10 +11,10 @@ the bound raised by one yields the prime ones.  The standard-pair column
 searches a prime vector's orderings on each plane tree, prefix by prefix,
 and only the round-trip suite spells a vector's sequences out.  The census
 still walks every labeled tree, but keeps only its isomorphism class and
-decides the vectors once per class met in a call, on the class's own code
-read as a plane shape: relabeling a tree permutes its vectors and keeps
-each vector's weight, so a tree's parking and prime totals depend only on
-its unlabeled shape.  The walk meets each Pruefer word's n rootings back to
+decides the vectors once per class met in a call, on the first tree of the
+class it met: relabeling a tree permutes its vectors and keeps each
+vector's weight, so a tree's parking and prime totals depend only on its
+unlabeled shape.  The walk meets each Pruefer word's n rootings back to
 back, and the first one met gets two passes: its class codes bottom up,
 then every vertex's code as root top down.  The tree space can be sharded:
 ``shard=(k, m)`` keeps the trees (or shapes) whose enumeration index is
@@ -25,7 +25,6 @@ pattern suite builds its 132-avoiders instead of filtering all n! words.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import count, islice, permutations, product
 from math import factorial, prod
@@ -36,7 +35,7 @@ from .bijections import (
     _check_standard,
     _encode,
     _flat_parents,
-    _right_siblings,
+    _sibling_pairs,
     borie_map,
     decode_prime,
     labeled_path,
@@ -46,7 +45,6 @@ from .bijections import (
 from .errors import InputError, InvalidShardError, LimitExceededError, _at_least, _ints
 from .series import catalan_number, closed_counts
 from .trees import (
-    PlaneShape,
     _bottom_up,
     _flatten,
     _shape_parents,
@@ -55,7 +53,7 @@ from .trees import (
     enumerate_rooted_trees,
     format_plane_tree,
     format_rooted_tree,
-    path_shape,
+    path_tree,
 )
 
 CENSUS_COLUMNS = (
@@ -136,8 +134,8 @@ def _standard_orderings(parents: Sequence[int], counts: Sequence[int]) -> int:
     and undoes the step on the way back.  A prime sequence crosses every
     edge, so it is standard unless some driver crosses an edge while its
     right sibling's edge is still uncrossed (the rule of
-    ``bijections._out_of_crossing_order``, on the same sibling table); a
-    prefix is cut at the first such crossing.
+    ``bijections._out_of_crossing_order``, on the same ``_sibling_pairs``);
+    a prefix is cut at the first such crossing.
 
     The state after a prefix depends only on how many of its drivers
     prefer each vertex: a vertex is occupied once a driver reaches it, and
@@ -146,7 +144,9 @@ def _standard_orderings(parents: Sequence[int], counts: Sequence[int]) -> int:
     So the standard completions of a prefix are counted once per count
     vector of the drivers still to come.
     """
-    right = _right_siblings(parents)
+    right = [0] * len(parents)  # each vertex's right sibling, 0 for none
+    for u, v in _sibling_pairs(parents):
+        right[u] = v
     taken = [False] * len(parents)  # slot 0, above the root, is never taken
     crossed = [True] + [False] * (len(parents) - 1)  # slot 0 stands for no right sibling
     left = list(counts)
@@ -198,18 +198,17 @@ class _Weights(dict):
         return weight
 
 
-def _class_shapes(n: int, shard: tuple[int, int]) -> Counter:
+def _classes(n: int, shard: tuple[int, int]) -> dict[tuple[int, ...], int]:
     """How many of the n-vertex rooted trees in the walk's ``shard=(k, m)``
     (the trees whose enumeration index is congruent to k mod m) fall in each
-    isomorphism class, keyed by the class's code read as a plane shape (the
-    AHU encoding).
+    isomorphism class, keyed by the parent list ``(0,) + tree.parents`` of
+    the first tree of that class met in the shard.
 
     Each class of subtree met gets a small id j and stands for the weight
     2^(b j), with b the bit length of n.  A vertex's key is the sum of its
     children's weights: the multiset of their ids, one b-bit digit per id
     (no vertex has n children), so equal keys are equal classes and no
     child list is sorted.  A tree's class is the weight of its root's key.
-    The nested shape of each class met is built once, from the table of keys.
 
     The walk yields each Pruefer word's n rootings back to back, so tree i
     is word i // n rooted at i % n + 1.  The first tree of a word met in the
@@ -221,9 +220,8 @@ def _class_shapes(n: int, shard: tuple[int, int]) -> Counter:
     then reads its class off that table.
     """
     which, mod = shard
-    bits = n.bit_length()
-    weights = _Weights(bits)
-    roots: Counter = Counter()
+    weights = _Weights(n.bit_length())
+    met: dict[int, list] = {}  # class weight -> [the parent list of its first tree, its trees]
     word = -1
     walk = islice(enumerate_rooted_trees(n), which, None, mod)
     for i, tree in zip(count(which, mod), walk):
@@ -237,15 +235,11 @@ def _class_shapes(n: int, shard: tuple[int, int]) -> Counter:
             as_root = key[:]  # the root's key as root is its own key
             for v in reversed(order[:-1]):
                 as_root[v] = key[v] + weights[as_root[up[v]] - weights[key[v]]]
-        roots[weights[as_root[i % n + 1]]] += 1
-    shapes: dict[int, PlaneShape] = {}  # weight -> shape, in order of ids
-    digit = (1 << bits) - 1
-    for multiset, named in weights.items():
-        below = list(shapes.values())  # every id a child of this one can have
-        shapes[named] = tuple(
-            below[j] for j in range(len(below)) for _ in range(multiset >> (bits * j) & digit)
-        )
-    return Counter({shapes[named]: trees for named, trees in roots.items()})
+        named = weights[as_root[i % n + 1]]
+        if named not in met:
+            met[named] = [(0,) + tree.parents, 0]
+        met[named][1] += 1
+    return dict(met.values())
 
 
 def _sequences(counts: Sequence[int]) -> int:
@@ -279,8 +273,7 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
     which, mod = (min(entry, n ** (n - 1)) for entry in which_mod)
 
     counts = dict.fromkeys(CENSUS_COLUMNS, 0)
-    for shape, trees in _class_shapes(n, (which, mod)).items():
-        parents = _shape_parents(shape)
+    for parents, trees in _classes(n, (which, mod)).items():
         parks, primes = (list(_parking_vectors(parents, least)) for least in (0, 1))
         leaves = _leaf_count(parents)
         row = (
@@ -444,7 +437,7 @@ def theorem53_suite(n: int) -> SuiteReport:
     start = time.perf_counter()
     failures: list[str] = []
     cases = 0
-    path = _shape_parents(path_shape(n + 1))
+    path = [0, *path_tree(n + 1).parents]
     letters = list(range(1, n + 1))
     seen: set[tuple[int, ...]] = set()
     for word in _avoiders_132(n):
@@ -478,7 +471,7 @@ def path_image_suite(n: int) -> SuiteReport:
     failures: list[str] = []
     seen: set[tuple[int, ...]] = set()
     cases = 0
-    path = _shape_parents(path_shape(n + 1))  # every case encodes this flat pair's tree
+    path = [0, *path_tree(n + 1).parents]  # every case encodes this flat pair's tree
     ranges = [range(1, 2)] + [range(1, i) for i in range(2, n + 2)]
     for seq in product(*ranges):
         cases += 1

@@ -16,7 +16,7 @@ The two nested types are walked in one place each, into a flat form that
 every other reader takes: :func:`_shape_parents` turns a plane shape into
 its post-order parent array, and :func:`_flatten` turns a labeled plane tree
 into pre-order label and child arrays; both refuse a vertex of the wrong
-type.  Only ``repr`` of a shape walks a nested value itself.  A rooted tree
+type.  ``repr`` and the labeled enumeration walk a shape too.  A rooted tree
 is walked in one place, :func:`_bottom_up`, over its parent list with slot 0
 unused, and a public function checks one it is given with :func:`_check_tree`.
 
@@ -442,16 +442,19 @@ def post_order_relabel(t: LabeledPlaneTree) -> tuple[tuple[int, ...], LabeledPla
 
 def enumerate_labeled_plane_trees(n: int) -> Iterator[LabeledPlaneTree]:
     """All Catalan(n-1) * (n-1)! plane trees with non-root labels from [n-1]:
-    each shape in turn, with every word of [n-1] written on it in pre-order."""
+    each shape in turn, with every word of [n-1] written on it in pre-order.
+    Each shape's :func:`_flatten` child arrays are read off it with one stack."""
     for shape in enumerate_plane_trees(n):
-        # The shape unlabeled, built in post-order (slot 0 collects the root), then flattened.
-        parents = _shape_parents(shape)
-        below: list[list[LabeledPlaneTree]] = [[] for _ in parents]
-        for v in range(1, n + 1):
-            below[parents[v]].append(LabeledPlaneTree(None, tuple(below[v])))
-        _, kids = _flatten(below[0][0])
+        kids: list[list[int]] = [[]]  # in pre-order, the root first
+        stack = [(c, 0) for c in reversed(shape)]  # shapes still to visit, with their parents
+        while stack:
+            node, p = stack.pop()
+            kids[p].append(len(kids))  # node's id, the next one free
+            kids.append([])
+            stack += ((c, len(kids) - 1) for c in reversed(node))
+        flat = tuple(map(tuple, kids))
         for word in permutations(range(1, n)):
-            yield _carried_tree((None, *word), kids)
+            yield _carried_tree((None, *word), flat)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +510,9 @@ def format_word(word: Sequence[int]) -> str:
 
 def format_plane_tree(t: LabeledPlaneTree) -> str:
     labels, kids = _flatten(t)
+    for label in labels:  # another label writes text that parses to another tree, or to none
+        if label is not None and (type(label) is not int or label < 0):
+            raise InputError(f"plane tree: label {label!r} is neither None nor an integer >= 0")
     depth = [0] * len(labels)
     for i, below in enumerate(kids):
         for c in below:

@@ -8,8 +8,10 @@ The nested class code names a tree's isomorphism class by sorted nested
 tuples.  The package interns each subtree class as a small id instead.
 
 The simulated standard column parks every prime sequence on each plane
-tree and checks the sibling order of the whole run.  The package searches
-the orderings of each prime vector prefix by prefix instead.
+tree and checks the sibling order of the whole run by its own rule
+(``crossing_ordered``).  The package searches the orderings of each prime
+vector prefix by prefix instead, and pairs siblings with
+``bijections._sibling_pairs``.
 
 The two-loop round-trip suite runs both composites of the maps on every
 object, from each side.  The package runs each map once per object and
@@ -32,7 +34,6 @@ from treepark import (
     format_rooted_tree,
 )
 from treepark import bijections
-from treepark.bijections import _out_of_crossing_order
 from treepark.census import CENSUS_COLUMNS, _iter_primes, _prime_sequences
 from treepark.parking import run_parking
 from treepark.trees import _bottom_up, _shape_parents, _subtree_sums
@@ -50,15 +51,27 @@ def shape_code(tree):
     return below[0][0]
 
 
+def crossing_ordered(parents, crossings):
+    """Whether the run whose crossing log is ``crossings`` leaves the
+    post-order labeled shape ``parents`` (slot 0 unused) standard: list each
+    vertex's children by ascending label, left to right, and each child's
+    edge must be first crossed after its right sibling's."""
+    first = {}
+    for i, (child, _) in enumerate(crossings):
+        first.setdefault(child, i)
+    children = [[] for _ in parents]
+    for v in range(1, len(parents)):
+        if parents[v]:
+            children[parents[v]].append(v)
+    return all(first[left] > first[right] for kids in children for left, right in zip(kids, kids[1:]))
+
+
 def simulated_standard_count(shape):
     """How many prime sequences form a standard pair with the post-order
     labeled shape: each one simulated, its whole run checked for order."""
     parents = _shape_parents(shape)
     tree = RootedTree(tuple(parents[1:]))
-    return sum(
-        _out_of_crossing_order(parents, run_parking(tree, seq).crossings) is None
-        for seq in _prime_sequences(parents)
-    )
+    return sum(crossing_ordered(parents, run_parking(tree, seq).crossings) for seq in _prime_sequences(parents))
 
 
 def simulated_standard_column(n, shard=(0, 1)):
@@ -96,7 +109,7 @@ def reference_standard_primes(shape, buckets):
     for seqs, slack in reference_slacks(parents, buckets):
         if slack >= 1:
             for seq in seqs:
-                if _out_of_crossing_order(parents, run_parking(tree, seq).crossings) is None:
+                if crossing_ordered(parents, run_parking(tree, seq).crossings):
                     yield seq
 
 

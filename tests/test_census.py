@@ -18,6 +18,7 @@ from treepark import (
     InputError,
     InvalidShardError,
     LimitExceededError,
+    catalan_number,
     census,
     census_counts,
     enumerate_plane_trees,
@@ -29,6 +30,7 @@ from treepark import (
 )
 import reference_census
 from reference_census import (
+    crossing_ordered,
     reference_buckets,
     reference_counts,
     reference_roundtrip,
@@ -38,11 +40,11 @@ from reference_census import (
     simulated_standard_column,
     simulated_standard_count,
 )
-from treepark.bijections import _avoids_132
+from treepark.bijections import _avoids_132, _out_of_crossing_order
 from treepark.census import (
     CENSUS_COLUMNS,
     _avoiders_132,
-    _class_shapes,
+    _classes,
     _orderings,
     _parking_vectors,
     _prime_sequences,
@@ -54,12 +56,11 @@ census_module = importlib.import_module("treepark.census")  # the package export
 
 
 def nested_classes(n, start, step):
-    """The classes of one shard of ``_class_shapes``, each keyed by the
-    nested code of its shape: a class's plane representative may list its
-    children in any order, and the nested code sorts them."""
+    """The classes of one shard of ``_classes``, each keyed by the nested
+    code of the tree whose parent list names it: a class's representative
+    may carry any labels, and the nested code forgets them."""
     return Counter({
-        shape_code(RootedTree(tuple(_shape_parents(shape)[1:]))): count
-        for shape, count in _class_shapes(n, (start, step)).items()
+        shape_code(RootedTree(parents[1:])): count for parents, count in _classes(n, (start, step)).items()
     })
 
 
@@ -164,12 +165,12 @@ class TestCensus:
 
     def test_shape_code_names_isomorphism_classes(self):
         # unlabeled rooted trees on n vertices (OEIS A000081)
-        classes = [len(_class_shapes(n, (0, 1))) for n in range(1, 8)]
+        classes = [len(_classes(n, (0, 1))) for n in range(1, 8)]
         assert classes == [1, 1, 2, 4, 9, 20, 48]
 
     @pytest.mark.parametrize("n, start, step", [(n, 0, 1) for n in range(1, 8)] + [(6, 1, 3)])
     def test_class_shapes_match_the_nested_code(self, n, start, step):
-        # each class's shape is a tree of that class, and counts its trees
+        # each class's parent list is a tree of that class, and counts its trees
         assert nested_classes(n, start, step) == Counter(
             map(shape_code, islice(enumerate_rooted_trees(n), start, None, step))
         )
@@ -186,6 +187,25 @@ class TestCensus:
     def test_shards_of_the_rerooted_walk_match_the_bucket_census(self, n, step):
         for start in range(step):
             assert census_counts(n, shard=(start, step)) == reference_counts(n, shard=(start, step)), start
+
+    @pytest.mark.parametrize("n, shard", [(n, shard) for n in range(1, 7) for shard in ((0, 1), (1, 3), (2, 5))])
+    def test_each_class_is_named_by_a_tree_of_its_shard(self, n, shard):
+        start, step = shard
+        walked = {(0,) + tree.parents for tree in islice(enumerate_rooted_trees(n), start, None, step)}
+        keys = list(_classes(n, shard))
+        assert set(keys) <= walked
+        codes = [shape_code(RootedTree(parents[1:])) for parents in keys]
+        assert len(set(codes)) == len(codes)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_only_the_plane_shapes_are_flattened(self, n, monkeypatch):
+        # the class loop takes its parent lists from the walk; only the
+        # standard column flattens a shape, once per plane shape
+        calls = []
+        real = census_module._shape_parents
+        monkeypatch.setattr(census_module, "_shape_parents", lambda shape: calls.append(shape) or real(shape))
+        census_counts(n)
+        assert len(calls) == catalan_number(n - 1)
 
     def test_deterministic(self):
         assert census_counts(3) == census_counts(3)
@@ -206,6 +226,18 @@ class TestStandardSearch:
             parents = _shape_parents(shape)
             searched = sum(_standard_orderings(parents, vector) for vector in _parking_vectors(parents, 1))
             assert searched == simulated_standard_count(shape), shape
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_the_maps_sibling_check_matches_the_reference_rule(self, n):
+        # the search and the maps' check pair siblings with one sweep; the
+        # reference pairs them by its own rule
+        for shape in enumerate_plane_trees(n):
+            parents = _shape_parents(shape)
+            tree = RootedTree(tuple(parents[1:]))
+            for seq in _prime_sequences(parents):
+                crossings = treepark.parking.run_parking(tree, seq).crossings
+                standard = _out_of_crossing_order(parents, crossings) is None
+                assert standard == crossing_ordered(parents, crossings), (shape, seq)
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in (5, 6) for k in range(3)])
     def test_shards_match_the_simulation(self, n, k):
@@ -457,12 +489,19 @@ class TestPathImageSuite:
 
 @pytest.mark.parametrize("suite, n", [(roundtrip_suite, 4), (path_image_suite, 6), (theorem53_suite, 7)])
 def test_suites_build_no_nested_tree(suite, n, monkeypatch):
-    # the suites read every labeled plane tree through its flat form
+    # the suites read every labeled plane tree through its flat form, and
+    # build none to be flattened
     calls = []
     real = treepark.trees._labeled_tree
     monkeypatch.setattr(treepark.trees, "_labeled_tree", lambda *flat: calls.append(flat) or real(*flat))
+    built = []
+    init = treepark.trees.LabeledPlaneTree.__init__
+    monkeypatch.setattr(
+        treepark.trees.LabeledPlaneTree, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+    )
     assert suite(n).passed
     assert calls == []
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,15 @@ REPRODUCTIONS = [
     ("format-plane-tree-none", lambda: format_plane_tree(None), InputError, "None"),
     ("format-word-none", lambda: format_word(None), InputError, "None"),
     ("children-not-a-tuple", lambda: format_plane_tree(LabeledPlaneTree(1, None)), InputError, "None"),
+    (
+        "format-plane-tree-text-label",
+        lambda: format_plane_tree(LabeledPlaneTree(None, (LabeledPlaneTree("2[3]"),))),
+        InputError,
+        "'2[3]'",
+    ),
+    ("plane-tree-repr-bool-label", lambda: repr(LabeledPlaneTree(True)), InputError, "True"),
+    ("format-plane-tree-negative-label", lambda: format_plane_tree(LabeledPlaneTree(-5)), InputError, "-5"),
+    ("format-plane-tree-float-label", lambda: format_plane_tree(LabeledPlaneTree(1.5)), InputError, "1.5"),
     ("encode-none", lambda: encode_prime(None), NotStandardPrimeError, "None"),
     ("series-none", lambda: Series((None,)), InputError, "None"),
     ("identity-list", lambda: check_identity(["x"], 3), InputError, "['x']"),
