@@ -11,12 +11,19 @@ everything against brute-force censuses at small sizes.
 ``import treepark`` runs none of its layers.  Each of ``errors``,
 ``trees``, ``parking``, ``bijections``, ``series`` and ``census`` waits in
 ``sys.modules`` as a lazy module (``importlib.util.LazyLoader``) that runs
-on its first attribute read, so a command line process pays only for the
-layers its subcommand uses.  The first exported name read from the package
-itself (PEP 562) binds every export of every layer here, and from then on
-the namespace is the one an eager import gives.  ``treepark.census`` is the
-census function under every import order; the module is
-``sys.modules["treepark.census"]``, or ``importlib.import_module("treepark.census")``.
+on its first attribute read, so a process pays only for the layers it
+uses.  The first name read from the package itself (PEP 562) binds every
+export of the layer that owns it, and that layer's imports run the layers
+it needs: ``tp.closed_counts`` runs ``errors`` and ``series``,
+``tp.pair_to_prime`` runs ``errors``, ``trees``, ``parking`` and
+``bijections``, and ``tp.census`` runs all six.  ``from treepark import *``
+reads every name, so it leaves the namespace an eager import gives.  In a
+fresh interpreter (2-vCPU VM, Python 3.11.7) the first read of a ``series``
+name costs about 59 ms of CPU, and of ``tp.census`` 82 ms, against 37 ms
+for ``python -c pass``.
+``treepark.census`` is the census function under every import order; the
+module is ``sys.modules["treepark.census"]``, or
+``importlib.import_module("treepark.census")``.
 """
 
 # The names each layer exports through the package, layers in the order
@@ -143,18 +150,18 @@ def _lazy(layer: str):
 _LAYERS = {layer: _lazy(layer) for layer in _EXPORTS}
 globals().update({layer: _LAYERS[layer] for layer in _MODULES})
 
-__all__ = [*_MODULES, *(name for names in _EXPORTS.values() for name in names)]
+_OWNER = {name: layer for layer, names in _EXPORTS.items() for name in names}
+__all__ = [*_MODULES, *_OWNER]
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """The first exported name read binds every export of every layer (PEP 562)."""
-    if name not in __all__:
+    """The first name read from a layer binds every export of that layer (PEP 562)."""
+    layer = _OWNER.get(name)
+    if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    namespace = globals()
-    for layer, names in _EXPORTS.items():
-        module = _LAYERS[layer]
-        namespace.update({export: getattr(module, export) for export in names})
+    module, namespace = _LAYERS[layer], globals()
+    namespace.update({export: getattr(module, export) for export in _EXPORTS[layer]})
     return namespace[name]
 
 

@@ -76,7 +76,6 @@ from .trees import (
     _shape_repr,
     check_permutation,
     inverse_permutation,
-    path_shape,
     path_tree,
 )
 
@@ -756,8 +755,11 @@ def labeled_path(word: Sequence[int]) -> LabeledPlaneTree:
 
 
 def standard_path_prime(prefs: Sequence[int]) -> StandardPrime:
-    """Wrap a preference sequence on the n-spot path as a standard pair."""
+    """Wrap a prime preference sequence on the n-spot path as a standard
+    pair, checked here once; raises :class:`NotStandardPrimeError` if it is
+    not prime there.  A path has no siblings to order."""
     prefs = _ints(prefs, LabelOutOfRangeError, "driver {}: preference", 1)
     if not prefs:
         raise VertexOutOfRangeError(f"the path needs at least one vertex, got preferences {prefs}")
-    return StandardPrime(path_shape(len(prefs)), prefs)
+    parents = [0, *path_tree(len(prefs)).parents]
+    return _standard_prime(parents, *_check_standard(parents, prefs))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import TreeParkError, UsageError
@@ -45,7 +44,8 @@ CENSUS_CAP = 7  # census.CAPS["census"]
 def _payload(value: str) -> str:
     if value.startswith("@"):
         try:
-            return Path(value[1:]).read_text()
+            with open(value[1:]) as payload:
+                return payload.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {value[1:]!r}: {exc}") from exc
     return value

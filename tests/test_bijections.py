@@ -287,6 +287,16 @@ class TestOneSimulation:
         decompose(FIG_SP)
         assert simulations == [(1, 3, 2, 3, 1)]
 
+    def test_standard_path_prime(self, simulations, monkeypatch):
+        # checked once where it is built, and read off that run: no shape walk
+        walks = []
+        real = treepark.bijections._shape_parents
+        monkeypatch.setattr(treepark.bijections, "_shape_parents", lambda shape: walks.append(shape) or real(shape))
+        sp = standard_path_prime((1, 1, 2, 3))
+        assert check_standard_prime(sp) == check_standard_prime(sp) == 4
+        assert encode_prime(sp) == labeled_path((3, 2, 1))  # path_preimage_seq((3, 2, 1)) == (1, 1, 2, 3)
+        assert (simulations, walks) == ([(1, 1, 2, 3)], [])
+
 
 def with_spots(spots):
     """The package's simulation with its log kept and its spots replaced."""

@@ -89,6 +89,8 @@ REPRODUCTIONS = [
     ("park-list-parents", lambda: park(RootedTree([2, 0]), (1, 1)), InputError, "[2, 0]"),
     ("subtree-size-float", lambda: subtree_size(path_tree(3), 1.5), VertexOutOfRangeError, "1.5"),
     ("standard-path-prime-empty", lambda: standard_path_prime(()), VertexOutOfRangeError, "()"),
+    ("standard-path-prime-not-prime", lambda: standard_path_prime((2, 2)), NotStandardPrimeError, "not prime"),
+    ("standard-path-prime-zero-first", lambda: standard_path_prime((2, 0)), LabelOutOfRangeError, "0"),
     ("format-plane-tree-none", lambda: format_plane_tree(None), InputError, "None"),
     ("format-word-none", lambda: format_word(None), InputError, "None"),
     ("children-not-a-tuple", lambda: format_plane_tree(LabeledPlaneTree(1, None)), InputError, "None"),

@@ -1,8 +1,9 @@
 """The package loads its layers lazily: ``import treepark`` runs none, each
-CLI subcommand runs only the layers it uses, and the first exported name
-read from the package loads them all, leaving the namespace an eager import
-gives.  Each check that depends on what is loaded runs in a fresh
-interpreter and reads ``type(sys.modules[name])``, which loads nothing."""
+CLI subcommand runs only the layers it uses, and the first name read from a
+layer through the package runs that layer's imports alone and binds that
+layer's exports.  ``from treepark import *`` still leaves the namespace an
+eager import gives.  Each check that depends on what is loaded runs in a
+fresh interpreter and reads ``type(sys.modules[name])``, which loads nothing."""
 
 import inspect
 import json
@@ -114,14 +115,49 @@ def test_help_runs_no_series_or_census_code():
     assert loaded == {"errors"}
 
 
-@pytest.mark.parametrize("name", ["TreeParkError", "path_tree", "park", "StandardPrime", "Series", "census"])
-def test_the_first_name_read_runs_every_layer(name):
+# One export of each layer, the layer, and the layers its imports run.
+FIRST_READS = {
+    "TreeParkError": ("errors", {"errors"}),
+    "path_tree": ("trees", {"errors", "trees"}),
+    "park": ("parking", {"errors", "trees", "parking"}),
+    "StandardPrime": ("bijections", {"errors", "trees", "parking", "bijections"}),
+    "Series": ("series", {"errors", "series"}),
+    "census": ("census", LAYERS),
+}
+
+
+@pytest.mark.parametrize("name", list(FIRST_READS))
+def test_the_first_name_read_runs_only_its_layer(name):
+    layer, closure = FIRST_READS[name]
     result, loaded = fresh(
         f"import treepark\nvalue = treepark.{name}\n"
-        f"result = sorted(set(treepark.__all__) - set(vars(treepark)))"
+        f"result = [value is getattr(sys.modules['treepark.{layer}'], {name!r}),"
+        f" sorted(set(treepark.__all__) & set(vars(treepark)))]"
+    )
+    assert loaded == closure
+    same, bound = result
+    assert same
+    # the five layer modules are bound from the start; of the exports, only the layer's
+    assert set(bound) == set(treepark._MODULES) | set(treepark._EXPORTS[layer])
+
+
+def test_every_export_is_listed_by_one_layer_and_resolves():
+    listed = [name for names in treepark._EXPORTS.values() for name in names]
+    assert len(listed) == len(set(listed))
+    assert treepark.__all__ == [*treepark._MODULES, *listed]
+    for layer, names in treepark._EXPORTS.items():
+        module = sys.modules[f"treepark.{layer}"]
+        for name in names:
+            assert getattr(treepark, name) is getattr(module, name), name
+
+
+def test_a_star_import_runs_every_layer_and_binds_every_export():
+    result, loaded = fresh(
+        "from treepark import *\nimport treepark\n"
+        "result = sorted(set(treepark.__all__) - set(vars(treepark)))"
     )
     assert loaded == LAYERS
-    assert result == []  # every export is bound in the package itself
+    assert result == []
 
 
 @pytest.mark.parametrize(

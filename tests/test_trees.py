@@ -1,6 +1,7 @@
 """Tree representations, validation, traversal, and enumeration."""
 
 import heapq
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -83,6 +84,34 @@ def reference_rooted_trees(n: int):
                         parents[w - 1] = u
                         stack.append(w)
             yield RootedTree(tuple(parents))
+
+
+def reference_compositions(total: int):
+    """Ordered positive parts of ``total``, smallest first part first."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in reference_compositions(total - first):
+            yield (first, *rest)
+
+
+REFERENCE_SHAPES = [(), ((),)]
+
+
+def reference_plane_trees(n: int):
+    """The former enumeration, kept as the oracle of its order: every size up
+    to n built in full and held, a root over the product of the shapes of
+    each composition of n - 1."""
+    while len(REFERENCE_SHAPES) <= n:
+        k = len(REFERENCE_SHAPES)
+        REFERENCE_SHAPES.append(
+            tuple(
+                combo
+                for sizes in reference_compositions(k - 1)
+                for combo in product(*(REFERENCE_SHAPES[size] for size in sizes))
+            )
+        )
+    return REFERENCE_SHAPES[n]
 
 
 def catalan_by_recursion(k: int) -> int:
@@ -190,17 +219,44 @@ class TestEnumeration:
         assert len(trees) == catalan_by_recursion(3) * 6
         assert len(set(trees)) == len(trees)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_labeled_plane_trees_match_a_recursive_reference(self, n):
         def build(shape, labels, label=None):
             return LabeledPlaneTree(label, tuple(build(c, labels, next(labels)) for c in shape))
 
         expected = [
             build(shape, iter(word))
-            for shape in enumerate_plane_trees(n)
+            for shape in reference_plane_trees(n)
             for word in permutations(range(1, n))
         ]
         assert list(enumerate_labeled_plane_trees(n)) == expected
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_plane_trees_come_in_the_former_order(self, n):
+        assert list(enumerate_plane_trees(n)) == list(reference_plane_trees(n))
+
+    @pytest.mark.parametrize("held", [1, 3])
+    def test_streamed_sizes_come_in_the_former_order(self, monkeypatch, held):
+        # with few sizes held, streams nest in streams and restart inside forests
+        monkeypatch.setattr(treepark.trees, "_HELD", held)
+        for n in range(1, 10):
+            assert list(enumerate_plane_trees(n)) == list(reference_plane_trees(n)), n
+
+    def test_a_large_size_streams(self):
+        # n = 14 first: an enumeration that holds every shape fails there, at
+        # ~90 MB, before n = 40 could exhaust memory
+        for n in (14, 40):
+            tracemalloc.start()
+            try:
+                shapes = enumerate_plane_trees(n)
+                first, second = next(shapes), next(shapes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert first == ((),) * (n - 1)  # the star
+            assert second == ((),) * (n - 3) + (((),),)
+            assert peak < 100_000
+        assert len(treepark.trees._SHAPES) <= treepark.trees._HELD + 1  # no streamed size is held
 
 
 class TestPostOrder:
