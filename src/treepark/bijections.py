@@ -62,7 +62,6 @@ from .parking import (
     _preferences,
     _prime_outcome,
     check_preferences,
-    is_prime,
 )
 from .trees import (
     LabeledPlaneTree,
@@ -237,10 +236,12 @@ def _standard_prime(parents: list[int], prefs: tuple[int, ...], outcome: Parking
     return sp
 
 
-def _checked(sp: StandardPrime) -> _Run:
+def _checked(sp: StandardPrime, parents: list[int] | None = None) -> _Run:
     """The flat pair and run of a valid standard pair: the run attached by
-    :func:`_standard_prime`, or else one simulation checks the pair."""
-    parents = _flat_parents(sp)
+    :func:`_standard_prime`, or else one simulation checks the pair.  A
+    caller that has read ``_flat_parents(sp)`` passes it, to walk no shape twice."""
+    if parents is None:
+        parents = _flat_parents(sp)
     return sp.__dict__.get("_run") or (parents, *_check_standard(parents, sp.prefs))
 
 
@@ -318,8 +319,9 @@ def destandardize(
     The permutation is checked first, then the standard pair, as in
     :func:`check_standard_prime`.
     """
-    inv = _inverse_relabeling(word, len(_flat_parents(sp)) - 1)
-    std_parents, prefs, _ = _checked(sp)
+    parents = _flat_parents(sp)
+    inv = _inverse_relabeling(word, len(parents) - 1)
+    std_parents, prefs, _ = _checked(sp, parents)
     return _destandardize(inv, std_parents, prefs)
 
 
@@ -379,10 +381,11 @@ def decompose(sp: StandardPrime) -> list[Component]:
     root's image children in :func:`_image`, in walk order, each with the
     drivers that prefer it, one marked where the walk re-entered.
     """
-    n = len(_flat_parents(sp)) - 1
+    parents = _flat_parents(sp)
+    n = len(parents) - 1
     if n < 2:
         raise InputError(f"the decomposition needs at least 2 vertices, got {n}")
-    parents, prefs, outcome = _checked(sp)
+    parents, prefs, outcome = _checked(sp, parents)
     kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
     components = []
     for c in kids[n]:
@@ -396,59 +399,42 @@ def decompose(sp: StandardPrime) -> list[Component]:
     return components
 
 
-_BLOCK = 1024  # entries per block of a _Shrinking list
+_BLOCK = 4096  # entries per block of a _Shrinking list
 
 
 class _Shrinking:
     """A sorted list of distinct ints that only loses entries, cut into blocks
     of ``_BLOCK``.  A value's block is found by bisecting the blocks' first
-    maxima, which stay separators, so a delete moves at most one block.  A
-    rank's is found on ``gone``, a Fenwick tree (Fenwick 1994) of the entries
-    deleted: entry b > 0 counts those of blocks b - (b & -b) .. b - 1, which
-    held ``_BLOCK`` each.  No rank needs the last block's count."""
+    maxima, which stay separators, and its rank adds up the lengths of the
+    blocks before it; a pop walks the blocks by their lengths.  A delete
+    moves at most one block."""
 
-    __slots__ = ("blocks", "tops", "gone")
+    __slots__ = ("blocks", "tops")
 
     def __init__(self, items: list[int]) -> None:
         self.blocks = [items[:_BLOCK]]
         for i in range(_BLOCK, len(items), _BLOCK):
             self.blocks.append(items[i : i + _BLOCK])
         self.tops = items[_BLOCK - 1 : -1 : _BLOCK] + items[-1:]
-        self.gone = [0] * len(self.blocks)
 
     def rank(self, x: int, drop: bool = False) -> int | None:
         """The rank of x, from 0, or None if x is absent; ``drop`` deletes x."""
-        b, gone = bisect_left(self.tops, x), self.gone
-        block = self.blocks[b] if b < len(gone) else []
+        b, blocks = bisect_left(self.tops, x), self.blocks
+        block = blocks[b] if b < len(blocks) else []
         i = bisect_left(block, x)
         if i == len(block) or block[i] != x:
             return None
         if drop:
             del block[i]
-            j = b + 1
-            while j < len(gone):
-                gone[j] += 1
-                j += j & -j
-        i += b * _BLOCK
-        while b:
-            i -= gone[b]
-            b &= b - 1
-        return i
+        return i + sum(map(len, blocks[:b])) if b else i  # one block: no sum to set up
 
     def pop(self, r: int) -> int:
         """Delete and return the entry of rank r."""
-        gone, b = self.gone, 0
-        step = 1 << (len(gone) - 1).bit_length() >> 1
-        while step:
-            if b + step < len(gone) and step * _BLOCK - gone[b + step] <= r:
-                b += step
-                r -= step * _BLOCK - gone[b]
-            step >>= 1
-        j = b + 1
-        while j < len(gone):
-            gone[j] += 1
-            j += j & -j
-        return self.blocks[b].pop(r)
+        for block in self.blocks:
+            if r < len(block):
+                break
+            r -= len(block)
+        return block.pop(r)
 
 
 def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -> LabeledPlaneTree:
@@ -465,6 +451,8 @@ def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -
     rank with the drivers, as :class:`_Shrinking` lists; other children's
     entries go to fresh ones, so an entry moves O(log n) times.  The pieces
     above stay in: larger, with their final drivers, they change no rank.
+    A list shorter than ``_BLOCK`` is one plain list, where a rank or a pop
+    is one bisection or index and one shift.
     """
     n = len(prefs)
     kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
@@ -735,15 +723,14 @@ def path_preimage_seq(word: Sequence[int]) -> tuple[int, ...]:
     """
     word = check_permutation(word)
     n = len(word)
-    seq = [1]
-    for i in range(2, n + 2):
-        pivot = n + 2 - i  # 1-based position into word
-        below = sum(1 for j in range(pivot + 1, n + 1) if word[j - 1] < word[pivot - 1])
-        seq.append(below + 1)
+    right = _Shrinking(list(range(1, n + 1)))  # the letters not yet passed
+    below = [right.rank(letter, drop=True) for letter in word]  # the smaller letters right of each
+    seq = [1, *(b + 1 for b in reversed(below))]
+    path = path_tree(n + 1)
     if not all(seq[i - 1] <= i - 1 for i in range(2, n + 2)):
-        raise InvariantError("a path preimage must be a growth sequence", path_tree(n + 1), seq)
-    if not is_prime(path_tree(n + 1), seq):
-        raise InvariantError("a path preimage must be prime", path_tree(n + 1), seq)
+        raise InvariantError("a path preimage must be a growth sequence", path, seq)
+    if not _prime_outcome(path, seq)[0]:
+        raise InvariantError("a path preimage must be prime", path, seq)
     return tuple(seq)
 
 

@@ -8,6 +8,7 @@ forms only ever sit on the expected side.
 import ast
 import random
 import re
+import shlex
 import time
 from itertools import permutations, product
 from math import factorial
@@ -30,6 +31,7 @@ from treepark import (
     theorem53_suite,
     used_edges,
 )
+from treepark import cli
 from treepark.census import CAPS, CENSUS_COLUMNS
 from treepark.series import INFORMATIONAL_IDENTITIES
 from treepark.trees import enumerate_rooted_trees, validate_rooted_tree
@@ -246,6 +248,55 @@ def test_readme_library_block():
     assert held == [None] * 15
     assert "residuals exactly zero" in comments[4]
     assert passed is True
+
+
+# Comments of the README's command-line block that describe a command
+# rather than quote a line of its output.
+DESCRIBED = (
+    "OK per identity, INFO for the informational one",
+    "censuses + suites, PASS/FAIL rows",
+    "a named suite refuses sizes above its guard",
+    "census to n=7 (--max-n 7 alone exits 2)",
+)
+
+
+def test_readme_command_line_block(capsys):
+    """Each command of the README's command-line block runs through
+    ``cli.main`` and exits as the block states: 1 where a comment quotes a
+    false property, 0 otherwise, and a variant named "FLAGS alone exits K"
+    (the command without ``--allow-large``, plus FLAGS) exits K.  Every other
+    comment quotes a line of the command's output, spaces and tabs aside."""
+    readme = (Path(treepark.__file__).resolve().parents[2] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = []  # (argv, comments) per command; a comment-only line continues the one above
+    for line in block.splitlines():
+        text, _, comment = line.partition("#")
+        if text.strip():
+            argv = shlex.split(text)
+            assert argv[0] == "treepark", line
+            commands.append((argv[1:], []))
+        if comment.strip():
+            commands[-1][1].append(" ".join(comment.split()))
+    described, quoted = [], 0
+    for argv, comments in commands:
+        code = cli.main(argv)
+        lines = {" ".join(out.split()) for out in capsys.readouterr().out.splitlines()}
+        expected = 0
+        for comment in comments:
+            if comment in DESCRIBED:
+                described.append(comment)
+                variant = re.search(r"\((.*) alone exits (\d)\)", comment)
+                if variant:
+                    alone = [a for a in argv if a != "--allow-large"] + shlex.split(variant[1])
+                    assert cli.main(alone) == int(variant[2]), alone
+                    capsys.readouterr()
+                continue
+            assert comment in lines, (argv, comment)
+            quoted += 1
+            if comment.endswith(": false"):
+                expected = 1
+        assert code == expected, argv
+    assert (len(commands), sorted(described), quoted) == (12, sorted(DESCRIBED), 8)
 
 
 def test_readme_count_table():

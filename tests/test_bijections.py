@@ -55,6 +55,7 @@ from treepark import (
     validate_rooted_tree,
 )
 from treepark.bijections import (
+    _BLOCK,
     Component,
     _Shrinking,
     _avoids_132,
@@ -287,15 +288,27 @@ class TestOneSimulation:
         decompose(FIG_SP)
         assert simulations == [(1, 3, 2, 3, 1)]
 
-    def test_standard_path_prime(self, simulations, monkeypatch):
-        # checked once where it is built, and read off that run: no shape walk
-        walks = []
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        shapes = []
         real = treepark.bijections._shape_parents
-        monkeypatch.setattr(treepark.bijections, "_shape_parents", lambda shape: walks.append(shape) or real(shape))
+        monkeypatch.setattr(treepark.bijections, "_shape_parents", lambda shape: shapes.append(shape) or real(shape))
+        return shapes
+
+    def test_standard_path_prime(self, simulations, walks):
+        # checked once where it is built, and read off that run: no shape walk
         sp = standard_path_prime((1, 1, 2, 3))
         assert check_standard_prime(sp) == check_standard_prime(sp) == 4
         assert encode_prime(sp) == labeled_path((3, 2, 1))  # path_preimage_seq((3, 2, 1)) == (1, 1, 2, 3)
         assert (simulations, walks) == ([(1, 1, 2, 3)], [])
+
+    def test_destandardize_walks_a_hand_built_shape_once(self, simulations, walks):
+        assert destandardize((5, 1, 2, 4, 3), FIG_SP) == (validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
+        assert (simulations, walks) == ([(1, 3, 2, 3, 1)], [FIG_SP.shape])
+
+    def test_decompose_walks_a_hand_built_shape_once(self, simulations, walks):
+        assert len(decompose(FIG_SP)) == 3
+        assert (simulations, walks) == ([(1, 3, 2, 3, 1)], [FIG_SP.shape])
 
 
 def with_spots(spots):
@@ -479,7 +492,7 @@ class TestPathInvariants:
         assert caught.value.prefs == (1, 2)
 
     def test_preimage_checks_primality(self, monkeypatch):
-        monkeypatch.setattr(treepark.bijections, "is_prime", lambda tree, prefs: False)
+        monkeypatch.setattr(treepark.bijections, "_prime_outcome", lambda tree, prefs: (False, None))
         with pytest.raises(InvariantError, match="prime") as caught:
             path_preimage_seq((2, 1))
         assert caught.value.tree.parents == (2, 3, 0)
@@ -489,7 +502,7 @@ class TestPathInvariants:
         probe = (
             "import treepark\n"
             "from treepark import InvariantError, borie_map, path_preimage_seq\n"
-            "treepark.bijections.is_prime = lambda tree, prefs: False\n"
+            "treepark.bijections._prime_outcome = lambda tree, prefs: (False, None)\n"
             "treepark.bijections._increasing_parks = lambda prefs: False\n"
             "for call in (lambda: path_preimage_seq((2, 1)), lambda: borie_map((2, 1))):\n"
             "    try:\n"
@@ -770,9 +783,10 @@ def shuffled_path(rng, n):
 
 class TestShrinking:
     """The block lists against plain sorted lists, with the block size set
-    low so that short lists are cut into many blocks."""
+    low so that short lists are cut into many blocks, and at the earlier block
+    size, 1024, and ``_BLOCK``."""
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024, _BLOCK])
     def test_against_a_plain_list(self, monkeypatch, block):
         monkeypatch.setattr(treepark.bijections, "_BLOCK", block)
         rng = random.Random(block)
@@ -805,10 +819,11 @@ class TestShrinking:
 
 
 class TestAgainstTheFenwickEncoder:
-    """The block lists give what the Fenwick label pass gives, bit for bit,
-    where the root's lists fill one, two and many blocks of 1024."""
+    """The block lists give what the Fenwick label pass gives, bit for bit, at
+    the sizes first checked, 1000-5000, and where the root's lists fill one,
+    two and four blocks of ``_BLOCK``."""
 
-    SIZES = (1000, 2000, 5000)
+    SIZES = (1000, 2000, 5000, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 1)
 
     @staticmethod
     def check(plt):
@@ -825,7 +840,7 @@ class TestAgainstTheFenwickEncoder:
     def test_star(self, n):
         self.check(star_tree(random.Random(n), n))
 
-    @pytest.mark.parametrize("n", (1000, 2000, 3000))
+    @pytest.mark.parametrize("n", (1000, 2000, 3000, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 1))
     def test_caterpillar(self, n):
         self.check(caterpillar_tree(random.Random(n), n))
 
@@ -1243,6 +1258,16 @@ class TestBorieMap:
         assert len(images) == 5
 
 
+def counted_preimage(word):
+    """Oracle: the path preimage by its definition, counting for each place
+    the smaller letters to its right, from the last place to the first."""
+    n = len(word)
+    seq = [1]
+    for pivot in range(n, 0, -1):
+        seq.append(1 + sum(1 for j in range(pivot, n) if word[j] < word[pivot - 1]))
+    return tuple(seq)
+
+
 class TestPathPreimages:
     def test_hand_values(self):
         assert path_preimage_seq((1, 2)) == (1, 1, 1)
@@ -1267,6 +1292,24 @@ class TestPathPreimages:
             for w in permutations(range(1, 5))
         }
         assert len(images) == 24
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_word_against_the_count(self, n):
+        for word in permutations(range(1, n + 1)):
+            assert path_preimage_seq(word) == counted_preimage(word), word
+
+    def test_seeded_words_against_the_count(self):
+        rng = random.Random(1000)
+        for _ in range(5):
+            word = list(range(1, 1001))
+            rng.shuffle(word)
+            assert path_preimage_seq(word) == counted_preimage(word)
+
+    def test_ten_thousand_letters(self):
+        # no timing; at this size the counting loop takes seconds, the block list milliseconds
+        word = list(range(1, 10**4 + 1))
+        random.Random(10**4).shuffle(word)
+        assert encode_prime(standard_path_prime(path_preimage_seq(word))) == labeled_path(word)
 
 
 class TestTheoremAgreement:
