@@ -625,11 +625,15 @@ def _decode(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> tupl
 
 
 def decode_prime(plt: LabeledPlaneTree) -> StandardPrime:
-    """Inverse of :func:`encode_prime`; total on labeled plane trees."""
+    """Inverse of :func:`encode_prime`; total on labeled plane trees, so a
+    decoded pair that is not a standard prime is the decoder's fault."""
     labels, kids = _flatten(plt)
     _check_labels(labels, root_labeled=False)
     parents, prefs = _decode(labels, kids)
-    return _standard_prime(parents, *_check_standard(parents, prefs))
+    try:
+        return _standard_prime(parents, *_check_standard(parents, prefs))
+    except NotStandardPrimeError as exc:
+        raise _broken(parents, prefs, f"the decoded pair is a standard prime, but {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .bijections import (
     pair_to_prime,
     prime_to_pair,
 )
-from .errors import InputError, InvalidShardError, LimitExceededError, _at_least, _ints
+from .errors import InputError, InvalidShardError, LimitExceededError, NotStandardPrimeError, _at_least, _ints
 from .series import catalan_number, closed_counts
 from .trees import (
     _bottom_up,
@@ -390,8 +390,9 @@ def roundtrip_suite(n: int) -> SuiteReport:
         failures.append(f"found {forward} prime pairs, expected {factorial(2 * n - 2)}")
 
     backward = 0
+    plane_trees = list(enumerate_labeled_plane_trees(n))
     for word in permutations(range(1, n + 1)):
-        for plt in enumerate_labeled_plane_trees(n):
+        for plt in plane_trees:
             backward += 1
             back = decoded.get((word, _flatten(plt)))
             if back is True:
@@ -464,7 +465,8 @@ def theorem53_suite(n: int) -> SuiteReport:
 
 def path_image_suite(n: int) -> SuiteReport:
     """Encoding restricted to growth sequences (s_1 = 1, s_i <= i-1) on the
-    (n+1)-spot path is a bijection onto all n! labeled paths."""
+    (n+1)-spot path is a bijection onto all n! labeled paths.  A sequence
+    the standard-pair check refuses is a failure that names it."""
     if _at_least(n, 0, "n", InputError, f"the path-image suite needs n >= 0, got n={n}") > CAPS["paths"]:
         raise LimitExceededError(f"the path-image suite is guarded to n <= {CAPS['paths']}")
     start = time.perf_counter()
@@ -475,7 +477,11 @@ def path_image_suite(n: int) -> SuiteReport:
     ranges = [range(1, 2)] + [range(1, i) for i in range(2, n + 2)]
     for seq in product(*ranges):
         cases += 1
-        labels, kids = _flatten(_encode(path, *_check_standard(path, seq)))
+        try:
+            labels, kids = _flatten(_encode(path, *_check_standard(path, seq)))
+        except NotStandardPrimeError as exc:
+            failures.append(f"seq={seq}: not a standard prime pair: {exc}")
+            continue
         if any(len(k) > 1 for k in kids):
             failures.append(f"seq={seq}: image is not a path")
         else:

@@ -48,7 +48,7 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CycleDetectedError,
@@ -215,56 +215,43 @@ def _compositions(total: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
 
 
-# _SHAPES[k] holds the shapes on k vertices, for k up to _HELD, each size
-# built the first time it is needed; larger sizes are streamed, never held.
-_SHAPES: list[tuple[PlaneShape, ...]] = [(), ((),)]
-_HELD = 8  # Catalan(7) = 429 shapes at the largest held size
-
-
 def enumerate_plane_trees(n: int) -> Iterator[PlaneShape]:
     """All plane-tree shapes on n vertices; there are Catalan(n-1) of them.
 
     A root goes over the forests of each composition of n - 1 in turn, in
-    ``itertools.product`` order.  Above ``_HELD`` vertices the shapes come
-    one at a time, and only the held sizes stay in memory: the first shape
-    of any size is the star, one forest of single vertices."""
+    ``itertools.product`` order.  The shapes come one at a time and none is
+    held, between calls or within one: the first shape of any size is the
+    star, one forest of single vertices."""
     _at_least(n, 1, "n", VertexOutOfRangeError, "need n >= 1")
     yield from _shapes(n)
 
 
-def _shapes(k: int) -> Iterable[PlaneShape]:
-    """The shapes on k >= 1 vertices: a held tuple up to ``_HELD``, else a stream."""
-    if k > _HELD:
-        return _stream(k)
-    while len(_SHAPES) <= k:
-        _SHAPES.append(tuple(_stream(len(_SHAPES))))
-    return _SHAPES[k]
-
-
-def _stream(k: int) -> Iterator[PlaneShape]:
-    """The shapes on k >= 2 vertices, one at a time: the root's forests."""
+def _shapes(k: int) -> Iterator[PlaneShape]:
+    """The shapes on k >= 1 vertices, one at a time: the root's forests."""
+    if k == 1:
+        yield ()
+        return
     for sizes in _compositions(k - 1):
         yield from _forests(sizes)
 
 
 def _forests(sizes: tuple[int, ...]) -> Iterator[tuple[PlaneShape, ...]]:
-    """``product(*map(_shapes, sizes))``, in its order, with each streamed
-    factor run again where product would hold all of its shapes."""
-    i = next((i for i, size in enumerate(sizes) if size > _HELD), None)
-    if i is None:
-        yield from product(*map(_shapes, sizes))
-        return
-    for head in product(*map(_shapes, sizes[:i])):
-        for shape in _shapes(sizes[i]):
-            for tail in _forests(sizes[i + 1:]):
-                yield (*head, shape, *tail)
-
-
-def path_shape(n: int) -> PlaneShape:
-    shape: PlaneShape = ()
-    for _ in range(n - 1):
-        shape = (shape,)
-    return shape
+    """``product(*map(_shapes, sizes))``, in its order, the first tree varying
+    slowest.  A tree's shapes are generated again for each choice of the
+    trees to its left.  The generators sit on a stack, one per tree, so they
+    nest as deep as the shapes, not as long as the forest."""
+    forest: list[PlaneShape] = []  # the shapes chosen left of the last run
+    runs = [_shapes(sizes[0])]
+    while runs:
+        shape = next(runs[-1], None)
+        del forest[len(runs) - 1:]
+        if shape is None:
+            runs.pop()
+        elif len(runs) == len(sizes):
+            yield (*forest, shape)
+        else:
+            forest.append(shape)
+            runs.append(_shapes(sizes[len(runs)]))
 
 
 def _shape_parents(shape: PlaneShape) -> list[int]:

@@ -233,6 +233,26 @@ class TestMarkedSet:
         assert done.stdout == "rejected\n"
 
 
+class TestPieces:
+    """Each piece of the final-driver decomposition is a standard prime of
+    its own size, checked by its own simulation, and the pieces split the
+    non-root vertices and the drivers 1..n-1: on every decoded pair on 2 to
+    6 vertices."""
+
+    def test_every_piece_is_a_standard_prime(self):
+        pairs = pieces = 0
+        for n in range(2, 7):
+            for plt in enumerate_labeled_plane_trees(n):
+                components = decompose(decode_prime(plt))
+                pairs += 1
+                pieces += len(components)
+                for c in components:
+                    assert check_standard_prime(c.piece) == len(c.vertices) == len(c.drivers.elements), c
+                assert sorted(v for c in components for v in c.vertices) == list(range(1, n)), plt
+                assert sorted(d for c in components for d in c.drivers.elements) == list(range(1, n)), plt
+        assert (pairs, pieces) == (5411, 11533)
+
+
 class TestOneSimulation:
     """Each standard-pair check parks the drivers once and reuses the outcome,
     and the encoding and the decomposition read everything off that run.  A
@@ -472,6 +492,22 @@ class TestDecodeInvariants:
         doctored = _carried_tree((None, 1, 2), ((1, 2), (2,), ()))
         with pytest.raises(InvariantError, match="each vertex takes one post-order label"):
             decode_prime(doctored)
+
+    def test_a_decoded_pair_that_is_not_standard_is_a_fault(self, monkeypatch):
+        # a merge that swaps its first and last preference decodes a pair
+        # that is not standard: the decoder's fault, not a bad input
+        merge = treepark.bijections._merge
+
+        def swapped(parts):
+            below, wants = merge(parts)
+            wants[0], wants[-1] = wants[-1], wants[0]
+            return below, wants
+
+        monkeypatch.setattr(treepark.bijections, "_merge", swapped)
+        with pytest.raises(InvariantError, match="decoded pair is a standard prime, but children of vertex 4") as caught:
+            decode_prime(parse_plane_tree("*[1 2[4 5[3]]]"))
+        assert (caught.value.tree.parents, caught.value.prefs) == ((2, 4, 4, 5, 6, 0), (2, 3, 2, 3, 1, 1))
+        assert not isinstance(caught.value, InputError)
 
 
 class TestPathInvariants:

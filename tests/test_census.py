@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import treepark.bijections
 import treepark.parking
 import treepark.trees
 from treepark import (
@@ -382,6 +383,15 @@ class TestRoundtripSuite:
         with pytest.raises(LimitExceededError):
             roundtrip_suite(5)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_lists_the_labeled_plane_trees_once(self, monkeypatch, n):
+        # the backward half reads one list for every permutation
+        calls = []
+        real = census_module.enumerate_labeled_plane_trees
+        monkeypatch.setattr(census_module, "enumerate_labeled_plane_trees", lambda m: calls.append(m) or real(m))
+        assert roundtrip_suite(n).passed
+        assert calls == [n]
+
 
 # Each doctored map, by the name the census module calls it under.
 DOCTORED = {
@@ -481,6 +491,18 @@ class TestPathImageSuite:
     def test_bijection_onto_labeled_paths(self, n):
         report = path_image_suite(n)
         assert report.passed, report.failures[:3]
+
+    def test_a_sequence_that_is_not_standard_is_a_failure(self, monkeypatch):
+        # with the simulation doctored to call every pair not prime, each
+        # growth sequence is recorded by name, and the run ends with a report
+        monkeypatch.setattr(treepark.bijections, "_prime_outcome", lambda tree, prefs: (False, None))
+        report = path_image_suite(2)
+        assert report.cases == 2
+        assert report.failures == (
+            "seq=(1, 1, 1): not a standard prime pair: underlying pair is not prime",
+            "seq=(1, 1, 2): not a standard prime pair: underlying pair is not prime",
+            "images cover 0 labeled paths out of 2",
+        )
 
     def test_guard(self):
         with pytest.raises(LimitExceededError):

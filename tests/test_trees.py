@@ -235,13 +235,6 @@ class TestEnumeration:
     def test_plane_trees_come_in_the_former_order(self, n):
         assert list(enumerate_plane_trees(n)) == list(reference_plane_trees(n))
 
-    @pytest.mark.parametrize("held", [1, 3])
-    def test_streamed_sizes_come_in_the_former_order(self, monkeypatch, held):
-        # with few sizes held, streams nest in streams and restart inside forests
-        monkeypatch.setattr(treepark.trees, "_HELD", held)
-        for n in range(1, 10):
-            assert list(enumerate_plane_trees(n)) == list(reference_plane_trees(n)), n
-
     def test_a_large_size_streams(self):
         # n = 14 first: an enumeration that holds every shape fails there, at
         # ~90 MB, before n = 40 could exhaust memory
@@ -256,7 +249,13 @@ class TestEnumeration:
             assert first == ((),) * (n - 1)  # the star
             assert second == ((),) * (n - 3) + (((),),)
             assert peak < 100_000
-        assert len(treepark.trees._SHAPES) <= treepark.trees._HELD + 1  # no streamed size is held
+
+    def test_a_long_forest_nests_no_deeper_than_its_shapes(self):
+        # the star's forest has n - 1 trees; one generator nested per tree
+        # would pass the default recursion limit of 1000
+        shapes = enumerate_plane_trees(3000)
+        assert next(shapes) == ((),) * 2999
+        assert next(shapes) == ((),) * 2997 + (((),),)
 
 
 class TestPostOrder:

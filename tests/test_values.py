@@ -46,7 +46,7 @@ from treepark import (
     roundtrip_suite,
     standardize,
 )
-from treepark.trees import path_shape
+from treepark.trees import _parents_shape
 
 
 def round_trips(value) -> dict:
@@ -126,7 +126,7 @@ def deep_failures(n: int) -> list[str]:
         "labeled path": path,
         "hand-built path": parse_plane_tree(format_plane_tree(path)),
         "decoded pair": pair,
-        "hand-built pair": StandardPrime(path_shape(n), pair.prefs),
+        "hand-built pair": StandardPrime(_parents_shape([0, *range(2, n + 1), 0]), pair.prefs),
     }
     copies = {name: round_trips(value) for name, value in values.items()}
     failures = ["the decoded pair built its shape"] if "shape" in vars(pair) else []
