@@ -157,32 +157,33 @@ def _cmd_series(args: argparse.Namespace) -> int:
 _COUNT_HEADER = ("n", "F", "P", "Ftilde", "Ptilde", "Pstar", "Fstar")
 
 
-def _count_cells(row) -> tuple[int, ...]:
-    from dataclasses import astuple
+def _table(columns: Sequence[str], rows: list[tuple], fmt: str) -> None:
+    """Print ``rows`` as one compact JSON list of objects keyed by ``columns``,
+    or as TSV: a header, then one tab-joined line per row."""
+    if fmt == "json":
+        import json
 
-    return astuple(row)[: len(_COUNT_HEADER)]
+        print(json.dumps([dict(zip(columns, row)) for row in rows], indent=None, separators=(",", ":")))
+    else:
+        print("\t".join(columns))
+        for row in rows:
+            print("\t".join(map(str, row)))
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    import json
+    from dataclasses import astuple
 
     from .series import closed_counts
 
-    table = closed_counts(args.max)
-    if args.format == "json":
-        payload = [dict(zip(_COUNT_HEADER, _count_cells(row))) for row in table.rows]
-        print(json.dumps(payload, indent=None, separators=(",", ":")))
-    else:
-        print("\t".join(_COUNT_HEADER))
-        for row in table.rows:
-            print("\t".join(str(c) for c in _count_cells(row)))
+    rows = [astuple(row)[: len(_COUNT_HEADER)] for row in closed_counts(args.max).rows]
+    _table(_COUNT_HEADER, rows, args.format)
     return 0
 
 
-def _verify_rows(args: argparse.Namespace) -> list[dict]:
+def _verify_rows(args: argparse.Namespace) -> list[tuple]:
     from .census import CAPS, census, roundtrip_suite, theorem53_suite
 
-    rows: list[dict] = []
+    rows: list[tuple] = []
     suites = ["census", "roundtrip", "thm53"] if args.suite == "all" else [args.suite]
 
     if "census" in suites:
@@ -221,27 +222,19 @@ def _suite_sizes(args: argparse.Namespace, suite: str, default: int) -> range:
 _VERIFY_COLUMNS = ("suite", "n", "metric", "counted", "expected", "status")
 
 
-def _verify_row(suite: str, n: int, metric: str, counted, expected, passed: bool) -> dict:
-    status = "PASS" if passed else "FAIL"
-    return dict(zip(_VERIFY_COLUMNS, (suite, n, metric, counted, expected, status)))
+def _verify_row(suite: str, n: int, metric: str, counted, expected, passed: bool) -> tuple:
+    return suite, n, metric, counted, expected, "PASS" if passed else "FAIL"
 
 
-def _suite_row(report) -> dict:
+def _suite_row(report) -> tuple:
     expected = report.cases if report.passed else report.failures[0]
     return _verify_row(report.name, report.n, "cases", report.cases, expected, report.passed)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
     rows = _verify_rows(args)
-    if args.format == "json":
-        print(json.dumps(rows, indent=None, separators=(",", ":")))
-    else:
-        print("\t".join(_VERIFY_COLUMNS))
-        for row in rows:
-            print("\t".join(str(row[k]) for k in _VERIFY_COLUMNS))
-    return 0 if all(row["status"] == "PASS" for row in rows) else 1
+    _table(_VERIFY_COLUMNS, rows, args.format)
+    return 0 if all(row[-1] == "PASS" for row in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,18 +21,19 @@ is walked in one place, :func:`_bottom_up`, over its parent list with slot 0
 unused, and a public function checks one it is given with :func:`_check_tree`.
 
 A value the package builds from a flat form keeps it, outside the fields,
-so that it is not walked again: a labeled plane tree built by
-:func:`_carried_tree` (the enumeration, the relabeling, the encoder and the
-labeled paths) holds its pre-order arrays, and a standard pair built by the
+so that it is not walked again: every labeled plane tree the package returns
+(parsed, enumerated, relabeled, encoded, or a labeled path) holds its
+pre-order arrays (:func:`_carried_tree`), and a standard pair built by the
 bijections holds its post-order parent array (``bijections._standard_prime``).
 That is safe because both types are frozen and the forms are tuples, or a
 list that nothing mutates: a held form cannot drift from the nested value.
 ``==``, ``hash`` and ``repr`` give what they give on a value built by hand.
 Copies and pickles carry the flat form alone, at any depth, and are rebuilt
-from it by hand, so they hold the fields and no form.  The nested field is
-built only when it is read: a carried tree's ``children`` and a standard
-pair's ``shape``.  A value built by hand holds no form, and is walked and
-checked on every read.
+from it by hand (:func:`_labeled_tree` alone builds nested nodes), so they
+hold the fields and no form.  The nested field is built only when it is read:
+a carried tree's ``children`` and a standard pair's ``shape``.  A value built
+by hand, by calling the class :class:`LabeledPlaneTree` or ``StandardPrime``,
+holds no form, and is walked and checked on every read.
 
 What walks the nested fields itself still recurses, once per level.  At
 the default recursion limit, ``dataclasses.asdict`` and ``astuple`` raise
@@ -558,33 +559,32 @@ def parse_plane_tree(text: str) -> LabeledPlaneTree:
     if not tokens:
         raise InputError("plane tree: empty input")
 
-    # The vertices whose bracket is open, each with the children read so far.
-    open_: list[tuple[int | None, list[LabeledPlaneTree]]] = []
-    root: LabeledPlaneTree | None = None
+    # The pre-order arrays of _flatten, each vertex listed below its parent
+    # when read, and the vertices whose bracket is open.
+    labels: list[int | None] = []
+    kids: list[list[int]] = []
+    open_: list[int] = []
     for i, tok in enumerate(tokens):
-        if root is not None:
+        if labels and not open_:
             raise InputError("plane tree: trailing tokens")
         if tok == "[":
             if i == 0 or tokens[i - 1] in "[]":
                 raise InputError("plane tree: expected a vertex")
-            continue  # opened with the vertex before it
-        if tok == "]":
+        elif tok == "]":
             if not open_:  # the first token
                 raise InputError("plane tree: expected a vertex")
-            label, kids = open_.pop()
-            if not kids:
+            if not kids[open_.pop()]:
                 raise InputError("plane tree: empty bracket pair")
-            node = LabeledPlaneTree(label, tuple(kids))
         else:
-            label = None if tok == "*" else int(tok)
+            try:
+                labels.append(None if tok == "*" else int(tok))
+            except ValueError:  # more digits than ``int`` converts
+                raise InputError(f"plane tree: label {tok[:10]}... of {len(tok)} digits is too long") from None
+            if open_:
+                kids[open_[-1]].append(len(kids))
             if tokens[i + 1 : i + 2] == ["["]:
-                open_.append((label, []))
-                continue
-            node = LabeledPlaneTree(label, ())
-        if open_:
-            open_[-1][1].append(node)
-        else:
-            root = node
+                open_.append(len(kids))
+            kids.append([])
     if open_:
         raise InputError("plane tree: missing closing bracket")
-    return root
+    return _carried_tree(tuple(labels), tuple(map(tuple, kids)))

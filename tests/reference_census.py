@@ -7,9 +7,9 @@ pass.  The package enumerates only the count vectors that park instead.
 The nested class code names a tree's isomorphism class by sorted nested
 tuples.  The package interns each subtree class as a small id instead.
 
-The simulated standard column parks every prime sequence on each plane
-tree and checks the sibling order of the whole run by its own rule
-(``crossing_ordered``).  The package searches the orderings of each prime
+The simulated standard column parks every prime sequence of the buckets on
+each plane tree and checks the sibling order of the whole run by its own
+rule (``crossing_ordered``).  The package searches the orderings of each prime
 vector prefix by prefix instead, and pairs siblings with
 ``bijections._sibling_pairs``.
 
@@ -20,6 +20,7 @@ answers the backward half from the forward half's table.
 
 import importlib
 from collections import Counter
+from functools import cache
 from itertools import islice, permutations, product
 from math import factorial
 
@@ -34,7 +35,7 @@ from treepark import (
     format_rooted_tree,
 )
 from treepark import bijections
-from treepark.census import CENSUS_COLUMNS, _iter_primes, _prime_sequences
+from treepark.census import CENSUS_COLUMNS, _iter_primes
 from treepark.parking import run_parking
 from treepark.trees import _bottom_up, _shape_parents, _subtree_sums
 
@@ -68,10 +69,11 @@ def crossing_ordered(parents, crossings):
 
 def simulated_standard_count(shape):
     """How many prime sequences form a standard pair with the post-order
-    labeled shape: each one simulated, its whole run checked for order."""
-    parents = _shape_parents(shape)
-    tree = RootedTree(tuple(parents[1:]))
-    return sum(crossing_ordered(parents, run_parking(tree, seq).crossings) for seq in _prime_sequences(parents))
+    labeled shape: each one simulated, its whole run checked for order.  The
+    prime sequences come from the n^n buckets, built once per n, not from
+    the package's count vectors."""
+    n = len(_shape_parents(shape)) - 1
+    return sum(1 for _ in reference_standard_primes(shape, _buckets_of_size(n)))
 
 
 def simulated_standard_column(n, shard=(0, 1)):
@@ -88,6 +90,9 @@ def reference_buckets(n):
     for seq in product(range(1, n + 1), repeat=n):
         buckets.setdefault(tuple(seq.count(v) - 1 for v in range(n + 1)), []).append(seq)
     return buckets
+
+
+_buckets_of_size = cache(reference_buckets)  # read, never changed
 
 
 def reference_slacks(up, buckets):

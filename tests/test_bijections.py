@@ -1079,7 +1079,7 @@ class TestCarriedForms:
                 assert copied == hand and vars(copied) == vars(hand)
 
     def assert_tree(self, t, copies=True):
-        hand = parse_plane_tree(format_plane_tree(t))
+        hand = _labeled_tree(*_flatten(t))
         assert "_flat" in vars(t) and "_flat" not in vars(hand)
         assert _flatten(t) == walked(t) == _flatten(hand)
         self.assert_as_by_hand(lambda: t, hand, copies)
@@ -1099,6 +1099,7 @@ class TestCarriedForms:
         for word in [(), (1,), (3, 1, 2), tuple(range(40, 0, -1))]:
             self.assert_tree(labeled_path(word))
         for t in enumerate_labeled_plane_trees(4):
+            self.assert_tree(parse_plane_tree(format_plane_tree(t)))
             self.assert_tree(post_order_relabel(parse_plane_tree(format_plane_tree(t).replace("*", "4")))[1])
 
     @pytest.mark.parametrize("n", range(1, 7))

@@ -140,6 +140,12 @@ class TestMaps:
         code, out, err = run(capsys, "psi-inv", "--perm", "1 2 3", "--ptree", "*[1 *]")
         assert (code, out, err) == (2, "", "error: unlabeled vertex below the root\n")
 
+    def test_psi_inv_refuses_a_label_too_long_to_read(self, capsys):
+        label = "1" + "0" * 4400  # more digits than ``int`` converts by default
+        code, out, err = run(capsys, "psi-inv", "--perm", "1", "--ptree", f"*[{label}]")
+        assert (code, out) == (2, "") and err.startswith("error: plane tree: ")
+        assert "4401 digits" in err and label not in err
+
     def test_borie(self, capsys):
         code, out, _ = run(capsys, "borie", "--perm", "2 1")
         assert code == 0 and out == "seq: 1 2\n"

@@ -7,6 +7,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_parse
 import treepark
 from treepark import (
     CycleDetectedError,
@@ -30,7 +31,7 @@ from treepark import (
     validate_rooted_tree,
 )
 from treepark.errors import InputError
-from treepark.trees import _shape_parents
+from treepark.trees import _flatten, _shape_parents
 
 
 def brute_subtree_size(tree: RootedTree, v: int) -> int:
@@ -338,6 +339,36 @@ class TestPlaneTreeText:
         for bad in ("", "*[", "*[]", "* 1", "*[1] x"):
             with pytest.raises(InputError):
                 parse_plane_tree(bad)
+
+    def test_a_parsed_tree_carries_its_arrays(self):
+        tree = parse_plane_tree("*[6[3] 2[5 4] 8[7[1]]]")
+        assert set(vars(tree)) == {"label", "_flat"}
+        assert _flatten(tree) == ((None, 6, 3, 2, 5, 4, 8, 7, 1), ((1, 3, 6), (2,), (), (4, 5), (), (), (7,), (8,), ()))
+        assert [c.label for c in tree.children] == [6, 2, 8] and "children" in vars(tree)
+
+    def test_matches_the_reference_parser(self):
+        # every string of up to six tokens: the same flat form, or the same error
+        def outcome(parse, text):
+            try:
+                return _flatten(parse(text))
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        alphabet = ("*", "1", "12", "[", "]", " ", "x")
+        texts = ["".join(word) for k in range(7) for word in product(alphabet, repeat=k)]
+        assert len(texts) == 137_257
+        parsed = [outcome(parse_plane_tree, text) for text in texts]
+        assert parsed == [outcome(reference_parse.parse_plane_tree, text) for text in texts]
+        assert sum(type(found[0]) is tuple for found in parsed) == 1050  # the trees among them
+
+    def test_a_label_too_long_to_read(self):
+        # the reference lets ``int``'s own ValueError through
+        text = "*[1" + "0" * 4400 + "]"
+        with pytest.raises(ValueError) as raised:
+            reference_parse.parse_plane_tree(text)
+        assert not isinstance(raised.value, InputError)
+        with pytest.raises(InputError, match=r"^plane tree: label 1000000000\.\.\. of 4401 digits is too long$"):
+            parse_plane_tree(text)
 
     @given(st.integers(1, 5), st.data())
     def test_roundtrip_random(self, n, data):

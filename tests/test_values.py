@@ -46,7 +46,7 @@ from treepark import (
     roundtrip_suite,
     standardize,
 )
-from treepark.trees import _parents_shape
+from treepark.trees import _flatten, _labeled_tree, _parents_shape
 
 
 def round_trips(value) -> dict:
@@ -58,6 +58,11 @@ def round_trips(value) -> dict:
     }
 
 
+def by_hand(text: str) -> LabeledPlaneTree:
+    """The plane tree of ``text`` built by hand: nested nodes, no flat form."""
+    return _labeled_tree(*_flatten(parse_plane_tree(text)))
+
+
 def figure_pair() -> StandardPrime:
     """The standard pair of the figure example."""
     return standardize(parse_rooted_tree("0 3 4 1 4"), (2, 5, 3, 5, 2))[1]
@@ -67,7 +72,7 @@ def figure_pair() -> StandardPrime:
 # of InvariantError: values the package builds, and some built by hand.
 SAMPLES = {
     "RootedTree": lambda: [path_tree(3), parse_rooted_tree("3 3 0")],
-    "LabeledPlaneTree": lambda: [labeled_path((2, 1)), parse_plane_tree("*[1 3[2]]")],
+    "LabeledPlaneTree": lambda: [labeled_path((2, 1)), by_hand("*[1 3[2]]")],
     "StandardPrime": lambda: [
         figure_pair(), decode_prime(parse_plane_tree("*[1 3[2]]")), StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)),
     ],
@@ -124,7 +129,7 @@ def deep_failures(n: int) -> list[str]:
     pair = decode_prime(path)
     values = {
         "labeled path": path,
-        "hand-built path": parse_plane_tree(format_plane_tree(path)),
+        "hand-built path": by_hand(format_plane_tree(path)),
         "decoded pair": pair,
         "hand-built pair": StandardPrime(_parents_shape([0, *range(2, n + 1), 0]), pair.prefs),
     }
@@ -177,7 +182,7 @@ def test_a_junk_shape_is_an_input_error_even_shared():
     decode_prime(parse_plane_tree("*[1 3 4[2]]")),
     StandardPrime(((),), (1, 1)),
     labeled_path((2, 1)),
-    parse_plane_tree("*[1 3[2]]"),
+    by_hand("*[1 3[2]]"),
     catalan_series(3),
     Series((1, 2)),
 ], ids=["decoded pair", "hand-built pair", "built tree", "hand-built tree", "built series", "hand-built series"])
@@ -197,6 +202,7 @@ def built_trees() -> list:
     """Labeled plane trees from every builder that attaches a flat form."""
     trees = list(enumerate_labeled_plane_trees(4))
     trees += [labeled_path((3, 1, 2)), labeled_path(())]
+    trees.append(parse_plane_tree("*[1 3[2] 4]"))
     trees.append(post_order_relabel(parse_plane_tree("5[1 3[2] 4]"))[1])
     trees.append(prime_to_pair(parse_rooted_tree("2 4 4 5 0"), (1, 3, 2, 3, 1))[1])
     return trees
@@ -204,7 +210,7 @@ def built_trees() -> list:
 
 @pytest.mark.parametrize("tree", built_trees(), ids=format_plane_tree)
 def test_a_built_tree_reads_as_one_built_by_hand(tree):
-    twin = parse_plane_tree(format_plane_tree(tree))
+    twin = by_hand(format_plane_tree(tree))
     assert "children" not in vars(tree)
     assert repr(tree) == repr(twin)
     assert dataclasses.asdict(tree) == dataclasses.asdict(twin)
