@@ -10,8 +10,7 @@ The pipeline factors a prime pair through a *standard form*:
   final driver is the first to cross and encoding the pieces the same way.
   :func:`decode_prime` inverts it and is total on labeled plane trees.  It
   reads the pair back in two flat passes, one up the tree over plain lists
-  of sorted labels, preferences and post-orders, one along the post-order;
-  a 10^4-vertex caterpillar decodes in ~0.03 s and a 10^5 one in ~2 s.
+  of sorted labels, preferences and post-orders, one along the post-order.
 * :func:`prime_to_pair` / :func:`pair_to_prime` compose the two steps, so
   prime pairs on n vertices correspond to (permutation, labeled plane tree)
   pairs, (2n-2)! of them in total.
@@ -545,12 +544,8 @@ def _decode(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> tupl
 
     Every step is a bisection or a shift inside a list, and a label moves
     O(log n) times, so the decode is near-linear but for the shifts, which
-    are quadratic in C on a path, as the ``insort`` of the piece-by-piece
-    decoder it replaced was.  On a shared 2-vCPU VM it takes 0.01-0.03 s
-    on 10^4-vertex paths, stars, caterpillars and random pairs, and 0.2-2.5
-    s at 10^5 (a caterpillar ~2 s, where the old decoder took ~10 min).
-    Two O(n) checks close it: each driver takes one preference, and each
-    vertex one post-order label.
+    are quadratic in C on a path.  Two O(n) checks close it: each driver
+    takes one preference, and each vertex one post-order label.
     """
     n = len(labels)
     # The subtree being built, and r of its top.  It starts as the root

@@ -42,7 +42,7 @@ from .bijections import (
     pair_to_prime,
     prime_to_pair,
 )
-from .errors import InputError, InvalidShardError, LimitExceededError, NotStandardPrimeError, _at_least, _ints
+from .errors import CAPS, InputError, InvalidShardError, LimitExceededError, NotStandardPrimeError, _at_least, _ints
 from .series import catalan_number, closed_counts
 from .trees import (
     _bottom_up,
@@ -65,9 +65,6 @@ CENSUS_COLUMNS = (
     "marked_distribution",
     "standard_prime",
 )
-
-# The largest n of each exhaustive run; the census needs allow_large at its cap.
-CAPS = {"census": 7, "roundtrip": 4, "thm53": 7, "paths": 6}
 
 
 def _parking_vectors(up: Sequence[int], least: int) -> Iterator[tuple[int, ...]]:

@@ -3,7 +3,8 @@
 Payload flags accept either an inline value (``--tree "3 3 5 5 0"``) or a
 file indirection (``--tree @tree.txt``).  Exit status convention: 0 when the
 queried property holds (or the command simply succeeded), 1 when it fails,
-2 on input or usage errors.
+2 on input or usage errors.  Each command imports the layers it uses, so
+that a process loads only those.
 """
 
 from __future__ import annotations
@@ -12,33 +13,10 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import TreeParkError, UsageError
+from .errors import CAPS, IDENTITY_NAMES, TreeParkError, UsageError
 
 if TYPE_CHECKING:
     from .trees import RootedTree
-
-# Each command imports the layers it uses, so that a process loads only
-# those.  The parser needs two figures from layers that most commands do
-# not load, so it keeps copies; the tests hold them equal to the originals.
-IDENTITY_NAMES = (
-    "parking-gf",
-    "parking-composition",
-    "combined-composition",
-    "catalan-ratio",
-    "prime-derivative",
-    "prime-log-form",
-    "distribution-composition",
-    "marked-prime-sum",
-    "marked-prime-recursion",
-    "schroder-quadratic",
-    "schroder-gf",
-    "marked-distribution-sum",
-    "marked-distribution-recursion",
-    "distribution-ode",
-    "parking-ode",
-    "marked-distribution-unnormalized",
-)  # series.IDENTITY_NAMES
-CENSUS_CAP = 7  # census.CAPS["census"]
 
 
 def _payload(value: str) -> str:
@@ -181,7 +159,7 @@ def _cmd_counts(args: argparse.Namespace) -> int:
 
 
 def _verify_rows(args: argparse.Namespace) -> list[tuple]:
-    from .census import CAPS, census, roundtrip_suite, theorem53_suite
+    from .census import census, roundtrip_suite, theorem53_suite
 
     rows: list[tuple] = []
     suites = ["census", "roundtrip", "thm53"] if args.suite == "all" else [args.suite]
@@ -208,8 +186,6 @@ def _verify_rows(args: argparse.Namespace) -> list[tuple]:
 def _suite_sizes(args: argparse.Namespace, suite: str, default: int) -> range:
     """Sizes 1..top for a bijection suite.  A named suite refuses a --max-n
     above its guard; ``--suite all`` clamps to it."""
-    from .census import CAPS
-
     cap = CAPS[suite]
     if args.max_n is None:
         return range(1, default + 1)
@@ -293,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--allow-large", action="store_true",
-        help=f"allow the n={CENSUS_CAP} census and run to it by default",
+        help=f"allow the n={CAPS['census']} census and run to it by default",
     )
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 

@@ -4,9 +4,37 @@ Everything derives from :class:`TreeParkError`; input-shaped problems also
 derive from :class:`ValueError` so callers can catch them generically.
 Every integer input passes :func:`_at_least` or :func:`_ints`: an exact
 ``int``, never a ``bool``.
+
+Two figures of other layers live here too: ``IDENTITY_NAMES``, the
+identities that ``series`` checks, and ``CAPS``, the size guards of the
+``census`` runs.  Every layer and the command line parser load this module,
+so the parser's choices and help read them without loading those layers.
 """
 
 import copyreg
+
+# The identities that ``series`` checks, in report order, each by the residual named after it.
+IDENTITY_NAMES = (
+    "parking-gf",
+    "parking-composition",
+    "combined-composition",
+    "catalan-ratio",
+    "prime-derivative",
+    "prime-log-form",
+    "distribution-composition",
+    "marked-prime-sum",
+    "marked-prime-recursion",
+    "schroder-quadratic",
+    "schroder-gf",
+    "marked-distribution-sum",
+    "marked-distribution-recursion",
+    "distribution-ode",
+    "parking-ode",
+    "marked-distribution-unnormalized",
+)
+
+# The largest n of each exhaustive run; the census needs allow_large at its cap.
+CAPS = {"census": 7, "roundtrip": 4, "thm53": 7, "paths": 6}
 
 
 class TreeParkError(Exception):

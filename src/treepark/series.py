@@ -45,6 +45,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
+    IDENTITY_NAMES,
     BranchUndefinedError,
     IdentityViolatedError,
     InputError,
@@ -666,29 +667,14 @@ def _residual_parking_ode(order: int) -> Series:
     return f.derivative() - f.truncate(order).exp() * one_plus * one_plus
 
 
+# Each identity's residual, by the name of its function: a name with no
+# function fails here, at import.
 _RESIDUALS: dict[str, Callable[[int], Series]] = {
-    "parking-gf": _residual_parking_gf,
-    "parking-composition": _residual_parking_composition,
-    "combined-composition": _residual_combined_composition,
-    "catalan-ratio": _residual_catalan_ratio,
-    "prime-derivative": _residual_prime_derivative,
-    "prime-log-form": _residual_prime_log_form,
-    "distribution-composition": _residual_distribution_composition,
-    "marked-prime-sum": _residual_marked_prime_sum,
-    "marked-prime-recursion": _residual_marked_prime_recursion,
-    "schroder-quadratic": _residual_schroder_quadratic,
-    "schroder-gf": _residual_schroder_gf,
-    "marked-distribution-sum": _residual_marked_distribution_sum,
-    "marked-distribution-recursion": _residual_marked_distribution_recursion,
-    "distribution-ode": _residual_distribution_ode,
-    "parking-ode": _residual_parking_ode,
-    "marked-distribution-unnormalized": _residual_marked_distribution_unnormalized,
+    name: globals()["_residual_" + name.replace("-", "_")] for name in IDENTITY_NAMES
 }
 
 # Residuals that document a relation without being expected to vanish.
 INFORMATIONAL_IDENTITIES = frozenset({"marked-distribution-unnormalized"})
-
-IDENTITY_NAMES = tuple(_RESIDUALS)
 
 
 @dataclass(frozen=True)

@@ -496,10 +496,17 @@ def inverse_permutation(word: Sequence[int]) -> tuple[int, ...]:
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
+    """The integers of ``text``; else an InputError naming the first token
+    that ``int`` refuses, cut to ten characters, or ``text`` if no string."""
+    out, tok = [], text
     try:
-        return [int(tok) for tok in text.split()]
-    except (ValueError, AttributeError) as exc:  # AttributeError: ``text`` is no string
-        raise InputError(f"{what}: expected whitespace-separated integers, got {text!r}") from exc
+        for tok in text.split():
+            out.append(int(tok))
+    except (ValueError, AttributeError):  # AttributeError: ``text`` is no string
+        cut = isinstance(tok, (str, bytes)) and len(tok) > 10
+        shown = f"{tok[:10]!r}... of {len(tok)} characters" if cut else repr(tok)
+        raise InputError(f"{what}: expected whitespace-separated integers, got {shown}") from None
+    return out
 
 
 def parse_rooted_tree(text: str) -> RootedTree:
@@ -518,8 +525,17 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     return check_permutation(_parse_ints(text, "permutation"))
 
 
+def _written(x: int, name: str, i: int) -> str:
+    """``str(x)``, or an InputError naming ``name.format(i)`` if x has more digits than ``str`` writes."""
+    try:
+        return str(x)
+    except ValueError:
+        raise InputError(f"{name.format(i)} has {x.bit_length()} bits, too many digits to write") from None
+
+
 def format_word(word: Sequence[int]) -> str:
-    return " ".join(str(x) for x in _ints(word, InputError, "word entry {}:"))
+    word = _ints(word, InputError, "word entry {}:")
+    return " ".join(_written(x, "word entry {}", i) for i, x in enumerate(word, start=1))
 
 
 def format_plane_tree(t: LabeledPlaneTree) -> str:
@@ -537,7 +553,7 @@ def format_plane_tree(t: LabeledPlaneTree) -> str:
     for i, label in enumerate(labels):
         if i and depth[i] <= depth[i - 1]:
             out.append("]" * (depth[i - 1] - depth[i]) + " ")
-        out.append("*" if label is None else str(label))
+        out.append("*" if label is None else _written(label, "plane tree: label {} in pre-order", i + 1))
         if kids[i]:
             out.append("[")
     out.append("]" * depth[-1])

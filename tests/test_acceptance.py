@@ -9,6 +9,7 @@ import ast
 import random
 import re
 import shlex
+import sys
 import time
 from itertools import permutations, product
 from math import factorial
@@ -209,6 +210,21 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    """The package has no runtime dependencies: every absolute import names
+    a standard library module; relative imports name the package's own."""
+    root = Path(treepark.__file__).resolve().parent
+    imported = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.partition(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.partition(".")[0]))
+    assert ("cli.py", "argparse") in imported
+    assert sorted(found for found in imported if found[1] not in sys.stdlib_module_names) == []
 
 
 def test_package_parses_at_the_oldest_supported_python():

@@ -24,6 +24,7 @@ from treepark import (
     census_counts,
     enumerate_plane_trees,
     enumerate_rooted_trees,
+    parse_plane_tree,
     path_image_suite,
     path_tree,
     roundtrip_suite,
@@ -402,6 +403,25 @@ DOCTORED = {
 }
 
 
+class TestRoundtripCountChecks:
+    """A suite whose enumeration falls short reports it, so it cannot pass
+    on fewer cases than the closed form names."""
+
+    def test_a_missing_prime_pair_is_a_failure(self, monkeypatch):
+        real = census_module._iter_primes
+        monkeypatch.setattr(census_module, "_iter_primes", lambda n: islice(real(n), 23))
+        report = roundtrip_suite(3)
+        assert not report.passed
+        assert report.failures == ("found 23 prime pairs, expected 24",)
+
+    def test_a_missing_plane_tree_is_a_failure(self, monkeypatch):
+        real = census_module.enumerate_labeled_plane_trees
+        monkeypatch.setattr(census_module, "enumerate_labeled_plane_trees", lambda n: list(real(n))[1:])
+        report = roundtrip_suite(3)
+        assert not report.passed
+        assert report.failures == ("enumerated 18 (permutation, tree) pairs",)
+
+
 class TestRoundtripAgainstTheReference:
     """The suite runs each map once per object and answers the backward half
     from the forward half's table; its report is the two-loop reference's,
@@ -485,6 +505,31 @@ class TestTheoremSuite:
         with pytest.raises(LimitExceededError):
             theorem53_suite(8)
 
+    def test_a_decoded_tree_off_the_path_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(census_module, "_flat_parents", lambda sp: [0])
+        report = theorem53_suite(2)
+        assert not report.passed and report.cases == 2
+        assert report.failures == (
+            "sigma=(1, 2): decoded tree is not a path",
+            "sigma=(2, 1): decoded tree is not a path",
+        )
+
+    def test_a_statistic_map_off_the_decoded_tail_is_a_failure(self, monkeypatch):
+        real = census_module.borie_map
+        monkeypatch.setattr(census_module, "borie_map", lambda word: (0,) * len(word))
+        report = theorem53_suite(2)
+        assert not report.passed and report.cases == 2
+        assert report.failures == tuple(
+            f"sigma={word}: statistic map (0, 0) != decoded tail {real(word)}" for word in ((1, 2), (2, 1))
+        )
+
+    def test_a_missing_avoider_is_a_failure(self, monkeypatch):
+        real = census_module._avoiders_132
+        monkeypatch.setattr(census_module, "_avoiders_132", lambda n: real(n)[:-1])
+        report = theorem53_suite(3)
+        assert not report.passed and report.cases == 4
+        assert report.failures == ("saw 4 avoiders, expected 5",)
+
 
 class TestPathImageSuite:
     @pytest.mark.parametrize("n", range(1, 6))
@@ -507,6 +552,26 @@ class TestPathImageSuite:
     def test_guard(self):
         with pytest.raises(LimitExceededError):
             path_image_suite(7)
+
+    def test_an_image_off_the_path_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(census_module, "_encode", lambda parents, prefs, outcome: parse_plane_tree("*[1 2]"))
+        report = path_image_suite(2)
+        assert not report.passed and report.cases == 2
+        assert report.failures == (
+            "seq=(1, 1, 1): image is not a path",
+            "seq=(1, 1, 2): image is not a path",
+            "images cover 0 labeled paths out of 2",
+        )
+
+    def test_a_missing_growth_sequence_is_a_failure(self, monkeypatch):
+        real = census_module.product
+        monkeypatch.setattr(census_module, "product", lambda *ranges: list(real(*ranges))[:-1])
+        report = path_image_suite(3)
+        assert not report.passed and report.cases == 5
+        assert report.failures == (
+            "enumerated 5 growth sequences, expected 6",
+            "images cover 5 labeled paths out of 6",
+        )
 
 
 @pytest.mark.parametrize("suite, n", [(roundtrip_suite, 4), (path_image_suite, 6), (theorem53_suite, 7)])

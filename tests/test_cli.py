@@ -47,6 +47,13 @@ class TestPark:
         code, _, err = run(capsys, "park", "--tree", "@/no/such/file", "--seq", "1")
         assert code == 2
 
+    def test_a_bad_token_in_a_long_file_is_named_alone(self, capsys, tmp_path):
+        tree = tmp_path / "tree.txt"
+        tree.write_text("1 " * 10**5 + "x\n")
+        code, out, err = run(capsys, "park", "--tree", f"@{tree}", "--seq", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: tree: expected whitespace-separated integers, got 'x'\n"
+
     def test_binary_file_exits_two(self, capsys, tmp_path):
         payload = tmp_path / "bin.txt"
         payload.write_bytes(b"\xff\xfe 0\n")
@@ -205,6 +212,14 @@ class TestSeriesAndCounts:
         assert code == 0
         assert "parking-composition: OK" in out
         assert "INFO" in out  # the informational residual is reported, not failed
+
+    def test_a_nonzero_residual_fails(self, capsys, monkeypatch):
+        # the doctored residual is x itself: its first nonzero term is x^1 = 1
+        monkeypatch.setitem(treepark.series._RESIDUALS, "schroder-gf", treepark.series.x_series)
+        code, out, err = run(capsys, "series", "--order", "6")
+        assert (code, err) == (1, "")
+        assert "schroder-gf: FAIL first nonzero at x^1 = 1" in out.splitlines()
+        assert sum("FAIL" in line for line in out.splitlines()) == 1
 
     def test_single_identity(self, capsys):
         code, out, _ = run(capsys, "series", "--order", "6", "--identity", "prime-derivative")

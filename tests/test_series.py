@@ -313,6 +313,14 @@ class TestIdentities:
         else:
             assert result.first_bad is not None  # informational residual differs
 
+    def test_each_name_has_its_residual_function(self):
+        assert len(IDENTITY_NAMES) == len(set(IDENTITY_NAMES)) == 16
+        residuals = treepark.series._RESIDUALS
+        assert tuple(residuals) == IDENTITY_NAMES
+        for name, residual in residuals.items():
+            assert residual.__name__ == "_residual_" + name.replace("-", "_")
+            assert getattr(treepark.series, residual.__name__) is residual
+
     def test_all_at_order_twelve(self):
         results = check_identities(12)
         assert all(r.ok for r in results)

@@ -23,7 +23,10 @@ from treepark import (
     enumerate_rooted_trees,
     format_plane_tree,
     format_rooted_tree,
+    format_word,
+    parse_permutation,
     parse_plane_tree,
+    parse_preferences,
     parse_rooted_tree,
     path_tree,
     post_order_relabel,
@@ -327,6 +330,27 @@ class TestOneFlatten:
         assert flattens == [tree]
 
 
+class TestWordText:
+    """A refused token or entry is named alone: the message never echoes
+    the whole payload, nor writes an integer too long for ``str``."""
+
+    def test_a_bad_token_is_named_alone(self):
+        with pytest.raises(InputError, match=r"^tree: expected whitespace-separated integers, got 'x'$"):
+            parse_rooted_tree("1 " * 10**5 + "x")
+
+    @pytest.mark.parametrize(
+        "parse, what", [(parse_rooted_tree, "tree"), (parse_preferences, "sequence"), (parse_permutation, "permutation")]
+    )
+    def test_a_long_bad_token_is_cut_to_ten_characters(self, parse, what):
+        with pytest.raises(InputError) as raised:
+            parse("1 2 " + "y" * 10**5 + " 3")
+        assert str(raised.value) == f"{what}: expected whitespace-separated integers, got 'yyyyyyyyyy'... of 100000 characters"
+
+    def test_a_word_entry_too_long_to_write(self):
+        with pytest.raises(InputError, match=r"^word entry 2 has 14617 bits, too many digits to write$"):
+            format_word((1, 10**4400))
+
+
 class TestPlaneTreeText:
     def test_figure_output_string(self):
         text = "*[6[3] 2[5 4] 8[7[1]]]"
@@ -369,6 +393,15 @@ class TestPlaneTreeText:
         assert not isinstance(raised.value, InputError)
         with pytest.raises(InputError, match=r"^plane tree: label 1000000000\.\.\. of 4401 digits is too long$"):
             parse_plane_tree(text)
+
+    def test_a_label_too_long_to_write(self):
+        tree = LabeledPlaneTree(None, (LabeledPlaneTree(1), LabeledPlaneTree(10**4400)))
+        with pytest.raises(InputError, match=r"^plane tree: label 3 in pre-order has 14617 bits, too many digits to write$"):
+            format_plane_tree(tree)
+
+    def test_repr_of_a_label_too_long_to_write(self):
+        with pytest.raises(InputError, match=r"^plane tree: label 1 in pre-order has 14617 bits, too many digits to write$"):
+            repr(LabeledPlaneTree(10**4400))
 
     @given(st.integers(1, 5), st.data())
     def test_roundtrip_random(self, n, data):
