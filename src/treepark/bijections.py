@@ -54,6 +54,7 @@ from .errors import (
     VertexOutOfRangeError,
     _NoAttributeError,
     _ints,
+    _shown,
 )
 from .parking import (
     Edge,
@@ -106,10 +107,10 @@ class StandardPrime:
         try:  # a bad shape raises InputError, so only the prefs can be unhashable
             return hash((tuple(_flat_parents(self)), self.prefs))
         except TypeError:
-            raise InputError(f"preferences {self.prefs!r} are not hashable") from None
+            raise InputError(f"preferences {_shown(self.prefs)} are not hashable") from None
 
     def __repr__(self) -> str:
-        return f"StandardPrime(shape={_shape_repr(self.shape)}, prefs={self.prefs!r})"
+        return f"StandardPrime(shape={_shape_repr(self.shape)}, prefs={_shown(self.prefs)})"
 
     def __getattr__(self, name: str):
         # Reached only for a name the instance does not hold: ``shape`` on a
@@ -118,7 +119,7 @@ class StandardPrime:
         if name == "shape" and "_run" in held:
             shape = held["shape"] = _parents_shape(held["_run"][0])
             return shape
-        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {_shown(name)}")
 
     def __reduce__(self):
         """Copies and pickles rebuild the pair by hand from its flat form."""
@@ -134,7 +135,7 @@ def _flat_parents(sp: StandardPrime) -> list[int]:
     """The post-order parent array of a standard pair's shape: its run's if
     it carries one, else walked off the shape."""
     if not isinstance(sp, StandardPrime):
-        raise NotStandardPrimeError(f"{sp!r} is not a StandardPrime")
+        raise NotStandardPrimeError(f"{_shown(sp)} is not a StandardPrime")
     run = sp.__dict__.get("_run")
     return _shape_parents(sp.shape) if run is None else run[0]
 
@@ -150,9 +151,9 @@ class MarkedSet:
         elements = _ints(self.elements, InputError, "element {}:")
         _ints((self.marked,), InputError, "marked index")
         if any(a >= b for a, b in zip(elements, elements[1:])):
-            raise InputError(f"elements {self.elements!r} are not strictly increasing")
+            raise InputError(f"elements {_shown(self.elements)} are not strictly increasing")
         if self.marked not in elements:
-            raise InputError(f"marked index {self.marked} is not among {self.elements}")
+            raise InputError(f"marked index {_shown(self.marked)} is not among {_shown(self.elements)}")
 
     def unmarked(self) -> tuple[int, ...]:
         return tuple(e for e in self.elements if e != self.marked)
@@ -540,7 +541,10 @@ def _decode(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> tupl
 
     x's driver prefers its first child's marked vertex, or x at a leaf.  A
     child's parent is its next sibling's marked vertex, and the last
-    child's is x.  The post-order labels are the places in the root's list.
+    child's is x.  ``up`` and ``first`` keep only what differs from the
+    plane tree: c's parent is ``up.get(c, c - 1)`` and v's leftmost child
+    ``first.get(v, v + 1)`` wherever v has one, so a path, filling neither,
+    takes the same pass.  Post-order labels are places in the root's list.
 
     Every step is a bisection or a shift inside a list, and a label moves
     O(log n) times, so the decode is near-linear but for the shifts, which
@@ -552,19 +556,17 @@ def _decode(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> tupl
     # alone, which a larger tree sets aside at its first leaf.
     below, wants, order, r = [n], [0], [0], 0
     stack = []  # finished subtrees whose parent is still to come
-    up: dict[int, int] = {}  # the parent of each child but a single child c, whose is c - 1
-    first: dict[int, int] = {}  # the leftmost child, where it is not a single child v + 1
+    up: dict[int, int] = {}  # a child c's parent, where it is not c - 1
+    first: dict[int, int] = {}  # a vertex v's leftmost child, where it is not v + 1
     for x in range(n - 1, -1, -1):
         k = kids[x]
-        if len(k) == 1:
-            wants.append(order[r])
-        elif not k:
+        if not k:
             if kids[x - 1]:  # a first child starts the lists; a later one waits for its parent
                 stack.append((below, wants, order, r))
                 below, wants, order, r = [labels[x]], [x], [x], 0
             continue
-        else:
-            w = order[r]
+        w = order[r]
+        if len(k) > 1:
             parts = [(below, wants)]
             c = x + 1  # the child before the next
             for later in k[1:]:
@@ -572,13 +574,8 @@ def _decode(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> tupl
                     *part, own, at = stack.pop()
                     parts.append(part)
                     v = m = own[at]
-                    while True:  # down to m's leftmost leaf
-                        f = first.get(v)
-                        if f is None:
-                            if not kids[v]:
-                                break
-                            f = v + 1
-                        v = f
+                    while v in first or kids[v]:  # down to m's leftmost leaf
+                        v = first.get(v, v + 1)
                     p = own.index(v)
                     if p:
                         own[p:p] = order
@@ -595,25 +592,19 @@ def _decode(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> tupl
             up[c] = x
             first[x] = c
             below, wants = _merge(parts)
-            wants.append(w)
+        wants.append(w)
         label = labels[x] or n
         r = bisect_left(below, label)
         below[r:r] = (label,)  # a slice assignment moves the tail in one block
         order.append(x)
-    if not up:  # no vertex branched: a path, listed bottom up
-        parents, prefs = [0, *range(2, n + 1), 0], [n - w for w in wants]
-    else:
-        place, parents = [0] * (n + 1), [0] * (n + 1)  # place[n] = 0 stands for no parent
-        i = n
-        for v in reversed(order):
-            place[v] = i
-            parents[i] = place[v - 1]
-            i -= 1
-        for c, m in up.items():
-            parents[place[c]] = place[m]
-        prefs = [place[w] for w in wants]
-        if len(order) != n or place.count(0) > 1:
-            raise _broken(parents, prefs, "each vertex takes one post-order label")
+    place, parents = [0] * (n + 1), [0] * (n + 1)  # place[n] = 0 stands for no parent
+    for i, v in enumerate(reversed(order)):
+        place[v] = n - i
+    for v in range(n):
+        parents[place[v]] = place[up.get(v, v - 1)]
+    prefs = [place[w] for w in wants]
+    if len(order) != n or place.count(0) > 1:
+        raise _broken(parents, prefs, "each vertex takes one post-order label")
     if len(prefs) != n:
         raise _broken(parents, prefs, "each driver takes one preference")
     return parents, prefs

@@ -42,7 +42,16 @@ from .bijections import (
     pair_to_prime,
     prime_to_pair,
 )
-from .errors import CAPS, InputError, InvalidShardError, LimitExceededError, NotStandardPrimeError, _at_least, _ints
+from .errors import (
+    CAPS,
+    InputError,
+    InvalidShardError,
+    LimitExceededError,
+    NotStandardPrimeError,
+    _at_least,
+    _ints,
+    _shown,
+)
 from .series import catalan_number, closed_counts
 from .trees import (
     _bottom_up,
@@ -253,9 +262,7 @@ def _leaf_count(parents: Sequence[int]) -> int:
 def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = False) -> dict[str, int]:
     """Raw enumeration counts for one shard of the tree space at size n."""
     cap = CAPS["census"]
-    guard = f"census is guarded to 1 <= n <= {cap}, got {n}"
-    if _at_least(n, 1, "n", LimitExceededError, guard) > cap:
-        raise LimitExceededError(guard)
+    _at_least(n, 1, "n", LimitExceededError, "census is guarded to 1 <= n <= {most}, got {value}", most=cap)
     if n == cap and not allow_large:
         raise LimitExceededError(
             "the n=7 census walks 117649 trees, weighs the 4696 count vectors that park"
@@ -264,7 +271,7 @@ def census_counts(n: int, shard: tuple[int, int] = (0, 1), allow_large: bool = F
         )
     which_mod = _ints(shard, InvalidShardError, "shard entry {}:")
     if len(which_mod) != 2 or which_mod[1] < 1 or not 0 <= which_mod[0] < which_mod[1]:
-        raise InvalidShardError(f"shard {shard}: need m >= 1 and 0 <= k < m")
+        raise InvalidShardError(f"shard {_shown(shard)}: need m >= 1 and 0 <= k < m")
     # k or m past the n^(n-1) trees (no fewer than the plane shapes) changes no
     # shard, and keeps islice's index arithmetic inside sys.maxsize
     which, mod = (min(entry, n ** (n - 1)) for entry in which_mod)
@@ -362,7 +369,7 @@ def roundtrip_suite(n: int) -> SuiteReport:
     is keyed by its word and its tree's flat form, which compare as the
     pair does, so the table holds no nested trees.
     """
-    if _at_least(n, 1, "n", InputError, f"the round-trip suite needs n >= 1, got n={n}") > CAPS["roundtrip"]:
+    if _at_least(n, 1, "n", InputError, "the round-trip suite needs n >= 1, got n={value}") > CAPS["roundtrip"]:
         raise LimitExceededError(f"the round-trip suite is guarded to n <= {CAPS['roundtrip']}")
     start = time.perf_counter()
     failures: list[str] = []
@@ -430,7 +437,7 @@ def theorem53_suite(n: int) -> SuiteReport:
     built, not filtered out of all n! words; each one is checked to be a new
     132-avoiding permutation of 1..n, and Catalan(n) such words are all of
     them."""
-    if _at_least(n, 0, "n", InputError, f"the pattern suite needs n >= 0, got n={n}") > CAPS["thm53"]:
+    if _at_least(n, 0, "n", InputError, "the pattern suite needs n >= 0, got n={value}") > CAPS["thm53"]:
         raise LimitExceededError(f"the pattern suite is guarded to n <= {CAPS['thm53']}")
     start = time.perf_counter()
     failures: list[str] = []
@@ -464,7 +471,7 @@ def path_image_suite(n: int) -> SuiteReport:
     """Encoding restricted to growth sequences (s_1 = 1, s_i <= i-1) on the
     (n+1)-spot path is a bijection onto all n! labeled paths.  A sequence
     the standard-pair check refuses is a failure that names it."""
-    if _at_least(n, 0, "n", InputError, f"the path-image suite needs n >= 0, got n={n}") > CAPS["paths"]:
+    if _at_least(n, 0, "n", InputError, "the path-image suite needs n >= 0, got n={value}") > CAPS["paths"]:
         raise LimitExceededError(f"the path-image suite is guarded to n <= {CAPS['paths']}")
     start = time.perf_counter()
     failures: list[str] = []

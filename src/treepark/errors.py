@@ -3,7 +3,8 @@
 Everything derives from :class:`TreeParkError`; input-shaped problems also
 derive from :class:`ValueError` so callers can catch them generically.
 Every integer input passes :func:`_at_least` or :func:`_ints`: an exact
-``int``, never a ``bool``.
+``int``, never a ``bool``.  A refusal writes the value it refuses with
+:func:`_shown`, which also writes an int too long for ``str``.
 
 Two figures of other layers live here too: ``IDENTITY_NAMES``, the
 identities that ``series`` checks, and ``CAPS``, the size guards of the
@@ -12,6 +13,7 @@ so the parser's choices and help read them without loading those layers.
 """
 
 import copyreg
+import reprlib
 
 # The identities that ``series`` checks, in report order, each by the residual named after it.
 IDENTITY_NAMES = (
@@ -133,13 +135,42 @@ class _NoAttributeError(InputError, AttributeError):
     types whose fields are built on first read raise it from ``__getattr__``."""
 
 
-def _at_least(value, least: int, name: str, error: type[InputError] = OrderMismatchError, message: str = "") -> int:
-    """``value`` itself if it is an int >= ``least``; else ``error``.  The call
-    site may word the case of an int below ``least`` as ``message``; every
-    other case names ``name``, the bound and the value."""
-    if type(value) is int and value >= least:
+class _BitsRepr(reprlib.Repr):
+    """``repr`` that writes an int with more digits than ``str`` writes as
+    its sign and bit length, and, as ``reprlib`` does, cuts long containers
+    and strings short."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return repr(x)
+        except ValueError:
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message.  Where that would raise the
+    interpreter's ``ValueError`` for an int too long to write, alone or inside
+    ``value``, the int shows as its sign and bit length instead."""
+    try:
+        return repr(value)
+    except TreeParkError:  # a value of the package refusing to write itself
+        raise
+    except ValueError:
+        return _BitsRepr().repr(value)
+
+
+def _at_least(value, least: int, name: str, error: type[InputError] = OrderMismatchError, message: str = "",
+              most: int | None = None) -> int:
+    """``value`` itself if it is an int >= ``least``, and <= ``most`` unless
+    that is None; else ``error``.  The call site may word the case of an int
+    out of range as ``message``, a template of ``{value}`` and ``{most}``,
+    and must when it gives ``most``; every other case names ``name``,
+    ``least`` and the value.  Nothing is formatted unless refused."""
+    if type(value) is int and least <= value and (most is None or value <= most):
         return value
-    raise error(message if message and type(value) is int else f"{name} must be an integer >= {least}, got {value!r}")
+    if message and type(value) is int:
+        raise error(message.format(value=_shown(value), most=most))
+    raise error(f"{name} must be an integer >= {least}, got {_shown(value)}")
 
 
 def _ints(values, error: type[InputError], name: str, lo: int | None = None, hi: int | None = None,
@@ -152,13 +183,13 @@ def _ints(values, error: type[InputError], name: str, lo: int | None = None, hi:
     try:
         out = tuple(values)
     except TypeError:
-        raise error(f"{values!r} is not a sequence of integers") from None
+        raise error(f"{_shown(values)} is not a sequence of integers") from None
     hi = len(out) if hi is None else hi
     for x in out:
         if type(x) is not int or lo is not None and not lo <= x <= hi:
             i = next(i for i, y in enumerate(out, start=1) if y is x)  # the first bad entry
             fault = "is not an integer" if type(x) is not int else f"outside {lo}..{hi}"
-            raise error(f"{name.format(i)} {x!r} {fault}")
+            raise error(f"{name.format(i)} {_shown(x)} {fault}")
     if permutation and sorted(out) != list(range(1, len(out) + 1)):
         raise error(permutation(out))
     return out

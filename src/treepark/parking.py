@@ -18,6 +18,7 @@ from .errors import (
     LengthMismatchError,
     NotAParkingFunctionError,
     _ints,
+    _shown,
 )
 from .trees import RootedTree, _bottom_up, _check_tree, _subtree_sums
 
@@ -52,7 +53,7 @@ def _preferences(n: int, prefs: Sequence[int]) -> tuple[int, ...]:
     try:
         count = len(prefs)
     except TypeError:
-        raise LabelOutOfRangeError(f"{prefs!r} is not a sequence of integers") from None
+        raise LabelOutOfRangeError(f"{_shown(prefs)} is not a sequence of integers") from None
     if count != n:
         raise LengthMismatchError(f"{count} preferences for a tree on {n} vertices")
     return _ints(prefs, LabelOutOfRangeError, "driver {}: preference", 1, n)

@@ -53,6 +53,7 @@ from .errors import (
     _NoAttributeError,
     _at_least,
     _ints,
+    _shown,
 )
 
 Q = Fraction
@@ -65,7 +66,7 @@ def _as_fraction(x) -> Fraction:
     try:
         return Fraction(x)
     except (TypeError, ValueError, ArithmeticError):  # what Fraction() raises on junk
-        raise InputError(f"{x!r} is not a rational number") from None
+        raise InputError(f"{_shown(x)} is not a rational number") from None
 
 
 def _over_one_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -108,7 +109,7 @@ class Series:
         try:
             coeffs = tuple(_as_fraction(c) for c in self.coeffs)
         except (TypeError, InputError):  # not iterable, or a coefficient is junk
-            raise InputError(f"coefficients {self.coeffs!r} are not rational numbers") from None
+            raise InputError(f"coefficients {_shown(self.coeffs)} are not rational numbers") from None
         object.__setattr__(self, "coeffs", coeffs)
 
     def __getattr__(self, name: str):
@@ -119,7 +120,7 @@ class Series:
             nums, den = held["_num_den"]
             coeffs = held["coeffs"] = tuple(Q(x, den) for x in nums)
             return coeffs
-        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {_shown(name)}")
 
     def __getstate__(self) -> dict:
         """Copies and pickles carry ``coeffs`` alone, as a series built by hand does."""
@@ -136,15 +137,14 @@ class Series:
 
     def coefficient(self, k: int) -> Fraction:
         nums, den = _lifted(self)
-        beyond = f"coefficient {k} beyond truncation order {len(nums) - 1}"
-        if _at_least(k, 0, "coefficient", message=beyond) >= len(nums):
-            raise OrderMismatchError(beyond)
+        beyond = "coefficient {value} beyond truncation order {most}"
+        k = _at_least(k, 0, "coefficient", OrderMismatchError, beyond, most=len(nums) - 1)
         return Q(nums[k], den)
 
     def truncate(self, order: int) -> "Series":
         nums, den = _lifted(self)
         if _at_least(order, 0, "order") >= len(nums):
-            raise OrderMismatchError(f"cannot extend order {len(nums) - 1} to {order}")
+            raise OrderMismatchError(f"cannot extend order {len(nums) - 1} to {_shown(order)}")
         return _reduced(nums[: order + 1], den)
 
     def first_nonzero(self) -> tuple[int, Fraction] | None:
@@ -298,7 +298,7 @@ class Series:
         inner^k, of valuation >= k, so it needs order n - k only.
         """
         if not isinstance(inner, Series):
-            raise InputError(f"cannot compose with {inner!r}: not a Series")
+            raise InputError(f"cannot compose with {_shown(inner)}: not a Series")
         n = min(self.order, inner.order)
         if n < 0:
             raise OrderMismatchError(f"cannot compose series of orders {self.order} and {inner.order}")
@@ -691,7 +691,7 @@ class IdentityResult:
 
 def check_identity(name: str, order: int) -> IdentityResult:
     if name not in IDENTITY_NAMES:  # a tuple: an unhashable name is unknown too
-        raise InputError(f"unknown identity {name!r}")
+        raise InputError(f"unknown identity {_shown(name)}")
     _at_least(order, 0, "order")
     residual = _RESIDUALS[name](order)
     return IdentityResult(
@@ -705,7 +705,7 @@ def check_identities(order: int, names: Sequence[str] | None = None) -> list[Ide
     and not at all if a wider one is held already."""
     _at_least(order, 0, "order")
     if not isinstance(names, (list, tuple, type(None))):  # a string would iterate by letter
-        raise InputError(f"names must be a list or tuple of identity names, got {names!r}")
+        raise InputError(f"names must be a list or tuple of identity names, got {_shown(names)}")
     return [check_identity(name, order) for name in (IDENTITY_NAMES if names is None else names)]
 
 

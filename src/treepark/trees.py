@@ -61,6 +61,7 @@ from .errors import (
     _NoAttributeError,
     _at_least,
     _ints,
+    _shown,
 )
 
 # A plane-tree shape: tuple of child shapes, left to right.
@@ -78,22 +79,22 @@ class RootedTree:
         try:
             return len(self.parents)
         except TypeError:
-            raise InputError(f"parent list {self.parents!r} is not a tuple of integers") from None
+            raise InputError(f"parent list {_shown(self.parents)} is not a tuple of integers") from None
 
     @property
     def root(self) -> int:
         try:
             return self.parents.index(0) + 1
         except ValueError:
-            raise NoRootError(f"parent list {self.parents!r} marks no root") from None
+            raise NoRootError(f"parent list {_shown(self.parents)} marks no root") from None
         except (AttributeError, TypeError):
-            raise InputError(f"parent list {self.parents!r} is not a tuple of integers") from None
+            raise InputError(f"parent list {_shown(self.parents)} is not a tuple of integers") from None
 
     def __hash__(self) -> int:  # the generated hash, naming an unhashable parent list
         try:
             return hash((self.parents,))
         except TypeError:
-            raise InputError(f"parent list {self.parents!r} is not hashable") from None
+            raise InputError(f"parent list {_shown(self.parents)} is not hashable") from None
 
 
 def validate_rooted_tree(entries: Sequence[int]) -> RootedTree:
@@ -128,7 +129,7 @@ def _check_tree(tree: RootedTree) -> RootedTree:
     """``tree`` itself if it is a :class:`RootedTree` whose parent tuple
     passes :func:`validate_rooted_tree`; else an error naming the fault."""
     if not isinstance(tree, RootedTree) or not isinstance(tree.parents, tuple):
-        raise InputError(f"{tree!r} is not a RootedTree over a tuple of parents")
+        raise InputError(f"{_shown(tree)} is not a RootedTree over a tuple of parents")
     validate_rooted_tree(tree.parents)
     return tree
 
@@ -267,7 +268,7 @@ def _shape_parents(shape: PlaneShape) -> list[int]:
     while stack:
         node, p = stack.pop()
         if not isinstance(node, tuple):  # a string would iterate to itself forever
-            raise InputError(f"plane shape: vertex {node!r} is not a tuple of child shapes")
+            raise InputError(f"plane shape: vertex {_shown(node)} is not a tuple of child shapes")
         above.append(p)
         here = len(above)
         stack.extend((c, here) for c in node)
@@ -340,7 +341,7 @@ class LabeledPlaneTree:
         try:
             return hash((labels, tuple(map(len, kids))))
         except TypeError:
-            raise InputError(f"plane tree: labels {list(labels)!r} are not all hashable") from None
+            raise InputError(f"plane tree: labels {_shown(list(labels))} are not all hashable") from None
 
     def __repr__(self) -> str:
         return f"parse_plane_tree({format_plane_tree(self)!r})"
@@ -352,7 +353,7 @@ class LabeledPlaneTree:
         if name == "children" and "_flat" in held:
             children = held["children"] = _labeled_tree(*held["_flat"]).children
             return children
-        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {_shown(name)}")
 
     def __reduce__(self):
         """Copies and pickles rebuild the tree by hand from its flat form."""
@@ -376,10 +377,10 @@ def _flatten(t: LabeledPlaneTree) -> _Flat:
     while nodes:
         node, p = nodes.pop(), ups.pop()
         if not isinstance(node, LabeledPlaneTree):
-            raise InputError(f"plane tree: vertex {node!r} is not a LabeledPlaneTree")
+            raise InputError(f"plane tree: vertex {_shown(node)} is not a LabeledPlaneTree")
         children = node.children
         if not isinstance(children, tuple):
-            raise InputError(f"plane tree: children {children!r} of {node.label!r} are not a tuple")
+            raise InputError(f"plane tree: children {_shown(children)} of {_shown(node.label)} are not a tuple")
         i = len(labels)
         labels.append(node.label)
         kids.append([])
@@ -420,13 +421,13 @@ def _check_labels(labels: Sequence[int | None], root_labeled: bool) -> int:
         named, what, unlabeled = labels, "label", "every vertex must carry a label"
     else:
         if labels[0] is not None:
-            raise InputError(f"root carries label {labels[0]!r}; expected an unlabeled root")
+            raise InputError(f"root carries label {_shown(labels[0])}; expected an unlabeled root")
         named, what, unlabeled = labels[1:], "non-root label", "unlabeled vertex below the root"
     if None in named:
         raise InputError(unlabeled)
     _ints(
         named, LabelOutOfRangeError, what,
-        permutation=lambda word: f"{what}s {sorted(word)} are not a bijection onto 1..{len(word)}",
+        permutation=lambda word: f"{what}s {_shown(sorted(word))} are not a bijection onto 1..{len(word)}",
     )
     return len(labels)
 
@@ -479,7 +480,7 @@ def enumerate_labeled_plane_trees(n: int) -> Iterator[LabeledPlaneTree]:
 def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
     return _ints(
         word, InputError, "permutation entry {}:",
-        permutation=lambda word: f"{list(word)} is not a permutation of 1..{len(word)}",
+        permutation=lambda word: f"{_shown(list(word))} is not a permutation of 1..{len(word)}",
     )
 
 
@@ -504,7 +505,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
             out.append(int(tok))
     except (ValueError, AttributeError):  # AttributeError: ``text`` is no string
         cut = isinstance(tok, (str, bytes)) and len(tok) > 10
-        shown = f"{tok[:10]!r}... of {len(tok)} characters" if cut else repr(tok)
+        shown = f"{tok[:10]!r}... of {len(tok)} characters" if cut else _shown(tok)
         raise InputError(f"{what}: expected whitespace-separated integers, got {shown}") from None
     return out
 
@@ -542,7 +543,7 @@ def format_plane_tree(t: LabeledPlaneTree) -> str:
     labels, kids = _flatten(t)
     for label in labels:  # another label writes text that parses to another tree, or to none
         if label is not None and (type(label) is not int or label < 0):
-            raise InputError(f"plane tree: label {label!r} is neither None nor an integer >= 0")
+            raise InputError(f"plane tree: label {_shown(label)} is neither None nor an integer >= 0")
     depth = [0] * len(labels)
     for i, below in enumerate(kids):
         for c in below:
@@ -566,7 +567,7 @@ _TOKEN = re.compile(r"\s*(?:(\*|\d+|\[|\])|(\S))")
 
 def parse_plane_tree(text: str) -> LabeledPlaneTree:
     if not isinstance(text, str):
-        raise InputError(f"plane tree: expected text, got {text!r}")
+        raise InputError(f"plane tree: expected text, got {_shown(text)}")
     tokens: list[str] = []
     for m in _TOKEN.finditer(text):
         if m.group(2) is not None:

@@ -310,6 +310,13 @@ class TestVerifySuiteCaps:
         assert code == 2 and out == ""
         assert err == f"error: --max-n {max_n} is above the {suite} cap of {cap}\n"
 
+    def test_named_suite_without_max_n_stops_below_its_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "thm53")
+        rows = out.splitlines()[1:]  # below the header
+        assert code == 0
+        assert [row.split()[:2] for row in rows] == [["thm53", str(n)] for n in range(1, 7)]
+        assert all(row.split()[-1] == "PASS" for row in rows)
+
     def test_named_suite_runs_to_its_cap(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "thm53", "--max-n", "7", "--format", "json")
         assert code == 0

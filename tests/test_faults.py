@@ -38,6 +38,7 @@ from treepark import (
     enumerate_labeled_plane_trees,
     enumerate_plane_trees,
     parse_plane_tree,
+    path_preimage_seq,
 )
 from treepark.bijections import _BLOCK, _checked
 from treepark.trees import _carried_tree, _flatten, _shape_parents
@@ -176,6 +177,15 @@ def test_shrinking_rank_drops_the_blocks_before_its_own_only_on_a_delete(monkeyp
     assert all(bitten), bitten
 
 
+def test_shrinking_rank_one_too_high_breaks_the_growth_check(monkeypatch):
+    real = treepark.bijections._Shrinking.rank
+    high = lambda self, x, drop=False: real(self, x, drop) + 1  # noqa: E731
+    monkeypatch.setattr(treepark.bijections._Shrinking, "rank", high)
+    with pytest.raises(InvariantError, match="^a path preimage must be a growth sequence") as caught:
+        path_preimage_seq((2, 1))
+    assert caught.value.prefs == (1, 2, 3)
+
+
 def test_merge_misplaces_the_entry_it_inserts_last(monkeypatch):
     def misplacing(parts):
         sizes = [len(labels) for labels, _ in parts]
@@ -231,7 +241,7 @@ def invariant_faults() -> list[str]:
     kernel doctored, as ``name: invariant``; written without ``assert`` or
     ``monkeypatch``, so that it runs under ``python -O``."""
     bij = treepark.bijections
-    real_merge = bij._merge
+    real_merge, real_rank = bij._merge, bij._Shrinking.rank
 
     def swapped(parts):  # the first and the last preference trade places
         below, wants = real_merge(parts)
@@ -247,6 +257,8 @@ def invariant_faults() -> list[str]:
         # flat arrays that hang vertex 2 below both 0 and 1
         (None, lambda: decode_prime(_carried_tree((None, 1, 2), ((1, 2), (2,), ())))),
         ((bij, "_merge", swapped), lambda: decode_prime(parse_plane_tree("*[1 2[4 5[3]]]"))),
+        ((bij._Shrinking, "rank", lambda self, x, drop=False: real_rank(self, x, drop) + 1),
+         lambda: path_preimage_seq((2, 1))),
     ]
     raised = []
     for patch, call in rows:
@@ -282,4 +294,5 @@ def test_invariant_checks_raise_under_optimize():
         "InvariantError: each driver takes one preference",
         "InvariantError: each vertex takes one post-order label",
         "InvariantError: the decoded pair is a standard prime, but children of vertex 4 are out of crossing order",
+        "InvariantError: a path preimage must be a growth sequence",
     ]

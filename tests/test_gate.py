@@ -32,6 +32,7 @@ from treepark import (
     Series,
     StandardPrime,
     VertexOutOfRangeError,
+    census,
     census_counts,
     check_identities,
     check_identity,
@@ -43,6 +44,8 @@ from treepark import (
     labeled_path,
     pair_to_prime,
     park,
+    parking_count,
+    parking_series,
     parse_plane_tree,
     parse_rooted_tree,
     path_tree,
@@ -53,6 +56,10 @@ from treepark import (
     validate_rooted_tree,
 )
 from treepark.cli import build_parser, main
+from treepark.trees import check_permutation
+
+# An int with more digits than ``str`` writes, and how a refusal names it.
+BIG, SHOWN = 10**4400, "<int of 14617 bits>"
 
 # Each bad call with the exact error class its call site raises, and the bad
 # value the message must name.
@@ -145,6 +152,20 @@ REPRODUCTIONS = [
     ("compose-onto-order-minus-one", lambda: Series(()).compose(Series((0, 1))), OrderMismatchError, "orders -1"),
     ("add-to-order-minus-one", lambda: Series(()) + 1, OrderMismatchError, "order -1"),
     ("sqrt-negative", lambda: Series((-4, 1)).sqrt(), BranchUndefinedError, "-4"),
+    ("big-parent", lambda: validate_rooted_tree((BIG,)), LabelOutOfRangeError, f"parent {SHOWN} outside"),
+    ("big-permutation-entry", lambda: check_permutation((BIG,)), InputError, f"[{SHOWN}] is not a permutation"),
+    ("big-preference", lambda: park(path_tree(2), (BIG, 1)), LabelOutOfRangeError, f"preference {SHOWN} outside"),
+    ("big-path-label", lambda: labeled_path((BIG,)), InputError, f"[{SHOWN}] is not a permutation"),
+    ("big-vertex", lambda: subtree_size(path_tree(3), BIG), VertexOutOfRangeError, f"vertex {SHOWN} outside"),
+    ("big-census", lambda: census(BIG), LimitExceededError, f"n <= 7, got {SHOWN}"),
+    ("big-census-counts", lambda: census_counts(BIG), LimitExceededError, f"n <= 7, got {SHOWN}"),
+    ("big-shard", lambda: census_counts(3, shard=(BIG, 1)), InvalidShardError, f"shard ({SHOWN}, 1)"),
+    ("big-suite", lambda: roundtrip_suite(BIG), LimitExceededError, "guarded to n <= 4"),
+    ("big-negative-suite", lambda: roundtrip_suite(-BIG), InputError, f"got n=<negative {SHOWN[1:]}"),
+    ("big-negative-order", lambda: check_identity("parking-gf", -BIG), OrderMismatchError, f"<negative {SHOWN[1:]}"),
+    ("big-negative-count", lambda: parking_count(-BIG), OrderMismatchError, f"got <negative {SHOWN[1:]}"),
+    ("big-coefficient", lambda: parking_series(5).coefficient(BIG), OrderMismatchError, f"coefficient {SHOWN} beyond"),
+    ("big-truncate", lambda: Series((0, 1, 0, 0)).truncate(BIG), OrderMismatchError, f"order 3 to {SHOWN}"),
 ]
 
 
@@ -169,8 +190,12 @@ def pick(values):
 
 # Valid sizes stay small, so that a junk call that happens to be valid is quick.
 SMALL = st.integers(-2, 4)
-SCALAR_JUNK = pick(
-    [None, 1.0, 2.5, float("nan"), True, False, "3", "", b"1", [], (), [1], object()]
+# An int with more digits than ``str`` writes, which a refusal must still
+# name.  It is built by ``map``, since hypothesis writes out the strategies
+# it validates; a valid size that large would never return, so it is negative.
+HUGE = st.just(4400).map(lambda digits: -(10**digits))
+SCALAR_JUNK = st.one_of(
+    pick([None, 1.0, 2.5, float("nan"), True, False, "3", "", b"1", [], (), [1], object()]), HUGE
 )
 INT = st.one_of(SMALL, SCALAR_JUNK)
 

@@ -446,6 +446,13 @@ class TestVerifiesInOnePlace:
         with pytest.raises(IdentityViolatedError, match="^parking count at n=3: "):
             closed_counts(6)
 
+    def test_a_distribution_count_off_the_integers_shows(self, monkeypatch):
+        third = lambda order: Series((0, Q(1, 3), *[0] * (order - 1)))  # noqa: E731
+        monkeypatch.setattr(treepark.series, "_distribution_series", third)
+        with pytest.raises(IdentityViolatedError) as caught:
+            closed_counts(3)
+        assert str(caught.value) == "distribution count: coefficient 1 times 1 is 1/3"
+
 
 # The builders that keep their widest series (``series._widest``).
 WIDEST = [
