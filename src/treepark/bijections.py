@@ -610,16 +610,23 @@ def _decode(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> tupl
     return parents, prefs
 
 
-def decode_prime(plt: LabeledPlaneTree) -> StandardPrime:
-    """Inverse of :func:`encode_prime`; total on labeled plane trees, so a
-    decoded pair that is not a standard prime is the decoder's fault."""
-    labels, kids = _flatten(plt)
-    _check_labels(labels, root_labeled=False)
+def _decode_prime(labels: Sequence[int | None], kids: Sequence[Sequence[int]]) -> _Run:
+    """:func:`decode_prime` of checked pre-order arrays: the flat pair
+    :func:`_decode` reads, checked by one simulation, and that run."""
     parents, prefs = _decode(labels, kids)
     try:
-        return _standard_prime(parents, *_check_standard(parents, prefs))
+        return parents, *_check_standard(parents, prefs)
     except NotStandardPrimeError as exc:
         raise _broken(parents, prefs, f"the decoded pair is a standard prime, but {exc}") from exc
+
+
+def decode_prime(plt: LabeledPlaneTree) -> StandardPrime:
+    """Inverse of :func:`encode_prime`; total on labeled plane trees, so a
+    decoded pair that is not a standard prime is the decoder's fault.  The
+    gate checks the labels; the kernel :func:`_decode_prime` decodes."""
+    labels, kids = _flatten(plt)
+    _check_labels(labels, root_labeled=False)
+    return _standard_prime(*_decode_prime(labels, kids))
 
 
 # ---------------------------------------------------------------------------
@@ -672,11 +679,17 @@ def borie_map(word: Sequence[int]) -> tuple[int, ...]:
     classical parking function of the same length.
 
     Entry m (read from m = n down to 1) is one more than the number of
-    positions with at least m larger letters to their left.
+    positions with at least m larger letters to their left.  The gate checks
+    the word; the kernel :func:`_borie_map` maps it.
     """
     word = check_permutation(word)
     if not _avoids_132(word):
         raise Not132AvoidingError(f"{list(word)} contains a 132 pattern")
+    return _borie_map(word)
+
+
+def _borie_map(word: Sequence[int]) -> tuple[int, ...]:
+    """:func:`borie_map` of a checked 132-avoiding permutation."""
     n = len(word)
     # Left of each letter, a 132-avoider has its larger letters first and
     # then its smaller ones, so the larger ones number 1 + the place of the

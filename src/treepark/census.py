@@ -19,7 +19,9 @@ back, and the first one met gets two passes: its class codes bottom up,
 then every vertex's code as root top down.  The tree space can be sharded:
 ``shard=(k, m)`` keeps the trees (or shapes) whose enumeration index is
 congruent to k mod m, and the per-shard counts sum to the full run.  The
-pattern suite builds its 132-avoiders instead of filtering all n! words.
+pattern suite builds its 132-avoiders instead of filtering all n! words,
+checks each word once, and hands it to the decoding and statistic-map
+kernels, which check it no further.
 """
 
 from __future__ import annotations
@@ -32,13 +34,11 @@ from typing import Iterator, Sequence
 
 from .bijections import (
     _avoids_132,
+    _borie_map,
     _check_standard,
+    _decode_prime,
     _encode,
-    _flat_parents,
     _sibling_pairs,
-    borie_map,
-    decode_prime,
-    labeled_path,
     pair_to_prime,
     prime_to_pair,
 )
@@ -434,15 +434,19 @@ def _avoiders_132(n: int) -> list[tuple[int, ...]]:
 def theorem53_suite(n: int) -> SuiteReport:
     """For every 132-avoiding permutation, the statistic map agrees with the
     decoded labeled path after dropping its leading 1.  The avoiders are
-    built, not filtered out of all n! words; each one is checked to be a new
-    132-avoiding permutation of 1..n, and Catalan(n) such words are all of
-    them."""
+    built, not filtered out of all n! words; each one is checked here, once,
+    to be a new 132-avoiding permutation of 1..n, and Catalan(n) such words
+    are all of them.  A checked word goes straight to the kernels
+    :func:`_decode_prime`, as its labeled path's pre-order arrays, and
+    :func:`_borie_map`, which check it no further; the decoder still checks
+    the pair it decodes."""
     if _at_least(n, 0, "n", InputError, "the pattern suite needs n >= 0, got n={value}") > CAPS["thm53"]:
         raise LimitExceededError(f"the pattern suite is guarded to n <= {CAPS['thm53']}")
     start = time.perf_counter()
     failures: list[str] = []
     cases = 0
     path = [0, *path_tree(n + 1).parents]
+    kids = tuple((v,) for v in range(1, n + 1)) + ((),)  # each labeled path's pre-order children
     letters = list(range(1, n + 1))
     seen: set[tuple[int, ...]] = set()
     for word in _avoiders_132(n):
@@ -454,14 +458,13 @@ def theorem53_suite(n: int) -> SuiteReport:
         if sorted(word) != letters or not _avoids_132(word):
             failures.append(f"sigma={word}: not a 132-avoiding permutation of 1..{n}")
             continue
-        sp = decode_prime(labeled_path(word))
-        if _flat_parents(sp) != path:
+        parents, prefs, _ = _decode_prime((None, *word), kids)
+        if parents != path:
             failures.append(f"sigma={word}: decoded tree is not a path")
             continue
-        if sp.prefs[0] != 1 or borie_map(word) != sp.prefs[1:]:
-            failures.append(
-                f"sigma={word}: statistic map {borie_map(word)} != decoded tail {sp.prefs[1:]}"
-            )
+        tail = _borie_map(word)
+        if prefs[0] != 1 or tail != prefs[1:]:
+            failures.append(f"sigma={word}: statistic map {tail} != decoded tail {prefs[1:]}")
     if cases != catalan_number(n):
         failures.append(f"saw {cases} avoiders, expected {catalan_number(n)}")
     return SuiteReport("thm53", n, cases, tuple(failures), time.perf_counter() - start)

@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import CAPS, IDENTITY_NAMES, TreeParkError, UsageError
+from .errors import CAPS, IDENTITY_NAMES, TreeParkError, UsageError, _token
 
 if TYPE_CHECKING:
     from .trees import RootedTree
@@ -30,10 +30,15 @@ def _payload(value: str) -> str:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the size flags; argparse names the flag on error."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    """argparse type of the size flags; argparse names the flag on error.
+    Digits past what ``int`` reads are refused too, the token cut short."""
+    try:
+        value = int(text) if text.isdecimal() else 0
+    except ValueError:  # more digits than ``int`` converts
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {_token(text)}")
+    return value
 
 
 def _pair(args: argparse.Namespace) -> tuple[RootedTree, tuple[int, ...]]:

@@ -4,7 +4,8 @@ Everything derives from :class:`TreeParkError`; input-shaped problems also
 derive from :class:`ValueError` so callers can catch them generically.
 Every integer input passes :func:`_at_least` or :func:`_ints`: an exact
 ``int``, never a ``bool``.  A refusal writes the value it refuses with
-:func:`_shown`, which also writes an int too long for ``str``.
+:func:`_shown`, which also writes an int too long for ``str``, and a text
+token it refuses with :func:`_token`, which cuts a long one.
 
 Two figures of other layers live here too: ``IDENTITY_NAMES``, the
 identities that ``series`` checks, and ``CAPS``, the size guards of the
@@ -157,6 +158,14 @@ def _shown(value) -> str:
         raise
     except ValueError:
         return _BitsRepr().repr(value)
+
+
+def _token(tok) -> str:
+    """A refused token for a message: a string longer than ten characters as
+    its first ten and its length, anything else as :func:`_shown` writes it."""
+    if isinstance(tok, (str, bytes)) and len(tok) > 10:
+        return f"{tok[:10]!r}... of {len(tok)} characters"
+    return _shown(tok)
 
 
 def _at_least(value, least: int, name: str, error: type[InputError] = OrderMismatchError, message: str = "",

@@ -62,6 +62,7 @@ from .errors import (
     _at_least,
     _ints,
     _shown,
+    _token,
 )
 
 # A plane-tree shape: tuple of child shapes, left to right.
@@ -504,9 +505,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
         for tok in text.split():
             out.append(int(tok))
     except (ValueError, AttributeError):  # AttributeError: ``text`` is no string
-        cut = isinstance(tok, (str, bytes)) and len(tok) > 10
-        shown = f"{tok[:10]!r}... of {len(tok)} characters" if cut else _shown(tok)
-        raise InputError(f"{what}: expected whitespace-separated integers, got {shown}") from None
+        raise InputError(f"{what}: expected whitespace-separated integers, got {_token(tok)}") from None
     return out
 
 

@@ -505,8 +505,29 @@ class TestTheoremSuite:
         with pytest.raises(LimitExceededError):
             theorem53_suite(8)
 
+    def test_each_word_is_validated_once(self, monkeypatch):
+        # the suite checks each word itself and hands it to the kernels, so
+        # no public gate runs again; the decoder still checks what it decodes
+        names = ("check_permutation", "_check_labels", "labeled_path", "decode_prime", "borie_map",
+                 "_decode_prime", "_borie_map")
+        calls = Counter()
+
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.update((name,)) or real(*args, **kwargs)
+
+        for module in (treepark.trees, treepark.bijections, census_module):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert theorem53_suite(6).passed
+        assert {name: calls[name] for name in names} == dict.fromkeys(names[:5], 0) | {
+            "_decode_prime": 132,
+            "_borie_map": 132,
+        }
+
     def test_a_decoded_tree_off_the_path_is_a_failure(self, monkeypatch):
-        monkeypatch.setattr(census_module, "_flat_parents", lambda sp: [0])
+        real = census_module._decode_prime
+        monkeypatch.setattr(census_module, "_decode_prime", lambda labels, kids: ([0], *real(labels, kids)[1:]))
         report = theorem53_suite(2)
         assert not report.passed and report.cases == 2
         assert report.failures == (
@@ -515,8 +536,8 @@ class TestTheoremSuite:
         )
 
     def test_a_statistic_map_off_the_decoded_tail_is_a_failure(self, monkeypatch):
-        real = census_module.borie_map
-        monkeypatch.setattr(census_module, "borie_map", lambda word: (0,) * len(word))
+        real = census_module._borie_map
+        monkeypatch.setattr(census_module, "_borie_map", lambda word: (0,) * len(word))
         report = theorem53_suite(2)
         assert not report.passed and report.cases == 2
         assert report.failures == tuple(

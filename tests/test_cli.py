@@ -360,6 +360,17 @@ class TestUsage:
         assert out == ""
         assert f"argument {argv[1]}: expected a positive integer" in err
 
+    @pytest.mark.parametrize("argv", [("series", "--order"), ("counts", "--max"), ("verify", "--max-n")])
+    def test_a_size_too_long_for_int_is_refused_cut_short(self, capsys, argv):
+        # 4401 digits: more than ``int`` converts from text by default
+        code, out, err = run(capsys, *argv, "1" + "0" * 4400)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"treepark {argv[0]}: error: argument {argv[1]}: "
+            "expected a positive integer, got '1000000000'... of 4401 characters"
+        )
+
 
 def test_import_loads_only_the_standard_library():
     # treepark has no runtime dependencies, so no import of it, and no CLI

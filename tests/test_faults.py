@@ -39,6 +39,7 @@ from treepark import (
     enumerate_plane_trees,
     parse_plane_tree,
     path_preimage_seq,
+    theorem53_suite,
 )
 from treepark.bijections import _BLOCK, _checked
 from treepark.trees import _carried_tree, _flatten, _shape_parents
@@ -207,6 +208,28 @@ def test_merge_misplaces_the_entry_it_inserts_last(monkeypatch):
     assert bitten > 0
 
 
+def last_driver_at_the_root(decode):
+    """``decode`` with the last driver's preference moved to the root's label."""
+
+    def doctored(labels, kids):
+        parents, prefs = decode(labels, kids)
+        prefs[-1] = len(parents) - 1
+        return parents, prefs
+
+    return doctored
+
+
+def test_decode_sends_the_last_driver_to_the_root(monkeypatch):
+    # the pattern suite decodes its paths through the kernel, which checks the pair
+    monkeypatch.setattr(treepark.bijections, "_decode", last_driver_at_the_root(treepark.bijections._decode))
+    with pytest.raises(InvariantError) as caught:
+        theorem53_suite(3)
+    assert str(caught.value) == (
+        "the decoded pair is a standard prime, but underlying pair is not prime"
+        " (witness: parents (2, 3, 4, 0), prefs (1, 1, 1, 4))"
+    )
+
+
 # ---------------------------------------------------------------------------
 # The series kernel: the Fraction reference
 # ---------------------------------------------------------------------------
@@ -241,7 +264,7 @@ def invariant_faults() -> list[str]:
     kernel doctored, as ``name: invariant``; written without ``assert`` or
     ``monkeypatch``, so that it runs under ``python -O``."""
     bij = treepark.bijections
-    real_merge, real_rank = bij._merge, bij._Shrinking.rank
+    real_merge, real_rank, real_decode = bij._merge, bij._Shrinking.rank, bij._decode
 
     def swapped(parts):  # the first and the last preference trade places
         below, wants = real_merge(parts)
@@ -259,6 +282,7 @@ def invariant_faults() -> list[str]:
         ((bij, "_merge", swapped), lambda: decode_prime(parse_plane_tree("*[1 2[4 5[3]]]"))),
         ((bij._Shrinking, "rank", lambda self, x, drop=False: real_rank(self, x, drop) + 1),
          lambda: path_preimage_seq((2, 1))),
+        ((bij, "_decode", last_driver_at_the_root(real_decode)), lambda: theorem53_suite(3)),
     ]
     raised = []
     for patch, call in rows:
@@ -295,4 +319,5 @@ def test_invariant_checks_raise_under_optimize():
         "InvariantError: each vertex takes one post-order label",
         "InvariantError: the decoded pair is a standard prime, but children of vertex 4 are out of crossing order",
         "InvariantError: a path preimage must be a growth sequence",
+        "InvariantError: the decoded pair is a standard prime, but underlying pair is not prime",
     ]

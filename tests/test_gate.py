@@ -508,6 +508,7 @@ PAIR_ARGS = st.one_of(
 ).map(lambda pair: ["--tree", pair[0], "--seq", pair[1]])
 BAD_PERMS = ["1 1", "0", "2", "1.0", "x", "1 3", "@missing.txt", "@binary.txt"]
 PLANE_TEXTS = ["*", "*[1]", "*[2[1]]", "*[1 *]", "2[1]", "*[", "*[]", "*[2]", "x", "*[1[2[3]]]", "@binary.txt"]
+TOO_LONG = "1" + "0" * 4400  # a size with more digits than ``int`` converts from text
 
 CLI_JUNK = {
     "park": PAIR_ARGS,
@@ -521,14 +522,18 @@ CLI_JUNK = {
     ).map(lambda pair: ["--perm", pair[0], "--ptree", pair[1]]),
     "borie": st.sampled_from(BAD_PERMS + ["1 3 2"]).map(lambda perm: ["--perm", perm]),
     "series": st.sampled_from(
-        [["--order", "0"], ["--order", "-1"], ["--order", "x"], ["--order", "1.5"], ["--identity", "nope"]]
+        [["--order", "0"], ["--order", "-1"], ["--order", "x"], ["--order", "1.5"], ["--order", TOO_LONG],
+         ["--identity", "nope"]]
     ),
-    "counts": st.sampled_from([["--max", "0"], ["--max", "-3"], ["--max", "x"], ["--format", "xml"]]),
+    "counts": st.sampled_from(
+        [["--max", "0"], ["--max", "-3"], ["--max", "x"], ["--max", TOO_LONG], ["--format", "xml"]]
+    ),
     "verify": st.sampled_from(
         [
             ["--suite", "nope"],
             ["--max-n", "0"],
             ["--max-n", "x"],
+            ["--max-n", TOO_LONG],
             ["--suite", "census", "--max-n", "7"],
             ["--suite", "roundtrip", "--max-n", "5"],
             ["--suite", "thm53", "--max-n", "8"],
@@ -562,3 +567,5 @@ def test_cli_junk_exits_two(command, data, payload_dir):
         code = main(argv)  # an uncaught exception fails the test
     assert code == 2, (argv, out.getvalue(), err.getvalue())
     assert err.getvalue() and "Traceback" not in err.getvalue()
+    # a refusal names what it refuses in a line, and cuts a long token short
+    assert max(map(len, err.getvalue().splitlines())) < 1000, (argv[:2], err.getvalue()[:200])
