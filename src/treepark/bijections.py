@@ -15,8 +15,9 @@ The pipeline factors a prime pair through a *standard form*:
   prime pairs on n vertices correspond to (permutation, labeled plane tree)
   pairs, (2n-2)! of them in total.
 
-Validation sits at the public boundaries, behind the input gate
-``parking.check_preferences``, and each pair is checked by one simulation.
+Validation sits at the public boundaries: each public map runs its gate,
+``parking.check_preferences`` for a pair, then a private kernel on flat
+forms, which the census suites call directly.  One simulation checks a pair.
 :func:`standardize` checks primality and the sibling order of its result
 from one crossing log, and :func:`decode_prime` checks the pair it decodes;
 both attach that run, relabeled (parking is equivariant), to the standard
@@ -67,6 +68,7 @@ from .trees import (
     LabeledPlaneTree,
     PlaneShape,
     RootedTree,
+    _Flat,
     _check_labels,
     _carried_tree,
     _flatten,
@@ -261,9 +263,16 @@ def standardize(
     """Order siblings by crossing time, relabel by post-order.
 
     Returns the relabeling permutation sigma (old label -> new label) and
-    the resulting standard pair.
+    the resulting standard pair.  The gate checks the pair; the kernel
+    :func:`_standardize` relabels it.
     """
-    prefs = check_preferences(tree, prefs)
+    word, run = _standardize(tree, check_preferences(tree, prefs))
+    return word, _standard_prime(*run)
+
+
+def _standardize(tree: RootedTree, prefs: tuple[int, ...]) -> tuple[tuple[int, ...], _Run]:
+    """:func:`standardize` of a checked pair: sigma and the flat standard
+    pair with its run, checked for primality and crossing order by that run."""
     prime, outcome = _prime_outcome(tree, prefs)
     if not prime:
         raise NotPrimeError("standard form is only defined for prime pairs")
@@ -288,7 +297,7 @@ def standardize(
     if _out_of_crossing_order(parents, relabeled) is not None:
         raise InvariantError("the standard form breaks the crossing order", tree, prefs)
     run = ParkingOutcome(tuple(sigma[s] for s in outcome.spots), relabeled)
-    return tuple(sigma[1:]), _standard_prime(parents, tuple(sigma[p] for p in prefs), run)
+    return tuple(sigma[1:]), (parents, tuple(sigma[p] for p in prefs), run)
 
 
 def _inverse_relabeling(word: Sequence[int], n: int) -> tuple[int, ...]:
@@ -437,9 +446,9 @@ class _Shrinking:
         return block.pop(r)
 
 
-def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -> LabeledPlaneTree:
-    """The plane-tree image of a checked flat standard pair, on the shape
-    that :func:`_image` reads off its one run.
+def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -> _Flat:
+    """The pre-order arrays (see :func:`_flatten`) of the plane-tree image of
+    a checked flat standard pair, on the shape :func:`_image` reads off its run.
 
     Let piece P's image subtree carry the labels L; the root's carries 1..n,
     n on the root itself.  A child piece Q of P takes its label and those
@@ -487,12 +496,13 @@ def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -
         raise _broken(parents, prefs, "the image carries each label 1..n-1 once")
     labels[n] = None
     kid_ids = tuple(tuple(map(at.__getitem__, kids[v])) for v in order)
-    return _carried_tree(tuple(map(labels.__getitem__, order)), kid_ids)
+    return tuple(map(labels.__getitem__, order)), kid_ids
 
 
 def encode_prime(sp: StandardPrime) -> LabeledPlaneTree:
-    """Map a standard pair to a plane tree with non-root labels in [n-1]."""
-    return _encode(*_checked(sp))
+    """Map a standard pair to a plane tree with non-root labels in [n-1]:
+    the gate checks the pair, the kernel :func:`_encode` maps it."""
+    return _carried_tree(*_encode(*_checked(sp)))
 
 
 _FEW = 256  # entries a merge inserts one by one; past that, one sort costs less

@@ -19,9 +19,10 @@ back, and the first one met gets two passes: its class codes bottom up,
 then every vertex's code as root top down.  The tree space can be sharded:
 ``shard=(k, m)`` keeps the trees (or shapes) whose enumeration index is
 congruent to k mod m, and the per-shard counts sum to the full run.  The
-pattern suite builds its 132-avoiders instead of filtering all n! words,
-checks each word once, and hands it to the decoding and statistic-map
-kernels, which check it no further.
+suites check what they enumerate once, if at all, and call the bijection
+kernels, never a public gate: the round trip composes them, the pattern
+suite builds its 132-avoiders instead of filtering all n! words, and the
+path-image suite encodes each growth sequence it checks.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .bijections import (
     _borie_map,
     _check_standard,
     _decode_prime,
+    _destandardize,
     _encode,
     _sibling_pairs,
-    pair_to_prime,
-    prime_to_pair,
+    _standardize,
 )
 from .errors import (
     CAPS,
@@ -62,6 +63,7 @@ from .trees import (
     enumerate_rooted_trees,
     format_plane_tree,
     format_rooted_tree,
+    inverse_permutation,
     path_tree,
 )
 
@@ -354,20 +356,33 @@ def _iter_primes(n: int):
             yield tree, seq
 
 
+def _forward(tree, prefs):
+    """A prime pair's image: its word and its plane tree's pre-order arrays."""
+    word, run = _standardize(tree, prefs)
+    return word, _encode(*run)
+
+
+def _backward(word, flat):
+    """The prime pair of a word and a plane tree's pre-order arrays."""
+    parents, prefs, _ = _decode_prime(*flat)
+    return _destandardize(inverse_permutation(word), parents, prefs)
+
+
 def roundtrip_suite(n: int) -> SuiteReport:
     """Both composites of the prime <-> (permutation, plane tree) maps are
     identities, and the forward image has no duplicates.
 
-    Each map runs once on every object of its domain.  The forward half
-    records, for each image, whether it decoded back to the pair it came
-    from, or else the pair it decoded to.  An image that decoded back needs
-    no run in the backward half: the maps are functions, so encoding the
-    decoded pair gives the image again.  The backward half runs the maps
-    only on a pair the forward image missed (both maps), or on the decoded
-    pair of a failed forward round trip (the encoding).  The report is the
-    one that running both composites on every object would give.  An image
-    is keyed by its word and its tree's flat form, which compare as the
-    pair does, so the table holds no nested trees.
+    The maps, :func:`_forward` and :func:`_backward`, compose the kernels
+    on the pairs and trees enumerated here, and each runs once on every
+    object of its domain.  The forward half records, for each image, whether
+    it decoded back to the pair it came from, or else the pair it decoded
+    to.  An image that decoded back needs no run in the backward half: the
+    maps are functions, so encoding the decoded pair gives the image again.
+    The backward half runs the maps only on a pair the forward image missed
+    (both maps), or on the decoded pair of a failed forward round trip (the
+    encoding).  The report is the one that running both composites on every
+    object would give.  An image is its word and its tree's pre-order
+    arrays, which compare as the pair does, so the table holds no nested trees.
     """
     if _at_least(n, 1, "n", InputError, "the round-trip suite needs n >= 1, got n={value}") > CAPS["roundtrip"]:
         raise LimitExceededError(f"the round-trip suite is guarded to n <= {CAPS['roundtrip']}")
@@ -379,10 +394,9 @@ def roundtrip_suite(n: int) -> SuiteReport:
     forward = 0
     for tree, prefs in _iter_primes(n):
         forward += 1
-        word, plt = prime_to_pair(tree, prefs)
-        image = word, _flatten(plt)
+        image = _forward(tree, prefs)
         decoded[image] = True
-        back_tree, back_prefs = pair_to_prime(word, plt)
+        back_tree, back_prefs = _backward(*image)
         if back_tree != tree or back_prefs != prefs:
             decoded[image] = back_tree, back_prefs
             failures.append(
@@ -398,12 +412,12 @@ def roundtrip_suite(n: int) -> SuiteReport:
     for word in permutations(range(1, n + 1)):
         for plt in plane_trees:
             backward += 1
-            back = decoded.get((word, _flatten(plt)))
+            image = word, _flatten(plt)
+            back = decoded.get(image)
             if back is True:
                 continue
-            tree, prefs = pair_to_prime(word, plt) if back is None else back
-            word2, plt2 = prime_to_pair(tree, prefs)
-            if word2 != word or plt2 != plt:
+            tree, prefs = _backward(*image) if back is None else back
+            if _forward(tree, prefs) != image:
                 failures.append(
                     f"backward roundtrip broke at sigma={word} ptree={format_plane_tree(plt)}"
                 )
@@ -485,7 +499,7 @@ def path_image_suite(n: int) -> SuiteReport:
     for seq in product(*ranges):
         cases += 1
         try:
-            labels, kids = _flatten(_encode(path, *_check_standard(path, seq)))
+            labels, kids = _encode(path, *_check_standard(path, seq))
         except NotStandardPrimeError as exc:
             failures.append(f"seq={seq}: not a standard prime pair: {exc}")
             continue

@@ -15,7 +15,8 @@ vector prefix by prefix instead, and pairs siblings with
 
 The two-loop round-trip suite runs both composites of the maps on every
 object, from each side.  The package runs each map once per object and
-answers the backward half from the forward half's table.
+answers the backward half from the forward half's table.  Both run the maps
+as the suite's two halves, ``census._forward`` and ``census._backward``.
 """
 
 import importlib
@@ -34,10 +35,9 @@ from treepark import (
     format_plane_tree,
     format_rooted_tree,
 )
-from treepark import bijections
 from treepark.census import CENSUS_COLUMNS, _iter_primes
 from treepark.parking import run_parking
-from treepark.trees import _bottom_up, _shape_parents, _subtree_sums
+from treepark.trees import _bottom_up, _flatten, _shape_parents, _subtree_sums
 
 census = importlib.import_module("treepark.census")  # the package exports a census function
 
@@ -144,16 +144,17 @@ def reference_counts(n, shard=(0, 1)):
 
 def reference_roundtrip(n):
     """``(cases, failures)`` of the round-trip suite at size n, both
-    composites run on every object.  The maps are read off the census module
-    at each call, so that a test that replaces them there replaces them here."""
+    composites run on every object.  The halves are read off the census
+    module at each call, so that a test that replaces them there replaces
+    them here.  An image is a word and its plane tree's pre-order arrays."""
     failures = []
     images = set()
     forward = 0
     for tree, prefs in _iter_primes(n):
         forward += 1
-        word, plt = census.prime_to_pair(tree, prefs)
-        images.add((word, plt))
-        back_tree, back_prefs = census.pair_to_prime(word, plt)
+        image = census._forward(tree, prefs)
+        images.add(image)
+        back_tree, back_prefs = census._backward(*image)
         if back_tree != tree or back_prefs != prefs:
             failures.append(
                 f"forward roundtrip broke at tree={format_rooted_tree(tree)} seq={prefs}"
@@ -167,9 +168,9 @@ def reference_roundtrip(n):
     for word in permutations(range(1, n + 1)):
         for plt in enumerate_labeled_plane_trees(n):
             backward += 1
-            tree, prefs = census.pair_to_prime(word, plt)
-            word2, plt2 = census.prime_to_pair(tree, prefs)
-            if word2 != word or plt2 != plt:
+            image = word, _flatten(plt)
+            tree, prefs = census._backward(*image)
+            if census._forward(tree, prefs) != image:
                 failures.append(
                     f"backward roundtrip broke at sigma={word} ptree={format_plane_tree(plt)}"
                 )
@@ -178,30 +179,34 @@ def reference_roundtrip(n):
     return forward + backward, tuple(failures)
 
 
-# Doctored maps for the suites, each wrong in one way; every one still maps
-# into the other side's domain, so that neither suite raises.
+# Doctored halves for the suites, each wrong in one way; every one still maps
+# into the other side's domain, so that neither suite raises.  They wrap the
+# honest halves, bound here before any test replaces them.
 
-def decoder_broken_on_some_words(word, plt):
+honest_forward, honest_backward = census._forward, census._backward
+
+
+def decoder_broken_on_some_words(word, flat):
     """Decodes a word that starts with 1 as if it were rotated by one place."""
     if word[0] == 1:
         word = word[1:] + word[:1]
-    return bijections.pair_to_prime(word, plt)
+    return honest_backward(word, flat)
 
 
 def encoder_not_injective(tree, prefs):
     """Swaps the letters 1 and 2 of a word that starts with 2, so that it
     meets the image of another pair."""
-    word, plt = bijections.prime_to_pair(tree, prefs)
+    word, flat = honest_forward(tree, prefs)
     if word[0] == 2:
         word = tuple({1: 2, 2: 1}.get(letter, letter) for letter in word)
-    return word, plt
+    return word, flat
 
 
 def encoder_missing_one_pair(tree, prefs):
     """Sends the one pair whose image is the identity word with the path
     labeled 1..n-1 downward to the image of the reversed word's pair."""
-    word, plt = bijections.prime_to_pair(tree, prefs)
+    word, flat = honest_forward(tree, prefs)
     n = len(word)
-    if word == tuple(range(1, n + 1)) and plt == labeled_path(range(1, n)):
+    if word == tuple(range(1, n + 1)) and flat == _flatten(labeled_path(range(1, n))):
         word = word[::-1]
-    return word, plt
+    return word, flat

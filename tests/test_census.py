@@ -1,5 +1,6 @@
 """Brute-force censuses, sharding, and the theorem suites."""
 
+import ast
 import importlib
 import os
 import re
@@ -52,7 +53,7 @@ from treepark.census import (
     _prime_sequences,
     _standard_orderings,
 )
-from treepark.trees import RootedTree, _shape_parents
+from treepark.trees import RootedTree, _flatten, _shape_parents
 
 census_module = importlib.import_module("treepark.census")  # the package exports a census function
 
@@ -393,13 +394,35 @@ class TestRoundtripSuite:
         assert roundtrip_suite(n).passed
         assert calls == [n]
 
+    def test_each_case_is_validated_once(self, monkeypatch):
+        # the suite enumerates its own pairs and trees and composes the
+        # kernels, so no public gate or map runs; the kernels still check
+        # the pairs they build, by simulation
+        names = ("check_preferences", "validate_rooted_tree", "_check_labels", "check_permutation",
+                 "standardize", "decode_prime", "prime_to_pair", "pair_to_prime", "_standardize", "_decode_prime")
+        calls = Counter()
 
-# Each doctored map, by the name the census module calls it under.
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.update((name,)) or real(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):  # every module that binds a name
+            if module_name.split(".")[0] == "treepark":
+                for name in names:
+                    if name in vars(module):
+                        monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+        assert roundtrip_suite(4).passed
+        assert {name: calls[name] for name in names} == dict.fromkeys(names[:8], 0) | {
+            "_standardize": 720,
+            "_decode_prime": 720,
+        }
+
+
+# Each doctored half, by the name the census module calls it under.
 DOCTORED = {
     "honest": {},
-    "decoder-broken-on-some-words": {"pair_to_prime": reference_census.decoder_broken_on_some_words},
-    "encoder-not-injective": {"prime_to_pair": reference_census.encoder_not_injective},
-    "encoder-missing-one-pair": {"prime_to_pair": reference_census.encoder_missing_one_pair},
+    "decoder-broken-on-some-words": {"_backward": reference_census.decoder_broken_on_some_words},
+    "encoder-not-injective": {"_forward": reference_census.encoder_not_injective},
+    "encoder-missing-one-pair": {"_forward": reference_census.encoder_missing_one_pair},
 }
 
 
@@ -440,7 +463,7 @@ class TestRoundtripAgainstTheReference:
 
         for name, fake in DOCTORED[doctored].items():
             monkeypatch.setattr(census_module, name, fake)
-        for name in ("prime_to_pair", "pair_to_prime"):
+        for name in ("_forward", "_backward"):
             monkeypatch.setattr(census_module, name, counting(name, getattr(census_module, name)))
         expected = reference_roundtrip(n)
         calls.clear()
@@ -448,22 +471,22 @@ class TestRoundtripAgainstTheReference:
         assert (report.cases, report.failures) == expected
         forward = report.cases // 2
         if doctored == "honest":
-            assert report.failures == () and calls.count("prime_to_pair") == calls.count("pair_to_prime") == forward
+            assert report.failures == () and calls.count("_forward") == calls.count("_backward") == forward
         elif n >= 2:
             assert report.failures
         if doctored == "encoder-missing-one-pair" and n >= 2:
             # the missed pair runs both maps, the pair its image went to the encoding again
-            assert (calls.count("pair_to_prime"), calls.count("prime_to_pair")) == (forward + 1, forward + 2)
+            assert (calls.count("_backward"), calls.count("_forward")) == (forward + 1, forward + 2)
 
     def test_same_report_under_optimize(self, monkeypatch):
         # the suite's checks are no asserts, which python -O strips
-        monkeypatch.setattr(census_module, "pair_to_prime", reference_census.decoder_broken_on_some_words)
+        monkeypatch.setattr(census_module, "_backward", reference_census.decoder_broken_on_some_words)
         expected = reference_roundtrip(3)
         assert expected[1]
         probe = (
             "import importlib, reference_census\n"
             "census = importlib.import_module('treepark.census')\n"
-            "census.pair_to_prime = reference_census.decoder_broken_on_some_words\n"
+            "census._backward = reference_census.decoder_broken_on_some_words\n"
             "report = census.roundtrip_suite(3)\n"
             "print(repr((report.cases, report.failures)))\n"
         )
@@ -575,7 +598,7 @@ class TestPathImageSuite:
             path_image_suite(7)
 
     def test_an_image_off_the_path_is_a_failure(self, monkeypatch):
-        monkeypatch.setattr(census_module, "_encode", lambda parents, prefs, outcome: parse_plane_tree("*[1 2]"))
+        monkeypatch.setattr(census_module, "_encode", lambda parents, prefs, outcome: _flatten(parse_plane_tree("*[1 2]")))
         report = path_image_suite(2)
         assert not report.passed and report.cases == 2
         assert report.failures == (
@@ -593,6 +616,20 @@ class TestPathImageSuite:
             "enumerated 5 growth sequences, expected 6",
             "images cover 5 labeled paths out of 6",
         )
+
+
+def test_the_suites_import_only_kernels_from_bijections():
+    # the suites check what they enumerate themselves and call kernels, so
+    # none may slip back through a public gate or map of the bijection layer
+    tree = ast.parse(Path(census_module.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "bijections" and node.level == 1
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if not name.startswith("_")] == []
 
 
 @pytest.mark.parametrize("suite, n", [(roundtrip_suite, 4), (path_image_suite, 6), (theorem53_suite, 7)])

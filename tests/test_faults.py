@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from bisect import bisect_left
+from itertools import permutations
 from operator import mul
 from pathlib import Path
 
@@ -37,11 +38,15 @@ from treepark import (
     encode_prime,
     enumerate_labeled_plane_trees,
     enumerate_plane_trees,
+    format_plane_tree,
+    format_rooted_tree,
     parse_plane_tree,
     path_preimage_seq,
+    roundtrip_suite,
     theorem53_suite,
 )
 from treepark.bijections import _BLOCK, _checked
+from treepark.census import _iter_primes
 from treepark.trees import _carried_tree, _flatten, _shape_parents
 from test_bijections import FIG_SP, caterpillar_tree, random_plane_tree, star_tree, with_spots
 from test_trees import reference_plane_trees
@@ -228,6 +233,36 @@ def test_decode_sends_the_last_driver_to_the_root(monkeypatch):
         "the decoded pair is a standard prime, but underlying pair is not prime"
         " (witness: parents (2, 3, 4, 0), prefs (1, 1, 1, 4))"
     )
+
+
+# ---------------------------------------------------------------------------
+# The backward relabeling: the round-trip suite
+# ---------------------------------------------------------------------------
+
+
+def test_destandardize_swaps_the_images_of_1_and_2(monkeypatch):
+    # the backward relabeling composed with the transposition (1 2) moves
+    # every prime pair on 3 vertices, so the round trip breaks at every
+    # case, each named in enumeration order
+    real = treepark.bijections._destandardize
+    swapped = lambda inv, parents, prefs: real(tuple({1: 2, 2: 1}.get(x, x) for x in inv), parents, prefs)  # noqa: E731
+    for name, module in list(sys.modules.items()):  # every module that binds the kernel
+        if name.split(".")[0] == "treepark" and getattr(module, "_destandardize", None) is real:
+            monkeypatch.setattr(module, "_destandardize", swapped)
+    report = roundtrip_suite(3)
+    assert report.cases == 48
+    assert report.failures == tuple(
+        f"forward roundtrip broke at tree={format_rooted_tree(tree)} seq={prefs}" for tree, prefs in _iter_primes(3)
+    ) + tuple(
+        f"backward roundtrip broke at sigma={word} ptree={format_plane_tree(plt)}"
+        for word in permutations(range(1, 4))
+        for plt in enumerate_labeled_plane_trees(3)
+    )
+    assert report.failures[:2] == (
+        "forward roundtrip broke at tree=2 0 1 seq=(1, 3, 3)",
+        "forward roundtrip broke at tree=2 0 1 seq=(3, 1, 3)",
+    )
+    assert report.failures[-1] == "backward roundtrip broke at sigma=(3, 2, 1) ptree=*[2[1]]"
 
 
 # ---------------------------------------------------------------------------

@@ -87,15 +87,16 @@ def test_composed_maps_call_the_traced_halves():
     try:
         word, plane = treepark.prime_to_pair(treepark.path_tree(3), (1, 1, 1))
         treepark.pair_to_prime(word, plane)
-        treepark.roundtrip_suite(2)
+        direct = len(tracer.names)
+        treepark.roundtrip_suite(2)  # composes the kernels, not the public maps
     finally:
         tracer.uninstall()
     for outer, inner in CHILD_SPANS.items():
         spans = [i for i, name in enumerate(tracer.names) if name == outer]
-        assert len(spans) == 3, outer  # one direct call and two from the suite's forward half
-        for span in spans:
-            children = {tracer.names[j] for j, parent in enumerate(tracer.parents) if parent == span}
-            assert inner in children, (outer, span)
+        assert len(spans) == 1, outer  # the direct call
+        children = {tracer.names[j] for j, parent in enumerate(tracer.parents) if parent == spans[0]}
+        assert inner in children, outer
+    assert not set(tracer.names[direct:]) & set(CHILD_SPANS)
 
 
 # The census workload installs the tracer right after ``import treepark``,

@@ -330,6 +330,16 @@ class TestOneFlatten:
         assert flattens == [tree]
 
 
+def test_a_plane_tree_with_an_unhashable_label_refuses_a_hash():
+    # a set hashes its members, so it names the label list too
+    tree = LabeledPlaneTree(None, (LabeledPlaneTree([1]),))
+    for call in (hash, lambda t: {t}):
+        with pytest.raises(InputError) as caught:
+            call(tree)
+        assert type(caught.value) is InputError
+        assert str(caught.value) == "plane tree: labels [None, [1]] are not all hashable"
+
+
 class TestWordText:
     """A refused token or entry is named alone: the message never echoes
     the whole payload, nor writes an integer too long for ``str``."""
