@@ -53,7 +53,7 @@ from .errors import (
     NotPrimeError,
     NotStandardPrimeError,
     VertexOutOfRangeError,
-    _NoAttributeError,
+    _built_on_read,
     _ints,
     _shown,
 )
@@ -115,13 +115,7 @@ class StandardPrime:
         return f"StandardPrime(shape={_shape_repr(self.shape)}, prefs={_shown(self.prefs)})"
 
     def __getattr__(self, name: str):
-        # Reached only for a name the instance does not hold: ``shape`` on a
-        # pair the package built, before it is read.  Build it once.
-        held = self.__dict__
-        if name == "shape" and "_run" in held:
-            shape = held["shape"] = _parents_shape(held["_run"][0])
-            return shape
-        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {_shown(name)}")
+        return _built_on_read(self, name, "shape", "_run", lambda run: _parents_shape(run[0]))
 
     def __reduce__(self):
         """Copies and pickles rebuild the pair by hand from its flat form."""
@@ -156,6 +150,7 @@ class MarkedSet:
             raise InputError(f"elements {_shown(self.elements)} are not strictly increasing")
         if self.marked not in elements:
             raise InputError(f"marked index {_shown(self.marked)} is not among {_shown(self.elements)}")
+        object.__setattr__(self, "elements", elements)  # the caller's container, validated, as a tuple
 
     def unmarked(self) -> tuple[int, ...]:
         return tuple(e for e in self.elements if e != self.marked)

@@ -5,7 +5,9 @@ derive from :class:`ValueError` so callers can catch them generically.
 Every integer input passes :func:`_at_least` or :func:`_ints`: an exact
 ``int``, never a ``bool``.  A refusal writes the value it refuses with
 :func:`_shown`, which also writes an int too long for ``str``, and a text
-token it refuses with :func:`_token`, which cuts a long one.
+token it refuses with :func:`_token`, which cuts a long one.  A value built
+from a flat form builds its nested field on first read, and refuses any
+other name it lacks, by one rule, :func:`_built_on_read`.
 
 Two figures of other layers live here too: ``IDENTITY_NAMES``, the
 identities that ``series`` checks, and ``CAPS``, the size guards of the
@@ -132,8 +134,18 @@ class InvalidShardError(InputError):
 
 class _NoAttributeError(InputError, AttributeError):
     """A name a value does not hold: the ``AttributeError`` that ``getattr``
-    and ``hasattr`` expect, named as the package names every refusal.  The
-    types whose fields are built on first read raise it from ``__getattr__``."""
+    and ``hasattr`` expect, named as the package names every refusal.  Only
+    :func:`_built_on_read` raises it."""
+
+
+def _built_on_read(value, name: str, field: str, form: str, build):
+    """``value.__getattr__(name)``: the nested ``field`` of a value holding its
+    flat ``form``, built from the form once and held, or a refusal of ``name``."""
+    held = value.__dict__
+    if name == field and form in held:
+        built = held[field] = build(held[form])
+        return built
+    raise _NoAttributeError(f"{type(value).__name__!r} object has no attribute {_shown(name)}")
 
 
 class _BitsRepr(reprlib.Repr):

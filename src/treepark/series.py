@@ -9,14 +9,15 @@ that form and reduces its result by one gcd; a recurrence (``exp``,
 coefficients over the lcm of their own denominators and never scales step
 k by d^k, which on the distribution series' denominators would grow far
 faster than the coefficients.  ``coeffs``, the one field, is built as
-normalized :class:`fractions.Fraction` on first read, and a series built
-through the public constructor is lifted to the integer form once, on its
-first operation; ``repr``, ``==``, ``hash``, copies and pickles read
-``coeffs``, so they see no difference.  A series of order N stores
-c_0..c_N; order -1 has no coefficients, and an operation that needs a
-constant term refuses it with ``OrderMismatchError``.  Binary operations
-truncate to the smaller order of their operands, so precision loss is
-explicit in the result's order.
+normalized :class:`fractions.Fraction` on first read
+(``errors._built_on_read``), and a series built through the public
+constructor, from a sequence that is not text, a set or a dict, is lifted to
+the integer form once, on its first operation; ``repr``, ``==``, ``hash``,
+copies and pickles read ``coeffs``, so they see no difference.  A series of
+order N stores c_0..c_N; order -1 has no coefficients, and an operation that
+needs a constant term refuses it with ``OrderMismatchError``.  Binary
+operations truncate to the smaller order of their operands, so precision
+loss is explicit in the result's order.
 
 Normalizations: the parking and prime series divide count n by (n!)^2,
 covering relabelings of the tree and reorderings of the sequence; the
@@ -50,8 +51,8 @@ from .errors import (
     IdentityViolatedError,
     InputError,
     OrderMismatchError,
-    _NoAttributeError,
     _at_least,
+    _built_on_read,
     _ints,
     _shown,
 )
@@ -107,20 +108,15 @@ class Series:
 
     def __post_init__(self) -> None:
         try:
+            if isinstance(self.coeffs, (str, bytes, bytearray, set, frozenset, dict)):  # text, or unordered
+                raise TypeError
             coeffs = tuple(_as_fraction(c) for c in self.coeffs)
-        except (TypeError, InputError):  # not iterable, or a coefficient is junk
+        except (TypeError, InputError):  # not a sequence, or a coefficient is junk
             raise InputError(f"coefficients {_shown(self.coeffs)} are not rational numbers") from None
         object.__setattr__(self, "coeffs", coeffs)
 
     def __getattr__(self, name: str):
-        # Reached only when ``coeffs`` is not built yet, on a series the
-        # package made: build it from the integer form, once.
-        held = self.__dict__
-        if name == "coeffs" and "_num_den" in held:
-            nums, den = held["_num_den"]
-            coeffs = held["coeffs"] = tuple(Q(x, den) for x in nums)
-            return coeffs
-        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {_shown(name)}")
+        return _built_on_read(self, name, "coeffs", "_num_den", lambda form: tuple(Q(x, form[1]) for x in form[0]))
 
     def __getstate__(self) -> dict:
         """Copies and pickles carry ``coeffs`` alone, as a series built by hand does."""

@@ -30,10 +30,11 @@ list that nothing mutates: a held form cannot drift from the nested value.
 ``==``, ``hash`` and ``repr`` give what they give on a value built by hand.
 Copies and pickles carry the flat form alone, at any depth, and are rebuilt
 from it by hand (:func:`_labeled_tree` alone builds nested nodes), so they
-hold the fields and no form.  The nested field is built only when it is read:
-a carried tree's ``children`` and a standard pair's ``shape``.  A value built
-by hand, by calling the class :class:`LabeledPlaneTree` or ``StandardPrime``,
-holds no form, and is walked and checked on every read.
+hold the fields and no form.  The nested field, a carried tree's ``children``
+and a standard pair's ``shape``, is built on first read by the package's one
+rule for it, ``errors._built_on_read``.  A value built by hand, by calling
+:class:`LabeledPlaneTree` or ``StandardPrime``, holds no form, and is walked
+and checked on every read.
 
 What walks the nested fields itself still recurses, once per level.  At
 the default recursion limit, ``dataclasses.asdict`` and ``astuple`` raise
@@ -58,8 +59,8 @@ from .errors import (
     MultipleRootsError,
     NoRootError,
     VertexOutOfRangeError,
-    _NoAttributeError,
     _at_least,
+    _built_on_read,
     _ints,
     _shown,
     _token,
@@ -348,13 +349,7 @@ class LabeledPlaneTree:
         return f"parse_plane_tree({format_plane_tree(self)!r})"
 
     def __getattr__(self, name: str):
-        # Reached only for a name the instance does not hold: ``children`` on
-        # a tree the package built, before it is read.  Build them once.
-        held = self.__dict__
-        if name == "children" and "_flat" in held:
-            children = held["children"] = _labeled_tree(*held["_flat"]).children
-            return children
-        raise _NoAttributeError(f"{type(self).__name__!r} object has no attribute {_shown(name)}")
+        return _built_on_read(self, name, "children", "_flat", lambda flat: _labeled_tree(*flat).children)
 
     def __reduce__(self):
         """Copies and pickles rebuild the tree by hand from its flat form."""

@@ -209,6 +209,14 @@ class TestMarkedSet:
         with pytest.raises(InputError, match=re.escape(bad)):
             MarkedSet(elements, marked)
 
+    @pytest.mark.parametrize("elements", [[1, 2], (1, 2), range(1, 3), {2, 1}], ids=repr)
+    def test_elements_are_held_as_a_tuple(self, elements):
+        # the validated tuple is held, not the caller's container
+        marked = MarkedSet(elements, 1)
+        assert type(marked.elements) is tuple and marked.elements == (1, 2)
+        assert marked == MarkedSet((1, 2), 1) and hash(marked) == hash(MarkedSet((1, 2), 1))
+        assert len({marked, MarkedSet((1, 2), 1)}) == 1
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_decompose_builds_increasing_sets(self, n):
         for plt in enumerate_labeled_plane_trees(n):

@@ -112,6 +112,12 @@ REPRODUCTIONS = [
     ("format-plane-tree-float-label", lambda: format_plane_tree(LabeledPlaneTree(1.5)), InputError, "1.5"),
     ("encode-none", lambda: encode_prime(None), NotStandardPrimeError, "None"),
     ("series-none", lambda: Series((None,)), InputError, "None"),
+    ("series-str", lambda: Series("12"), InputError, "'12'"),
+    ("series-bytes", lambda: Series(b"12"), InputError, "b'12'"),
+    ("series-bytearray", lambda: Series(bytearray(b"12")), InputError, "bytearray(b'12')"),
+    ("series-set", lambda: Series({1, 2}), InputError, "{1, 2}"),
+    ("series-frozenset", lambda: Series(frozenset({1})), InputError, "frozenset({1})"),
+    ("series-dict", lambda: Series({1: 2}), InputError, "{1: 2}"),
     ("identity-list", lambda: check_identity(["x"], 3), InputError, "['x']"),
     ("parse-tree-none", lambda: parse_rooted_tree(None), InputError, "None"),
     ("parse-plane-tree-none", lambda: parse_plane_tree(None), InputError, "None"),

@@ -7,6 +7,7 @@ and an ``InvariantError`` carries its witness along.  The types whose fields
 are built on first read refuse an unknown name the same way.
 """
 
+import ast
 import copy
 import dataclasses
 import os
@@ -191,6 +192,32 @@ def test_an_unknown_name_is_an_input_error_and_missing(value):
     with pytest.raises(InputError, match=f"'{type(value).__name__}' object has no attribute 'nope'") as caught:
         value.nope
     assert isinstance(caught.value, AttributeError)
+
+
+def test_one_first_read_rule_refuses_every_unknown_name():
+    # each type's __getattr__ is one return of the errors rule, and only the
+    # errors module names the refusal it raises
+    package = Path(treepark.__file__).resolve().parent
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    naming = {
+        name
+        for name, module in modules.items()
+        for node in ast.walk(module)
+        if "_NoAttributeError" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    }
+    assert naming == {"errors.py"}
+    for file, cls in [("trees.py", "LabeledPlaneTree"), ("bijections.py", "StandardPrime"), ("series.py", "Series")]:
+        [body] = [
+            method.body
+            for node in modules[file].body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for method in node.body
+            if isinstance(method, ast.FunctionDef) and method.name == "__getattr__"
+        ]
+        assert [type(statement) for statement in body] == [ast.Return], cls
+        call = body[0].value
+        assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name), cls
+        assert call.func.id == "_built_on_read" and [ast.unparse(a) for a in call.args[:2]] == ["self", "name"], cls
 
 
 # ---------------------------------------------------------------------------
