@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import (
@@ -69,6 +70,7 @@ from .trees import (
     PlaneShape,
     RootedTree,
     _Flat,
+    _bottom_up,
     _check_labels,
     _carried_tree,
     _flatten,
@@ -144,12 +146,12 @@ class MarkedSet:
     marked: int
 
     def __post_init__(self) -> None:
-        elements = _ints(self.elements, InputError, "element {}:")
+        elements = _ints(self.elements, InputError, "element {}:")  # a refusal below names the entries read
         _ints((self.marked,), InputError, "marked index")
         if any(a >= b for a, b in zip(elements, elements[1:])):
-            raise InputError(f"elements {_shown(self.elements)} are not strictly increasing")
+            raise InputError(f"elements {_shown(elements)} are not strictly increasing")
         if self.marked not in elements:
-            raise InputError(f"marked index {_shown(self.marked)} is not among {_shown(self.elements)}")
+            raise InputError(f"marked index {_shown(self.marked)} is not among {_shown(elements)}")
         object.__setattr__(self, "elements", elements)  # the caller's container, validated, as a tuple
 
     def unmarked(self) -> tuple[int, ...]:
@@ -201,12 +203,14 @@ def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) ->
 
 def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[tuple[int, ...], ParkingOutcome]:
     """Validate a flat standard pair with one simulation; returns its prefs
-    and the simulation's outcome."""
+    and the simulation's outcome.  The post-order array is its own
+    children-first order, 1..n-1, so no tree is built or sorted, and an
+    array that is not in that order is refused as the caller's fault."""
     try:  # the tree comes from a shape, so only the preferences pass the gate
         prefs = _preferences(len(parents) - 1, prefs)
     except LabelOutOfRangeError as exc:  # a preference outside 1..n, or not an int
         raise NotStandardPrimeError(str(exc)) from exc
-    prime, outcome = _prime_outcome(RootedTree(tuple(parents[1:])), prefs)
+    prime, outcome = _prime_outcome(parents, range(1, len(prefs)), prefs)
     if not prime:
         raise NotStandardPrimeError("underlying pair is not prime")
     v = _out_of_crossing_order(parents, outcome.crossings)
@@ -268,7 +272,8 @@ def standardize(
 def _standardize(tree: RootedTree, prefs: tuple[int, ...]) -> tuple[tuple[int, ...], _Run]:
     """:func:`standardize` of a checked pair: sigma and the flat standard
     pair with its run, checked for primality and crossing order by that run."""
-    prime, outcome = _prime_outcome(tree, prefs)
+    up = (0,) + tree.parents
+    prime, outcome = _prime_outcome(up, _bottom_up(up), prefs)
     if not prime:
         raise NotPrimeError("standard form is only defined for prime pairs")
     n = tree.n
@@ -706,20 +711,25 @@ def _borie_map(word: Sequence[int]) -> tuple[int, ...]:
             stack.pop()
         at_least[stack[-1] + 1 if stack else 0] += 1
         stack.append(i)
-    for m in range(n - 1, 0, -1):  # suffix sums: at_least[m] positions have m or more
-        at_least[m] += at_least[m + 1]
-    out = tuple(at_least[m] + 1 for m in range(n, 0, -1))
-    if n and not all(a <= b for a, b in zip(out, out[1:])):
-        raise InvariantError("the statistic map must be weakly increasing", path_tree(n), out)
-    if not _increasing_parks(out):
-        raise InvariantError("the statistic map must be a parking function", path_tree(n), out)
+    # suffix sums, from m = n down: one more than the positions with m or more
+    out = tuple(accumulate(at_least[:0:-1], initial=1))[1:]
+    if not _increasing_parks(out):  # one pass reads both invariants; a failure names the first
+        weak = all(a <= b for a, b in zip(out, out[1:]))
+        invariant = "a parking function" if weak else "weakly increasing"
+        raise InvariantError(f"the statistic map must be {invariant}", path_tree(n), out)
     return out
 
 
 def _increasing_parks(prefs: Sequence[int]) -> bool:
-    """Whether a weakly increasing sequence parks on ``path_tree(n)``, the
-    classical lot: its i-th entry is at most i, for i = 1..n."""
-    return all(pref <= i for i, pref in enumerate(prefs, start=1))
+    """Whether a sequence is weakly increasing and parks on ``path_tree(n)``,
+    the classical lot: for i = 1..n its i-th entry is at most i and at least
+    the one before, or 1."""
+    last = 1
+    for i, pref in enumerate(prefs, start=1):
+        if not last <= pref <= i:
+            return False
+        last = pref
+    return True
 
 
 def path_preimage_seq(word: Sequence[int]) -> tuple[int, ...]:
@@ -737,7 +747,8 @@ def path_preimage_seq(word: Sequence[int]) -> tuple[int, ...]:
     path = path_tree(n + 1)
     if not all(seq[i - 1] <= i - 1 for i in range(2, n + 2)):
         raise InvariantError("a path preimage must be a growth sequence", path, seq)
-    if not _prime_outcome(path, seq)[0]:
+    up = (0,) + path.parents
+    if not _prime_outcome(up, _bottom_up(up), seq)[0]:
         raise InvariantError("a path preimage must be prime", path, seq)
     return tuple(seq)
 

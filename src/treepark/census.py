@@ -408,11 +408,11 @@ def roundtrip_suite(n: int) -> SuiteReport:
         failures.append(f"found {forward} prime pairs, expected {factorial(2 * n - 2)}")
 
     backward = 0
-    plane_trees = list(enumerate_labeled_plane_trees(n))
+    plane_trees = [(plt, _flatten(plt)) for plt in enumerate_labeled_plane_trees(n)]
     for word in permutations(range(1, n + 1)):
-        for plt in plane_trees:
+        for plt, flat in plane_trees:
             backward += 1
-            image = word, _flatten(plt)
+            image = word, flat
             back = decoded.get(image)
             if back is True:
                 continue

@@ -10,7 +10,7 @@ spot occupied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InvariantError,
@@ -59,8 +59,9 @@ def _preferences(n: int, prefs: Sequence[int]) -> tuple[int, ...]:
     return _ints(prefs, LabelOutOfRangeError, "driver {}: preference", 1, n)
 
 
-def run_parking(tree: RootedTree, prefs: Sequence[int]) -> ParkingOutcome:
-    """Simulate any prefix of drivers; no length check.
+def run_parking(tree: RootedTree | Sequence[int], prefs: Sequence[int]) -> ParkingOutcome:
+    """Simulate any prefix of drivers; no length check.  Inside the package
+    ``tree`` may also be the tree's parent list with slot 0 unused.
 
     Two union-find link arrays with path halving (Tarjan 1975) stand in for
     the walk to the root.  ``free[v]`` leads to the nearest empty vertex at or
@@ -70,7 +71,7 @@ def run_parking(tree: RootedTree, prefs: Sequence[int]) -> ParkingOutcome:
     an empty vertex ends every ``edge`` chain below it: a driver's new
     crossings are the ``edge`` chain from her preferred vertex up to her spot.
     """
-    up = (0,) + tree.parents
+    up = (0,) + tree.parents if isinstance(tree, RootedTree) else tree
     free = list(range(len(up)))
     edge = free[:]
     spots: list[int | None] = []
@@ -142,18 +143,42 @@ def used_edges(tree: RootedTree, prefs: Sequence[int]) -> tuple[Edge, ...]:
     return outcome.crossings
 
 
-def _prime_outcome(tree: RootedTree, prefs: Sequence[int]) -> tuple[bool, ParkingOutcome]:
-    """Primality evaluated both ways, by the strict criterion (every proper
-    subtree receives strictly more preferences than its size) and as "a
-    parking function that uses every edge" (simulation), which must agree;
-    returns the verdict with the one simulation's outcome.  The pair has
-    passed :func:`check_preferences`."""
-    excess = _subtree_excess(tree, prefs)
-    by_criterion = all(excess[v] > 0 for v, p in enumerate(tree.parents, start=1) if p)
-    outcome = run_parking(tree, prefs)
-    by_simulation = outcome.all_parked and len(outcome.crossings) == tree.n - 1
+def _prime_outcome(
+    up: Sequence[int], order: Iterable[int], prefs: Sequence[int]
+) -> tuple[bool, ParkingOutcome]:
+    """Primality of a pair that has passed :func:`check_preferences`,
+    evaluated both ways, by the strict criterion (every proper subtree
+    receives strictly more preferences than its size) and as "a parking
+    function that uses every edge" (simulation), which must agree; returns
+    the verdict with the one simulation's outcome.
+
+    ``up`` is the parent list with slot 0 unused (0 at the root) and
+    ``order`` lists its vertices, the root optional, every child before its
+    parent: :func:`trees._bottom_up` of any tree, or 1..n-1 for a post-order
+    array.  One loop sums each subtree's surplus into its parent, reads the
+    criterion and refuses an order that reaches a parent before its child:
+    a vertex's entry is spent (None) once it is passed on, so adding a
+    child's to it raises.
+    """
+    surplus: list[int | None] = [-1] * len(up)  # preferences in each subtree, less its size
+    for s in prefs:
+        surplus[s] += 1
+    by_criterion = True
+    try:
+        for v in order:
+            p = up[v]
+            excess = surplus[v]
+            if excess <= 0 < p:  # slot 0 takes the root's, which the criterion skips
+                by_criterion = False
+            surplus[v] = None  # spent
+            surplus[p] += excess
+    except TypeError:  # None + int: v's parent was spent before v
+        witness = RootedTree(tuple(up[1:]))
+        raise InvariantError(f"the order reaches vertex {v} after its parent", witness, prefs) from None
+    outcome = run_parking(up, prefs)
+    by_simulation = outcome.all_parked and len(outcome.crossings) == len(up) - 2
     if by_criterion != by_simulation:
-        raise InvariantError("primality characterizations disagree", tree, prefs)
+        raise InvariantError("primality characterizations disagree", RootedTree(tuple(up[1:])), prefs)
     return by_criterion, outcome
 
 
@@ -163,7 +188,9 @@ def is_prime(tree: RootedTree, prefs: Sequence[int]) -> bool:
     Evaluated both ways: by the strict criterion and as "a parking function
     that uses every edge" (simulation).  The two must agree.
     """
-    return _prime_outcome(tree, check_preferences(tree, prefs))[0]
+    prefs = check_preferences(tree, prefs)
+    up = (0,) + tree.parents
+    return _prime_outcome(up, _bottom_up(up), prefs)[0]
 
 
 def is_parking_distribution(tree: RootedTree, prefs: Sequence[int]) -> bool:

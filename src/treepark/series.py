@@ -110,9 +110,13 @@ class Series:
         try:
             if isinstance(self.coeffs, (str, bytes, bytearray, set, frozenset, dict)):  # text, or unordered
                 raise TypeError
-            coeffs = tuple(_as_fraction(c) for c in self.coeffs)
-        except (TypeError, InputError):  # not a sequence, or a coefficient is junk
+            entries = tuple(self.coeffs)
+        except TypeError:  # not a sequence
             raise InputError(f"coefficients {_shown(self.coeffs)} are not rational numbers") from None
+        try:
+            coeffs = tuple(map(_as_fraction, entries))
+        except InputError:  # a coefficient is junk: name the entries read
+            raise InputError(f"coefficients {_shown(entries)} are not rational numbers") from None
         object.__setattr__(self, "coeffs", coeffs)
 
     def __getattr__(self, name: str):

@@ -17,8 +17,11 @@ every other reader takes: :func:`_shape_parents` turns a plane shape into
 its post-order parent array, and :func:`_flatten` turns a labeled plane tree
 into pre-order label and child arrays; both refuse a vertex of the wrong
 type.  ``repr`` and the labeled enumeration walk a shape too.  A rooted tree
-is walked in one place, :func:`_bottom_up`, over its parent list with slot 0
-unused, and a public function checks one it is given with :func:`_check_tree`.
+is put in children-first order in one place, :func:`_bottom_up`, over its
+parent list with slot 0 unused; a post-order parent array is in that order
+already, and the primality kernel (``parking._prime_outcome``) takes either
+order and refuses one that reaches a parent before its child.  A public
+function checks a tree it is given with :func:`_check_tree`.
 
 A value the package builds from a flat form keeps it, outside the fields,
 so that it is not walked again: every labeled plane tree the package returns

@@ -45,6 +45,7 @@ from treepark import (
     pair_to_prime,
     parse_plane_tree,
     parse_rooted_tree,
+    path_image_suite,
     path_preimage_seq,
     post_order_relabel,
     path_tree,
@@ -52,6 +53,7 @@ from treepark import (
     roundtrip_suite,
     standard_path_prime,
     standardize,
+    theorem53_suite,
     validate_rooted_tree,
 )
 from treepark.bijections import (
@@ -59,7 +61,9 @@ from treepark.bijections import (
     Component,
     _Shrinking,
     _avoids_132,
+    _check_standard,
     _checked,
+    _decode_prime,
     _increasing_parks,
     _standard_prime,
     check_standard_prime,
@@ -307,6 +311,18 @@ class TestOneSimulation:
         assert roundtrip_suite(3).failures == ()
         assert len(simulations) == 48
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_theorem53_suite(self, simulations, n):
+        # one run per avoider, the decoder's check; the statistic map parks no one
+        assert theorem53_suite(n).passed
+        assert len(simulations) == catalan_number(n)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_path_image_suite(self, simulations, n):
+        # one run per growth sequence, the standard-pair check, whose run the encoding reads
+        assert path_image_suite(n).passed
+        assert len(simulations) == factorial(n)
+
     def test_pair_to_prime(self, simulations):
         tree, prefs = pair_to_prime((5, 1, 2, 4, 3), parse_plane_tree("*[1 3 4[2]]"))
         assert (tree.parents, prefs) == ((0, 3, 4, 1, 4), (2, 5, 3, 5, 2))
@@ -339,12 +355,30 @@ class TestOneSimulation:
         assert (simulations, walks) == ([(1, 3, 2, 3, 1)], [FIG_SP.shape])
 
 
+def test_a_flat_standard_pair_is_checked_on_its_post_order_array(monkeypatch):
+    # the check reads the post-order array as its children-first order: on a
+    # valid pair it builds no RootedTree and sorts no tree bottom up
+    built, sorted_up = [], []
+    init = RootedTree.__init__
+    monkeypatch.setattr(RootedTree, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    real = treepark.trees._bottom_up
+    for name, module in list(sys.modules.items()):  # every module that binds the sort
+        if name.split(".")[0] == "treepark" and getattr(module, "_bottom_up", None) is real:
+            monkeypatch.setattr(module, "_bottom_up", lambda up: sorted_up.append(up) or real(up))
+    assert check_standard_prime(FIG_SP) == 5
+    assert _check_standard([0, 2, 3, 0], (1, 1, 2))[0] == (1, 1, 2)
+    for n in range(1, 6):
+        for plt in enumerate_labeled_plane_trees(n):
+            _decode_prime(*_flatten(plt))
+    assert (built, sorted_up) == ([], [])
+
+
 def with_spots(spots):
     """The package's simulation with its log kept and its spots replaced."""
     real = treepark.bijections._prime_outcome
 
-    def doctored(tree, prefs):
-        prime, outcome = real(tree, prefs)
+    def doctored(up, order, prefs):
+        prime, outcome = real(up, order, prefs)
         return prime, ParkingOutcome(spots, outcome.crossings)
 
     return doctored
@@ -409,8 +443,8 @@ class TestDecomposeInvariants:
             "import treepark\n"
             "from treepark import InvariantError, ParkingOutcome, StandardPrime, decode_prime, decompose\n"
             "real = treepark.bijections._prime_outcome\n"
-            "def doctored(tree, prefs):\n"
-            "    prime, outcome = real(tree, prefs)\n"
+            "def doctored(up, order, prefs):\n"
+            "    prime, outcome = real(up, order, prefs)\n"
             "    return prime, ParkingOutcome((1,) * len(prefs), outcome.crossings)\n"
             "treepark.bijections._prime_outcome = doctored\n"
             "try:\n"
@@ -536,7 +570,7 @@ class TestPathInvariants:
         assert caught.value.prefs == (1, 2)
 
     def test_preimage_checks_primality(self, monkeypatch):
-        monkeypatch.setattr(treepark.bijections, "_prime_outcome", lambda tree, prefs: (False, None))
+        monkeypatch.setattr(treepark.bijections, "_prime_outcome", lambda up, order, prefs: (False, None))
         with pytest.raises(InvariantError, match="prime") as caught:
             path_preimage_seq((2, 1))
         assert caught.value.tree.parents == (2, 3, 0)
@@ -546,7 +580,7 @@ class TestPathInvariants:
         probe = (
             "import treepark\n"
             "from treepark import InvariantError, borie_map, path_preimage_seq\n"
-            "treepark.bijections._prime_outcome = lambda tree, prefs: (False, None)\n"
+            "treepark.bijections._prime_outcome = lambda up, order, prefs: (False, None)\n"
             "treepark.bijections._increasing_parks = lambda prefs: False\n"
             "for call in (lambda: path_preimage_seq((2, 1)), lambda: borie_map((2, 1))):\n"
             "    try:\n"

@@ -584,7 +584,7 @@ class TestPathImageSuite:
     def test_a_sequence_that_is_not_standard_is_a_failure(self, monkeypatch):
         # with the simulation doctored to call every pair not prime, each
         # growth sequence is recorded by name, and the run ends with a report
-        monkeypatch.setattr(treepark.bijections, "_prime_outcome", lambda tree, prefs: (False, None))
+        monkeypatch.setattr(treepark.bijections, "_prime_outcome", lambda up, order, prefs: (False, None))
         report = path_image_suite(2)
         assert report.cases == 2
         assert report.failures == (

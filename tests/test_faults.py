@@ -235,6 +235,52 @@ def test_decode_sends_the_last_driver_to_the_root(monkeypatch):
     )
 
 
+def labels_swapped(decode):
+    """``decode`` with post-order labels 1 and n - 1 traded in its pair: the
+    same pair relabeled, so still prime, but no longer a post-order array."""
+
+    def doctored(labels, kids):
+        parents, prefs = decode(labels, kids)
+        n = len(parents) - 1
+        swap = {1: n - 1, n - 1: 1}
+        traded = [0] * (n + 1)
+        for v in range(1, n + 1):
+            traded[swap.get(v, v)] = swap.get(parents[v], parents[v])
+        return traded, [swap.get(q, q) for q in prefs]
+
+    return doctored
+
+
+def swapped_decodes_let_through() -> list:
+    """The labeled plane trees with 3 <= n <= 6 whose decode, with two labels
+    swapped, raises no ``InvariantError`` naming the swapped pair; written
+    without ``assert`` or ``monkeypatch``, so that it runs under ``python -O``."""
+    bij = treepark.bijections
+    real = bij._decode
+    doctored = labels_swapped(real)
+    let_through = []
+    bij._decode = doctored
+    try:
+        for n in range(3, 7):
+            for plt in enumerate_labeled_plane_trees(n):
+                parents, prefs = doctored(*_flatten(plt))
+                try:
+                    decode_prime(plt)
+                except InvariantError as exc:
+                    if (exc.tree.parents, exc.prefs) == (tuple(parents[1:]), tuple(prefs)):
+                        continue
+                let_through.append(plt)
+    finally:
+        bij._decode = real
+    return let_through
+
+
+def test_decode_swaps_two_labels():
+    # most swapped pairs keep every sibling order (4281 of the 5410), so the
+    # standard-pair check must refuse an array that is not a post-order
+    assert swapped_decodes_let_through() == []
+
+
 # ---------------------------------------------------------------------------
 # The backward relabeling: the round-trip suite
 # ---------------------------------------------------------------------------
@@ -337,7 +383,11 @@ def invariant_faults() -> list[str]:
 
 
 def test_invariant_checks_raise_under_optimize():
-    probe = "from test_faults import invariant_faults; print(*invariant_faults(), sep='\\n')"
+    probe = (
+        "from test_faults import invariant_faults, swapped_decodes_let_through\n"
+        "print(*invariant_faults(), sep='\\n')\n"
+        "print(len(swapped_decodes_let_through()), 'swapped decodes let through')\n"
+    )
     src = Path(treepark.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-O", "-c", probe],
@@ -355,4 +405,5 @@ def test_invariant_checks_raise_under_optimize():
         "InvariantError: the decoded pair is a standard prime, but children of vertex 4 are out of crossing order",
         "InvariantError: a path preimage must be a growth sequence",
         "InvariantError: the decoded pair is a standard prime, but underlying pair is not prime",
+        "0 swapped decodes let through",
     ]

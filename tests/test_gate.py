@@ -130,6 +130,10 @@ REPRODUCTIONS = [
     ("coefficient-bool", lambda: Series((1, 2, 3)).coefficient(True), OrderMismatchError, "True"),
     ("marked-set-decreasing", lambda: MarkedSet((3, 1), 1), InputError, "(3, 1)"),
     ("marked-set-repeated", lambda: MarkedSet((1, 1), 1), InputError, "(1, 1)"),
+    # a one-shot iterator is named by the entries read from it, not its address
+    ("marked-set-iterator-decreasing", lambda: MarkedSet(iter((3, 1)), 1), InputError, "elements (3, 1) are"),
+    ("marked-set-iterator-unmarked", lambda: MarkedSet(iter((1, 2)), 5), InputError, "not among (1, 2)"),
+    ("series-generator", lambda: Series(x for x in ["a"]), InputError, "coefficients ('a',) are"),
     ("identity-names-str", lambda: check_identities(3, "parking-gf"), InputError, "'parking-gf'"),
     ("series-add-str", lambda: Series((1, 2)) + "a", InputError, "'a'"),
     ("series-radd-str", lambda: "a" + Series((1, 2)), InputError, "'a'"),
