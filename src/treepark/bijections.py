@@ -171,13 +171,26 @@ class Component:
 def _sibling_pairs(parents: Sequence[int]) -> list[tuple[int, int]]:
     """Each pair (u, v) of a post-order parent array (slot 0 unused) with v
     the next sibling right of u.  Siblings carry increasing labels from left
-    to right, so one sweep meets each child just after its left sibling."""
-    last, pairs = [0] * len(parents), []  # last: each vertex's latest child so far
+    to right, so one sweep meets each child just after its left sibling.
+
+    The sweep also refuses a children-first array that is not a post-order,
+    one where some subtree is not a run of labels ending at its root: each
+    parent's last child must be the label just below it, and each later
+    child's subtree must start just after its left sibling.
+    """
+    last, start, pairs = [0] * len(parents), list(range(len(parents))), []  # start: where each subtree begins
     for v in range(1, len(parents)):
         p = parents[v]
         if p:
-            if last[p]:
-                pairs.append((last[p], v))
+            u = last[p]  # the latest child so far
+            if u:
+                if start[v] != u + 1:
+                    raise NotStandardPrimeError(f"the subtree of vertex {v} does not start after {u}")
+                pairs.append((u, v))
+            else:
+                if parents[p - 1] != p:
+                    raise NotStandardPrimeError(f"the last child of vertex {p} is not {p - 1}")
+                start[p] = start[v]
             last[p] = v
     return pairs
 
@@ -198,14 +211,20 @@ def _out_of_crossing_order(parents: Sequence[int], crossings: Sequence[Edge]) ->
     tick = [0] * len(parents)
     for i, (c, _) in enumerate(crossings):
         tick[c] = i
-    return min((parents[v] for u, v in pairs if tick[u] <= tick[v]), default=None)
+    first = None
+    for u, v in pairs:
+        if tick[u] <= tick[v] and (first is None or parents[v] < first):
+            first = parents[v]
+    return first
 
 
 def _check_standard(parents: list[int], prefs: Sequence[int]) -> tuple[tuple[int, ...], ParkingOutcome]:
     """Validate a flat standard pair with one simulation; returns its prefs
     and the simulation's outcome.  The post-order array is its own
     children-first order, 1..n-1, so no tree is built or sorted, and an
-    array that is not in that order is refused as the caller's fault."""
+    array that is not in that order is refused as the caller's fault.  A
+    children-first array that is not a post-order is not a standard pair:
+    the sibling sweep (:func:`_sibling_pairs`) refuses it."""
     try:  # the tree comes from a shape, so only the preferences pass the gate
         prefs = _preferences(len(parents) - 1, prefs)
     except LabelOutOfRangeError as exc:  # a preference outside 1..n, or not an int
@@ -294,7 +313,11 @@ def _standardize(tree: RootedTree, prefs: tuple[int, ...]) -> tuple[tuple[int, .
         if p:
             parents[sigma[v]] = sigma[p]
     relabeled = tuple((sigma[c], sigma[p]) for c, p in outcome.crossings)
-    if _out_of_crossing_order(parents, relabeled) is not None:
+    try:  # the sibling sweep also refuses an array that is not a post-order
+        out_of_order = _out_of_crossing_order(parents, relabeled)
+    except NotStandardPrimeError as exc:
+        raise InvariantError(f"the standard form is not a post-order: {exc}", tree, prefs) from exc
+    if out_of_order is not None:
         raise InvariantError("the standard form breaks the crossing order", tree, prefs)
     run = ParkingOutcome(tuple(sigma[s] for s in outcome.spots), relabeled)
     return tuple(sigma[1:]), (parents, tuple(sigma[p] for p in prefs), run)
@@ -356,28 +379,36 @@ def _image(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome):
     n = len(prefs)
     start = list(range(n + 1))  # the first post-order label of each subtree
     for v in range(1, n):
-        start[parents[v]] = min(start[parents[v]], start[v])
-    up, log, k = [0] * n, outcome.crossings, 0  # up: the image parent of each vertex below n
-    for q, spot in zip(prefs, outcome.spots):
-        while k < len(log) and start[log[k][0]] <= q <= log[k][0] < spot:
-            up[log[k][0]] = spot
-            k += 1
-    if not all(start[up[v]] <= v < up[v] for v in range(1, n)):
-        raise _broken(parents, prefs, "the first crosser of each edge parks above it")
-    drivers, kids, size = [0] * (n + 1), [[] for _ in start], [1] * (n + 1)
-    for i, spot in enumerate(outcome.spots, start=1):
+        p = parents[v]
+        if start[v] < start[p]:
+            start[p] = start[v]
+    up, drivers = [0] * n, [0] * (n + 1)  # up: the image parent of each vertex below n
+    log, k, end = outcome.crossings, 0, len(outcome.crossings)
+    for i, (q, spot) in enumerate(zip(prefs, outcome.spots), start=1):
         drivers[spot] = i
+        while k < end:
+            c = log[k][0]
+            if not start[c] <= q <= c < spot:
+                break
+            up[c] = spot
+            k += 1
+    kids, size = [[] for _ in start], [1] * (n + 1)
     for v in range(1, n):
-        kids[up[v]].append(v)
-        size[up[v]] += size[v]
+        u = up[v]
+        if not start[u] <= v < u:
+            raise _broken(parents, prefs, "the first crosser of each edge parks above it")
+        kids[u].append(v)
+        size[u] += size[v]
     marked, at, order = [n] * (n + 1), [0] * (n + 1), [n] * n
     for v in range(n, 0, -1):
         t, w = at[v] + 1, prefs[drivers[v] - 1]
         for c in kids[v]:
             at[c], order[t], marked[c] = t, c, w
             t, w = t + size[c], parents[c]
-    if not all(at[s] <= at[q] < at[s] + size[s] for q, s in zip(prefs, outcome.spots)):
-        raise _broken(parents, prefs, "every driver prefers the image subtree of her spot")
+    for q, s in zip(prefs, outcome.spots):
+        a = at[s]
+        if not a <= at[q] < a + size[s]:
+            raise _broken(parents, prefs, "every driver prefers the image subtree of her spot")
     return kids, drivers, marked, order, at, size
 
 
@@ -408,15 +439,16 @@ def decompose(sp: StandardPrime) -> list[Component]:
     return components
 
 
-_BLOCK = 4096  # entries per block of a _Shrinking list
+_BLOCK = 4096  # entries per block of a _Shrinking list, and the most a plain one holds
 
 
 class _Shrinking:
     """A sorted list of distinct ints that only loses entries, cut into blocks
-    of ``_BLOCK``.  A value's block is found by bisecting the blocks' first
-    maxima, which stay separators, and its rank adds up the lengths of the
-    blocks before it; a pop walks the blocks by their lengths.  A delete
-    moves at most one block."""
+    of ``_BLOCK``; the encoder uses it only for a list longer than a block.
+    A value's block is found by bisecting the blocks' first maxima, which
+    stay separators, and its rank adds up the lengths of the blocks before
+    it; a pop walks the blocks by their lengths.  A delete moves at most
+    one block."""
 
     __slots__ = ("blocks", "tops")
 
@@ -457,45 +489,75 @@ def _encode(parents: list[int], prefs: Sequence[int], outcome: ParkingOutcome) -
     the k-th smallest of them, k the rank in Q of its marked vertex.
 
     A heavy path keeps its vertices, drivers and names L, aligned rank for
-    rank with the drivers, as :class:`_Shrinking` lists; other children's
-    entries go to fresh ones, so an entry moves O(log n) times.  The pieces
-    above stay in: larger, with their final drivers, they change no rank.
-    A list shorter than ``_BLOCK`` is one plain list, where a rank or a pop
-    is one bisection or index and one shift.
+    rank with the drivers, as sorted lists; other children's entries go to
+    fresh ones, so an entry moves O(log n) times.  The pieces above stay
+    in: larger, with their final drivers, they change no rank.  A piece of
+    at most ``_BLOCK`` vertices holds plain lists, reached inline: a rank is
+    one bisection, a delete or a pop one shift.  A larger one holds
+    :class:`_Shrinking` lists, so a delete never moves more than a block.
     """
     n = len(prefs)
     kids, drivers, marked, order, at, size = _image(parents, prefs, outcome)
     labels: list[int | None] = [0] * (n + 1)
     every = list(range(1, n + 1))
-    work = [(n, _Shrinking(every), _Shrinking(every), _Shrinking(every))]
+    if n > _BLOCK:
+        work = [(n, _Shrinking(every), _Shrinking(every), _Shrinking(every))]
+    else:
+        work = [(n, every, every[:], every[:])]
     while work:
         v, vertices, driven, names = work.pop()
+        plain = size[v] <= _BLOCK  # whether the piece's lists are plain; its heavy path keeps them
         while True:
-            r = vertices.rank(marked[v])  # the piece: what is still in, up to v
-            if r is None or marked[v] > v:
+            m = marked[v]  # the piece: what is still in, up to v
+            if plain:
+                r = bisect_left(vertices, m)
+                if r == len(vertices) or vertices[r] != m:
+                    r = None
+            else:
+                r = vertices.rank(m)
+            if r is None or m > v:
                 raise _broken(parents, prefs, "each piece's marked vertex lies in the piece")
             labels[v] = names.pop(r)
-            if not kids[v]:
+            below = kids[v]
+            if not below:
                 break
-            heavy = max(kids[v], key=size.__getitem__)
-            for c in kids[v]:
+            heavy = below[0] if len(below) == 1 else max(below, key=size.__getitem__)
+            for c in below:
                 if c == heavy:
                     continue
                 if size[c] == 1 and marked[c] == c:  # a one-vertex piece takes its one name
-                    vertices.rank(c, drop=True)
-                    labels[c] = names.pop(driven.rank(drivers[c], drop=True))
+                    if plain:
+                        del vertices[bisect_left(vertices, c)]
+                        i = bisect_left(driven, drivers[c])
+                        del driven[i]
+                    else:
+                        vertices.rank(c, drop=True)
+                        i = driven.rank(drivers[c], drop=True)
+                    labels[c] = names.pop(i)
                     continue
                 members = sorted(order[at[c] : at[c] + size[c]])
                 ds = sorted([drivers[u] for u in members])
-                sub_names = [names.pop(driven.rank(d, drop=True)) for d in ds]
-                for u in members:
-                    vertices.rank(u, drop=True)
-                work.append((c, _Shrinking(members), _Shrinking(ds), _Shrinking(sub_names)))
+                if plain:
+                    sub_names = []
+                    for d in ds:
+                        i = bisect_left(driven, d)
+                        del driven[i]
+                        sub_names.append(names.pop(i))
+                    for u in members:
+                        del vertices[bisect_left(vertices, u)]
+                else:
+                    sub_names = [names.pop(driven.rank(d, drop=True)) for d in ds]
+                    for u in members:
+                        vertices.rank(u, drop=True)
+                if size[c] > _BLOCK:
+                    members, ds, sub_names = _Shrinking(members), _Shrinking(ds), _Shrinking(sub_names)
+                work.append((c, members, ds, sub_names))
             v = heavy
     if sorted(labels[1:n]) != list(range(1, n)):
         raise _broken(parents, prefs, "the image carries each label 1..n-1 once")
     labels[n] = None
-    kid_ids = tuple(tuple(map(at.__getitem__, kids[v])) for v in order)
+    ids = at.__getitem__
+    kid_ids = tuple(tuple(map(ids, kids[v])) if kids[v] else () for v in order)
     return tuple(map(labels.__getitem__, order)), kid_ids
 
 

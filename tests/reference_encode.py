@@ -1,16 +1,50 @@
 """The Fenwick label pass, kept as a fast second reference for the encoder.
 
 ``fenwick_encode`` is the encoding as it stood before the label pass moved
-to sorted block lists: the same image (``bijections._image``), and labels
-taken by order statistics on three Fenwick trees (Fenwick 1994) per piece.
-It is O(n log^2 n) on every input, so it checks the block lists at sizes
-where the level-by-level ``reference_encode`` is too slow (~10 s at 3000
-vertices).  It shares only ``_image`` with the code it checks; the level
-reference checks ``_image``.
+to sorted block lists: the image read off the pair's run by ``_image``,
+kept here as it stood then, and labels taken by order statistics on three
+Fenwick trees (Fenwick 1994) per piece.  It is O(n log^2 n) on every input,
+so it checks the block lists at sizes where the level-by-level
+``reference_encode`` is too slow (~10 s at 3000 vertices).  It shares no
+code with the encoder it checks but the error it raises; the level
+reference checks the encoder's own ``_image``.
 """
 
-from treepark.bijections import _broken, _image
+from treepark.bijections import _broken
 from treepark.trees import _carried_tree
+
+
+def _image(parents, prefs, outcome):
+    """The image's shape, read off a checked flat standard pair's one run:
+    each vertex's image children (ascending), parked driver and marked
+    vertex, the image pre-order, and each vertex's place in it and subtree
+    size (see ``bijections._image``)."""
+    n = len(prefs)
+    start = list(range(n + 1))  # the first post-order label of each subtree
+    for v in range(1, n):
+        start[parents[v]] = min(start[parents[v]], start[v])
+    up, log, k = [0] * n, outcome.crossings, 0  # up: the image parent of each vertex below n
+    for q, spot in zip(prefs, outcome.spots):
+        while k < len(log) and start[log[k][0]] <= q <= log[k][0] < spot:
+            up[log[k][0]] = spot
+            k += 1
+    if not all(start[up[v]] <= v < up[v] for v in range(1, n)):
+        raise _broken(parents, prefs, "the first crosser of each edge parks above it")
+    drivers, kids, size = [0] * (n + 1), [[] for _ in start], [1] * (n + 1)
+    for i, spot in enumerate(outcome.spots, start=1):
+        drivers[spot] = i
+    for v in range(1, n):
+        kids[up[v]].append(v)
+        size[up[v]] += size[v]
+    marked, at, order = [n] * (n + 1), [0] * (n + 1), [n] * n
+    for v in range(n, 0, -1):
+        t, w = at[v] + 1, prefs[drivers[v] - 1]
+        for c in kids[v]:
+            at[c], order[t], marked[c] = t, c, w
+            t, w = t + size[c], parents[c]
+    if not all(at[s] <= at[q] < at[s] + size[s] for q, s in zip(prefs, outcome.spots)):
+        raise _broken(parents, prefs, "every driver prefers the image subtree of her spot")
+    return kids, drivers, marked, order, at, size
 
 
 # Fenwick trees of present positions 1..m: entry i counts those in

@@ -64,7 +64,9 @@ from treepark.bijections import (
     _check_standard,
     _checked,
     _decode_prime,
+    _image,
     _increasing_parks,
+    _sibling_pairs,
     _standard_prime,
     check_standard_prime,
 )
@@ -373,6 +375,36 @@ def test_a_flat_standard_pair_is_checked_on_its_post_order_array(monkeypatch):
     assert (built, sorted_up) == ([], [])
 
 
+def test_only_a_post_order_array_is_read_as_one():
+    # a children-first array is a post-order when each subtree is a run of
+    # labels ending at its root; the sibling sweep refuses every other one
+    for n in range(1, 8):
+        posts = {tuple(_shape_parents(shape)) for shape in enumerate_plane_trees(n)}
+        for tail in product(*(range(v + 1, n + 1) for v in range(1, n))):
+            parents = [0, *tail, 0]
+            if tuple(parents) in posts:
+                _sibling_pairs(parents)
+            else:
+                with pytest.raises(NotStandardPrimeError):
+                    _sibling_pairs(parents)
+
+
+def test_check_standard_refuses_crossing_arcs():
+    # vertex 1 hangs below 3 and vertex 2 below 4, with 3 a child of 4: prime
+    # and in its one sibling order under 16 preference sequences
+    with pytest.raises(NotStandardPrimeError, match="^the last child of vertex 3 is not 2$"):
+        _check_standard([0, 3, 4, 4, 5, 0], (1, 1, 1, 2, 2))
+    n = 5
+    posts = {tuple(_shape_parents(shape)) for shape in enumerate_plane_trees(n)}
+    crossing = [[0, *tail, 0] for tail in product(*(range(v + 1, n + 1) for v in range(1, n)))]
+    crossing = [parents for parents in crossing if tuple(parents) not in posts]
+    assert len(crossing) == 24 - 14
+    for parents in crossing:
+        for prefs in product(range(1, n + 1), repeat=n):
+            with pytest.raises(NotStandardPrimeError):
+                _check_standard(parents, prefs)
+
+
 def with_spots(spots):
     """The package's simulation with its log kept and its spots replaced."""
     real = treepark.bijections._prime_outcome
@@ -391,6 +423,19 @@ def with_marked(vertex, value):
     def doctored(parents, prefs, outcome):
         kids, drivers, marked, order, at, size = real(parents, prefs, outcome)
         marked[vertex] = value
+        return kids, drivers, marked, order, at, size
+
+    return doctored
+
+
+def without_child(vertex):
+    """The image reader with the first image child of one vertex dropped:
+    that child's piece is never reached, so it takes no labels."""
+    real = treepark.bijections._image
+
+    def doctored(parents, prefs, outcome):
+        kids, drivers, marked, order, at, size = real(parents, prefs, outcome)
+        kids[vertex].pop(0)
         return kids, drivers, marked, order, at, size
 
     return doctored
@@ -419,11 +464,21 @@ class TestDecomposeInvariants:
         assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
 
     def test_image_carries_each_label_once(self, monkeypatch):
-        # every piece takes the smallest of its names, and none is used up
-        monkeypatch.setattr(treepark.bijections._Shrinking, "pop", lambda names, r: names.blocks[0][0])
+        # the root loses its first image child, the piece {1}, which takes no
+        # label; the pair's lists are plain, with no method to doctor
+        monkeypatch.setattr(treepark.bijections, "_image", without_child(5))
         with pytest.raises(InvariantError, match="each label 1..n-1 once") as caught:
             encode_prime(FIG_SP)
         assert (caught.value.tree.parents, caught.value.prefs) == self.WITNESS
+
+    def test_image_carries_each_label_once_past_a_block(self, monkeypatch):
+        # every piece of blocked lists takes the smallest of its names, and
+        # none is used up: on a path, each vertex below the root
+        ones = standard_path_prime((1,) * (_BLOCK + 1))
+        monkeypatch.setattr(treepark.bijections._Shrinking, "pop", lambda names, r: names.blocks[0][0])
+        with pytest.raises(InvariantError, match="each label 1..n-1 once") as caught:
+            encode_prime(ones)
+        assert caught.value.prefs == ones.prefs
 
     def test_marked_vertex_lies_in_its_piece(self, monkeypatch):
         # The image pieces are {1}, {2} and {3, 4} below the root 5.  Vertex 4
@@ -452,14 +507,16 @@ class TestDecomposeInvariants:
             "except InvariantError:\n"
             "    print('raised')\n"
             "treepark.bijections._prime_outcome = real\n"
-            "pop = treepark.bijections._Shrinking.pop\n"
-            "treepark.bijections._Shrinking.pop = lambda names, r: names.blocks[0][0]\n"
+            "image = treepark.bijections._image\n"
+            "def doctored(parents, prefs, outcome):\n"
+            "    found = image(parents, prefs, outcome)\n"
+            "    found[0][5].pop(0)\n"
+            "    return found\n"
+            "treepark.bijections._image = doctored\n"
             "try:\n"
             "    treepark.encode_prime(StandardPrime(((((),), ()),), (1, 3, 2, 3, 1)))\n"
             "except InvariantError:\n"
             "    print('raised')\n"
-            "treepark.bijections._Shrinking.pop = pop\n"
-            "image = treepark.bijections._image\n"
             "def doctored(parents, prefs, outcome):\n"
             "    found = image(parents, prefs, outcome)\n"
             "    found[2][4] = 5\n"
@@ -514,6 +571,19 @@ class TestStandardizeInvariant:
             standardize(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
         assert caught.value.tree.parents == (0, 3, 4, 1, 4)
         assert caught.value.prefs == (2, 5, 3, 5, 2)
+
+    def test_an_array_that_is_not_a_post_order_names_the_pair(self, monkeypatch):
+        # the relabeled array's sweep is the package's own fault, not the caller's
+        real = treepark.bijections._out_of_crossing_order
+        monkeypatch.setattr(
+            treepark.bijections, "_out_of_crossing_order", lambda parents, crossings: real([0, 3, 4, 4, 5, 0], crossings)
+        )
+        with pytest.raises(InvariantError) as caught:
+            standardize(validate_rooted_tree([0, 3, 4, 1, 4]), (2, 5, 3, 5, 2))
+        assert str(caught.value) == (
+            "the standard form is not a post-order: the last child of vertex 3 is not 2"
+            " (witness: parents (0, 3, 4, 1, 4), prefs (2, 5, 3, 5, 2))"
+        )
 
 
 class TestDecodeInvariants:
@@ -894,6 +964,60 @@ class TestShrinking:
         for _ in range(30):
             plt = random_plane_tree(rng, rng.randint(2, 200))
             assert encode_prime(decode_prime(plt)) == plt
+
+
+class TestPlainLists:
+    """A piece's lists are plain up to ``_BLOCK`` entries and ``_Shrinking``
+    past it, counted by the constructor calls."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        init = _Shrinking.__init__
+        monkeypatch.setattr(_Shrinking, "__init__", lambda self, items: built.append(len(items)) or init(self, items))
+        return built
+
+    def test_no_block_list_up_to_a_block(self, built):
+        for n in range(1, 6):
+            for sp in standard_pairs(n):
+                assert encode_prime(sp) == fenwick_encode(*_checked(sp)), sp
+        rng = random.Random(_BLOCK)
+        for plt in (random_plane_tree(rng, _BLOCK), star_tree(rng, _BLOCK), labeled_path(range(1, _BLOCK))):
+            sp = decode_prime(plt)
+            assert encode_prime(sp) == fenwick_encode(*_checked(sp)) == plt
+        assert built == []
+
+    @staticmethod
+    def heads(run):
+        """The sizes of the pieces with lists longer than a block, and of the
+        light pieces of more than one vertex that such a piece hands down."""
+        kids, _, _, _, _, size = _image(*run)
+        blocked, handed, work = [], [], [len(size) - 1]
+        while work:
+            v = head = work.pop()
+            if size[head] > _BLOCK:
+                blocked.append(size[head])
+            while kids[v]:
+                heavy = max(kids[v], key=size.__getitem__)
+                for c in kids[v]:
+                    if c != heavy:
+                        work.append(c)
+                        if size[head] > _BLOCK and 1 < size[c] <= _BLOCK:
+                            handed.append(size[c])
+                v = heavy
+        return blocked, handed
+
+    @pytest.mark.parametrize("make", [caterpillar_tree, random_plane_tree])
+    def test_blocked_parents_hand_down_plain_lists(self, built, make):
+        n = 3 * _BLOCK + 1
+        sp = decode_prime(make(random.Random(n), n))
+        run = _checked(sp)
+        blocked, handed = self.heads(run)
+        built.clear()
+        assert encode_prime(sp) == fenwick_encode(*run)
+        assert sorted(built) == sorted(3 * blocked) and blocked
+        # a caterpillar's light pieces are single leaves; a random tree's are not
+        assert bool(handed) == (make is random_plane_tree)
 
 
 class TestAgainstTheFenwickEncoder:

@@ -48,7 +48,7 @@ from treepark import (
 from treepark.bijections import _BLOCK, _checked
 from treepark.census import _iter_primes
 from treepark.trees import _carried_tree, _flatten, _shape_parents
-from test_bijections import FIG_SP, caterpillar_tree, random_plane_tree, star_tree, with_spots
+from test_bijections import FIG_SP, caterpillar_tree, random_plane_tree, star_tree, with_spots, without_child
 from test_trees import reference_plane_trees
 
 pytestmark = pytest.mark.faults
@@ -162,12 +162,25 @@ def rank_in_block(self, x, drop=False):
     return i
 
 
+def bitten_through(rank, pairs, monkeypatch):
+    """For each pair, whether the encoder with ``_Shrinking.rank`` replaced by
+    ``rank`` is reported against the Fenwick encoder, and whether it called
+    the stand-in: only a list longer than a block is a ``_Shrinking``."""
+    calls = []
+    counted = lambda self, x, drop=False: calls.append(x) or rank(self, x, drop)  # noqa: E731
+    monkeypatch.setattr(treepark.bijections._Shrinking, "rank", counted)
+    found = []
+    for sp in pairs:
+        calls.clear()
+        found.append((reports(lambda: encode_prime(sp) == fenwick_encode(*_checked(sp))), bool(calls)))
+    return found
+
+
 def test_shrinking_rank_drops_the_blocks_before_its_own(monkeypatch):
     rng = random.Random(_BLOCK + 1)
     pairs = [decode_prime(random_plane_tree(rng, _BLOCK + 1)) for _ in range(3)]
-    monkeypatch.setattr(treepark.bijections._Shrinking, "rank", rank_in_block)
-    bitten = [reports(lambda: encode_prime(sp) == fenwick_encode(*_checked(sp))) for sp in pairs]
-    assert all(bitten), bitten
+    bitten = bitten_through(rank_in_block, pairs, monkeypatch)
+    assert bitten == [(True, True)] * 3, bitten
 
 
 def test_shrinking_rank_drops_the_blocks_before_its_own_only_on_a_delete(monkeypatch):
@@ -176,11 +189,8 @@ def test_shrinking_rank_drops_the_blocks_before_its_own_only_on_a_delete(monkeyp
     real = treepark.bijections._Shrinking.rank
     n = 3 * _BLOCK + 1
     pairs = [decode_prime(make(random.Random(n), n)) for make in (star_tree, caterpillar_tree, random_plane_tree)]
-    monkeypatch.setattr(
-        treepark.bijections._Shrinking, "rank", lambda self, x, drop=False: (rank_in_block if drop else real)(self, x, drop)
-    )
-    bitten = [reports(lambda: encode_prime(sp) == fenwick_encode(*_checked(sp))) for sp in pairs]
-    assert all(bitten), bitten
+    bitten = bitten_through(lambda self, x, drop: (rank_in_block if drop else real)(self, x, drop), pairs, monkeypatch)
+    assert bitten == [(True, True)] * 3, bitten
 
 
 def test_shrinking_rank_one_too_high_breaks_the_growth_check(monkeypatch):
@@ -275,6 +285,24 @@ def swapped_decodes_let_through() -> list:
     return let_through
 
 
+def crossing_arcs(labels, kids):
+    """A stand-in for ``_decode`` that returns, for any tree, a children-first
+    array that is not a post-order, with preferences under which it is prime
+    and keeps its one sibling order: vertex 1 hangs below 3 and vertex 2
+    below 4, with 3 a child of 4."""
+    return [0, 3, 4, 4, 5, 0], [1, 1, 1, 2, 2]
+
+
+def test_decode_returns_crossing_arcs(monkeypatch):
+    monkeypatch.setattr(treepark.bijections, "_decode", crossing_arcs)
+    with pytest.raises(InvariantError) as caught:
+        decode_prime(parse_plane_tree("*[1 3 4[2]]"))
+    assert str(caught.value) == (
+        "the decoded pair is a standard prime, but the last child of vertex 3 is not 2"
+        " (witness: parents (3, 4, 4, 5, 0), prefs (1, 1, 1, 2, 2))"
+    )
+
+
 def test_decode_swaps_two_labels():
     # most swapped pairs keep every sibling order (4281 of the 5410), so the
     # standard-pair check must refuse an array that is not a post-order
@@ -355,7 +383,7 @@ def invariant_faults() -> list[str]:
     rows = [  # (the kernel doctored, if any, as owner, name and stand-in; the call)
         ((bij, "_prime_outcome", with_spots((1,) * 5)), lambda: decompose(FIG_SP)),
         ((bij, "_prime_outcome", with_spots((2, 3, 1, 4, 5))), lambda: encode_prime(FIG_SP)),
-        ((bij._Shrinking, "pop", lambda names, r: names.blocks[0][0]), lambda: encode_prime(FIG_SP)),
+        ((bij, "_image", without_child(5)), lambda: encode_prime(FIG_SP)),
         ((bij, "_merge", lambda parts: [found[:-1] for found in real_merge(parts)]),
          lambda: decode_prime(parse_plane_tree("*[1 3 4[2]]"))),
         # flat arrays that hang vertex 2 below both 0 and 1
@@ -364,6 +392,7 @@ def invariant_faults() -> list[str]:
         ((bij._Shrinking, "rank", lambda self, x, drop=False: real_rank(self, x, drop) + 1),
          lambda: path_preimage_seq((2, 1))),
         ((bij, "_decode", last_driver_at_the_root(real_decode)), lambda: theorem53_suite(3)),
+        ((bij, "_decode", crossing_arcs), lambda: decode_prime(parse_plane_tree("*[1 3 4[2]]"))),
     ]
     raised = []
     for patch, call in rows:
@@ -405,5 +434,6 @@ def test_invariant_checks_raise_under_optimize():
         "InvariantError: the decoded pair is a standard prime, but children of vertex 4 are out of crossing order",
         "InvariantError: a path preimage must be a growth sequence",
         "InvariantError: the decoded pair is a standard prime, but underlying pair is not prime",
+        "InvariantError: the decoded pair is a standard prime, but the last child of vertex 3 is not 2",
         "0 swapped decodes let through",
     ]
